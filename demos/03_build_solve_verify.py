@@ -32,7 +32,7 @@ model = build(inst, rho)
 print(f"model: {len(model.variables)} variables, "
       f"{len(model.constraints)} constraints")
 
-solution = solve(model)
+solution = solve(inst, rho)
 print(f"\nsolve: {solution.status}, objective {solution.objective:.4f}, "
       f"{solution.nodes} nodes")
 print(f"open facilities: {solution.open_facilities}")

@@ -13,7 +13,6 @@ from biloc import (
     GeneratorParams,
     RhoTable,
     ScenarioSet,
-    build,
     generate,
     simulate,
     solve,
@@ -24,7 +23,7 @@ inst = generate(GeneratorParams(
     n_services=2, n_prices=3, ratio=1.2, seed=21,
 ))
 rho = RhoTable.closed_form(inst)
-solution = solve(build(inst, rho))
+solution = solve(inst, rho)
 print(f"model objective: {solution.objective:.4f}")
 
 scenarios = ScenarioSet.for_model(inst.choice_model, 200_000, seed=5)

@@ -52,7 +52,7 @@ from .milp import (
     write_lp,
 )
 from .oracle import REALLOC, REDUCED, min_demand_violation_rate, simulate
-from .solver import SolverError, enumerate_oracle, solve, solve_lp
+from .solver import SolverError, enumerate_oracle, solve, solve_lp, solve_milp
 
 __version__ = "0.1.0"
 
@@ -100,6 +100,7 @@ __all__ = [
     "simulate",
     "solve",
     "solve_lp",
+    "solve_milp",
     "validate",
     "write_lp",
 ]

@@ -106,9 +106,7 @@ def default_points(kind: str, base: GeneratorParams, scale: str = "desk") -> tup
 
 
 def _solve_point(inst: Instance, budget: float | None) -> milp.Solution:
-    rho = RhoTable.closed_form(inst)
-    model = milp.build(inst, rho)
-    return solve(model, budget=budget)
+    return solve(inst, RhoTable.closed_form(inst), budget=budget)
 
 
 def _row(spec: SweepSpec, point, replication: int, seed: int,

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bench, instance, milp, oracle
 from .choice import RhoTable, ScenarioSet
 from .instance import GeneratorParams
-from .solver import solve
+from .solver import solve, solve_milp
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -92,10 +92,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if path.suffix == ".json":
         inst = instance.load(path)
         rho = _rho_table(inst, args.rho, args.saa, args.seed)
-        model = milp.build(inst, rho)
+        solution = solve(inst, rho, budget=args.time_limit)
     else:
-        model = milp.read_lp(path)
-    solution = solve(model, budget=args.time_limit, workers=args.workers)
+        solution = solve_milp(milp.read_lp(path), budget=args.time_limit)
     if args.out:
         solution.save(args.out)
         print(f"wrote {args.out}")
@@ -207,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve an LP file or an instance file")
     s.add_argument("model", help=".lp model file or .json instance file")
     s.add_argument("--time-limit", type=float, default=None)
-    s.add_argument("--workers", type=int, default=1)
     s.add_argument("--rho", choices=("closed", "saa"), default="closed")
     s.add_argument("--saa", type=int, default=100_000)
     s.add_argument("--seed", type=int, default=0)

@@ -72,17 +72,12 @@ class Constraint:
 
 @dataclass
 class MilpModel:
-    """Linear model: variables, rows, and a maximization objective.
-
-    ``source`` carries the (instance, rho) pair the model was built from when
-    available; solvers may exploit it, everything else ignores it.
-    """
+    """Linear model: variables, rows, and a maximization objective."""
 
     variables: list[Variable] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     maximize: bool = True
-    source: "tuple[Instance, RhoTable] | None" = None
 
     def __post_init__(self) -> None:
         self._by_tag = {v.tag: i for i, v in enumerate(self.variables)}
@@ -262,7 +257,7 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
                 "price={})".format(*key)
             )
 
-    model = MilpModel(source=(inst, rho))
+    model = MilpModel()
     I = inst.n_facilities
     J = inst.n_customers
 
@@ -536,7 +531,7 @@ def _parse_terms(text: str, line_no: int) -> list[tuple[str, float]]:
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Parse the canonical LP text back into a model (without a source)."""
+    """Parse the canonical LP text back into a model."""
     section = None
     objective_terms: list[tuple[str, float]] = []
     maximize = True
@@ -690,39 +685,33 @@ def upper_bound_offer_pattern(inst: "Instance", rho: RhoTable) -> dict:
 # Solution checking and independent objective evaluation
 # ---------------------------------------------------------------------------
 
-def check_solution(inst: "Instance", solution: Solution) -> list[str]:
-    """All constraint violations of the first stage plus allocation (empty = feasible)."""
+def first_stage_violations(inst: "Instance", solution: Solution) -> list[str]:
+    """Violations of the first-stage families only (facilities, prices,
+    services, budget, minimum demand); the allocation is not examined."""
     out: list[str] = []
-
-    for (n, m), p in solution.price_choices.items():
-        if m not in inst.shipper_services(n):
-            out.append(f"price pick for shipper {n} names unavailable service {m}")
-        elif not 0 <= p < len(inst.ladder(n, m).prices):
-            out.append(f"price pick for shipper {n} service {m}: position {p} "
-                       "outside the ladder")
-
-    for (n, k), m in solution.service_choices.items():
-        if m not in inst.services_by_category[n][k]:
-            out.append(f"service pick for shipper {n} category {k} names "
-                       f"unavailable service {m}")
-        elif (n, m) not in solution.price_choices:
-            out.append(f"shipper {n} category {k} takes service {m} but no price "
-                       "is chosen for it")
-
     for i in solution.open_facilities:
         if not 0 <= i < inst.n_facilities:
             out.append(f"open facility {i} out of range")
-
-    for n in range(inst.n_shippers):
-        chosen_pairs = sum(1 for (nn, _m) in solution.price_choices if nn == n)
-        if chosen_pairs > inst.categories_per_shipper[n]:
-            out.append(
-                f"shipper {n}: {chosen_pairs} priced services exceed the "
-                f"{inst.categories_per_shipper[n]}-category budget"
-            )
-
-    # minimum committed demand per priced service
+    valid_prices = {}
     for (n, m), p in solution.price_choices.items():
+        if not (0 <= n < inst.n_shippers and m in inst.shipper_services(n)):
+            out.append(f"shipper {n}: priced service {m} is not available")
+        elif not 0 <= p < len(inst.ladder(n, m).prices):
+            out.append(f"shipper {n} service {m}: price position {p} out of range")
+        else:
+            valid_prices[(n, m)] = p
+    for n in range(inst.n_shippers):
+        priced = sum(1 for (nn, _m) in solution.price_choices if nn == n)
+        if priced > inst.categories_per_shipper[n]:
+            out.append(f"shipper {n}: {priced} priced services exceed the "
+                       f"{inst.categories_per_shipper[n]}-category budget")
+    for (n, k), m in solution.service_choices.items():
+        if not (0 <= n < inst.n_shippers and 0 <= k < inst.categories_per_shipper[n]
+                and m in inst.services_by_category[n][k]):
+            out.append(f"shipper {n} category {k}: service {m} is not available")
+        elif (n, m) not in solution.price_choices:
+            out.append(f"shipper {n} category {k}: service {m} has no chosen price")
+    for (n, m), p in valid_prices.items():
         level = inst.ladder(n, m).min_demands[p]
         committed = sum(
             inst.category_demand(n, k)
@@ -731,13 +720,23 @@ def check_solution(inst: "Instance", solution: Solution) -> list[str]:
         )
         if committed < level - FEASIBILITY_TOL:
             out.append(
-                f"shipper {n} service {m}: committed demand {committed:g} is below "
-                f"the minimum level {level:g} of the chosen price"
+                f"shipper {n} service {m}: committed demand {committed:g} below "
+                f"minimum level {level:g}"
             )
+    return out
+
+
+def check_solution(inst: "Instance", solution: Solution) -> list[str]:
+    """All constraint violations of the first stage plus allocation (empty = feasible)."""
+    out = first_stage_violations(inst, solution)
 
     # allocation structure
     usage = {i: 0.0 for i in range(inst.n_facilities)}
     for (i, j, m), w in solution.allocation.items():
+        if not (0 <= i < inst.n_facilities and 0 <= j < inst.n_customers):
+            out.append(f"allocation w[{i},{j},{m}] names a facility or customer "
+                       "out of range")
+            continue
         if not -FEASIBILITY_TOL <= w <= 1.0 + FEASIBILITY_TOL:
             out.append(f"allocation w[{i},{j},{m}] = {w:g} outside [0, 1]")
         if i not in solution.open_facilities and w > FEASIBILITY_TOL:

@@ -19,13 +19,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .choice import OPT_OUT, ScenarioSet
-from .milp import Solution
-from .solver.serving import (
-    first_stage_violations,
-    offers_from_solution,
-    transport_offers,
-)
+from .choice import OPT_OUT, RhoTable, ScenarioSet
+from .milp import Solution, first_stage_violations
+from .solver.serving import offers_from_solution, transport_offers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import Instance
@@ -109,7 +105,7 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
         allocation = dict(first_stage.allocation)
         if n_offers and not _covers_offers(inst, offers, allocation):
             result, allocation = transport_offers(
-                inst, offers, open_facilities, rho=_rho_for(inst, offers)
+                inst, offers, open_facilities, rho=RhoTable.closed_form(inst)
             )
             if result.status != "optimal":
                 raise ValueError(
@@ -270,12 +266,3 @@ def _covers_offers(inst: "Instance", offers: dict, allocation: dict) -> bool:
             if abs(total - 1.0) > 1e-7:
                 return False
     return True
-
-
-def _rho_for(inst: "Instance", offers: dict):
-    from .choice import RhoTable, rho_closed_form
-
-    return RhoTable({
-        (n, k, m, p): rho_closed_form(inst, n, k, m, p)
-        for (n, k), (m, p) in offers.items()
-    })

@@ -1,12 +1,10 @@
 """Exact optimization: branch-and-bound, LP kernel, transportation fast path,
 and the exhaustive enumeration oracle."""
 
-from .bnb import BnBNode, SearchDiagnostics, SolverError, solve
+from .bnb import SearchDiagnostics, SolverError, solve, solve_milp
 from .brute import OracleSizeError, enumerate_oracle
 from .serving import (
-    best_facility_set,
     evaluate_offers,
-    first_stage_violations,
     offer_revenue,
     offers_from_solution,
     transport_offers,
@@ -15,22 +13,20 @@ from .simplex import LpSolution, SimplexError, solve_dense_lp, solve_lp
 from .transportation import TransportResult, solve_transportation
 
 __all__ = [
-    "BnBNode",
     "LpSolution",
     "OracleSizeError",
     "SearchDiagnostics",
     "SimplexError",
     "SolverError",
     "TransportResult",
-    "best_facility_set",
     "enumerate_oracle",
     "evaluate_offers",
-    "first_stage_violations",
     "offer_revenue",
     "offers_from_solution",
     "solve",
     "solve_dense_lp",
     "solve_lp",
+    "solve_milp",
     "solve_transportation",
     "transport_offers",
 ]

@@ -2,24 +2,25 @@
 
 Two engines share the best-first search loop:
 
-* The *structured* engine runs on models that carry their (instance, rho)
-  source.  It branches on category commitments: each child either binds one
-  shipper-category to a concrete (service, ladder position) offer (which also
-  pins that shipper-service price slot) or sends it to the outside option.
-  Fully decided nodes are evaluated exactly by enumerating facility subsets
-  over the transportation fast path, so facility decisions never need their
-  own tree levels.  Node bounds come from a relaxation that drops price
-  coupling across categories, minimum-demand gates and per-facility capacity:
-  for every candidate facility subset, each undecided category takes its best
-  still-allowed offer priced against per-customer cheapest serving cost, and
-  a fractional knapsack caps total gamma-scaled demand by the subset's
-  aggregate capacity.  The bound only ever over-estimates and shrinks
-  monotonically along any branch.
+* The *structured* engine (``solve``) works from the instance and its
+  acceptance-probability table.  It branches on category commitments: each
+  child either binds one shipper-category to a concrete (service, ladder
+  position) offer (which also pins that shipper-service price slot) or sends
+  it to the outside option.  Fully decided nodes are evaluated exactly by
+  enumerating facility subsets over the transportation fast path, so facility
+  decisions never need their own tree levels.  Node bounds come from a
+  relaxation that drops price coupling across categories, minimum-demand
+  gates and per-facility capacity: for every candidate facility subset, each
+  undecided category takes its best still-allowed offer priced against
+  per-customer cheapest serving cost, and a fractional knapsack caps total
+  gamma-scaled demand by the subset's aggregate capacity.  The bound only
+  ever over-estimates and shrinks monotonically along any branch.
 
-* The *relaxation* engine works on any model: it solves the continuous
-  relaxation per node with the dense simplex kernel and branches on the most
-  fractional binary, preferring price variables, then service assignments,
-  then facilities.  Intended for desk-scale models only.
+* The *relaxation* engine (``solve_milp``) works on any model, such as a
+  parsed LP file: it solves the continuous relaxation per node with the dense
+  simplex kernel and branches on the most fractional binary, preferring price
+  variables, then service assignments, then facilities.  Intended for
+  desk-scale models only.
 
 Both return proven-optimal solutions or a time-limited incumbent with its
 remaining gap.
@@ -45,7 +46,7 @@ from ..milp import (
     profit_upper_bound,
     upper_bound_offer_pattern,
 )
-from .serving import best_facility_set, evaluate_offers
+from .serving import evaluate_offers
 from .simplex import solve_lp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover
 _BIG = 1e18
 _UNDECIDED = -2
 _NONE = -1
+#: Relative bound gap below which a search declares its incumbent optimal.
+_GAP_TOL = 1e-9
 
 #: Upper limit on tableau cells for the relaxation engine; larger models must
 #: be solved through their instance (structured engine).
@@ -65,48 +68,20 @@ class SolverError(RuntimeError):
 
 
 @dataclass
-class BnBNode:
-    """Search-tree node: the binaries fixed so far, the relaxation bound at
-    this node, its depth, and the tag of the variable branched to reach it."""
-
-    fixed: dict
-    bound: float
-    depth: int
-    branch_tag: tuple | None = None
-
-
-@dataclass
 class SearchDiagnostics:
     """Optional instrumentation collected during a solve."""
 
     root_bound: float = float("nan")
     bound_pairs: list = field(default_factory=list)   # (parent bound, child bound)
     leaf_checks: list = field(default_factory=list)   # (node bound, exact value)
-    incumbents: list = field(default_factory=list)
-    nodes: list = field(default_factory=list)         # BnBNode records
 
 
-def solve(model: MilpModel, budget: float | None = None, workers: int = 1,
-          gap_tol: float = 1e-9, engine: str = "auto",
-          diagnostics: SearchDiagnostics | None = None) -> Solution:
-    """Solve a built model to proven optimality (or best incumbent + gap).
+def _prune_tol(incumbent: float) -> float:
+    return _GAP_TOL * max(1.0, abs(incumbent))
 
-    ``budget`` is a wall-clock limit in seconds (None = none).  ``engine``:
-    "structured" needs model.source, "relaxation" works on any model, "auto"
-    picks structured when the source is available.  Only single-worker
-    operation is implemented; the shared-queue contract is an extension point.
-    """
-    if workers != 1:
-        raise ValueError("only single-worker solves are implemented (workers=1)")
-    if engine not in ("auto", "structured", "relaxation"):
-        raise ValueError(f"unknown engine '{engine}'")
-    if engine == "structured" and model.source is None:
-        raise SolverError("structured engine needs a model built from an instance")
-    if engine == "auto":
-        engine = "structured" if model.source is not None else "relaxation"
-    if engine == "structured":
-        return _solve_structured(model, budget, gap_tol, diagnostics)
-    return _solve_relaxation(model, budget, gap_tol, diagnostics)
+
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.perf_counter() > deadline
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +109,6 @@ class _StructuredData:
 
         self.cats = [(n, k) for n in range(inst.n_shippers)
                      for k in range(inst.categories_per_shipper[n])]
-        self.cat_index = {nk: c for c, nk in enumerate(self.cats)}
         self.cat_demand = np.array([inst.category_demand(n, k) for n, k in self.cats])
         C = len(self.cats)
 
@@ -362,14 +336,30 @@ def _structured_bound(data: _StructuredData, state: tuple
     return best_bound, best_mask, arg[best_mask]
 
 
-def _leaf_value(data: _StructuredData, state: tuple, floor: float):
+def _unmet_gates(data: _StructuredData, state: tuple, fixes: dict) -> list[int]:
+    """Pinned price slots (``fixes`` from ``_slot_fixes``) whose committed
+    demand misses the pinned price's minimum level."""
+    committed = np.zeros(len(data.slots))
+    for c, o in enumerate(state):
+        if o >= 0:
+            committed[data.off_slot[c, o]] += data.cat_demand[c]
+    return [slot for slot, p in fixes.items()
+            if committed[slot] < data.slot_min_demand[slot][p] - 1e-9]
+
+
+def _leaf_value(data: _StructuredData, state: tuple, floor: float,
+                deadline: float | None = None):
     """Exact value of a fully decided node, or None when infeasible or unable
     to beat ``floor``.
 
     Facility subsets are ranked by their capacity-blind value bound and only
     transported while the bound still beats the best value seen, so most
-    subsets are never solved exactly.
+    subsets are never solved exactly.  Past ``deadline`` the ranking stops
+    early and the best value found so far is returned.
     """
+    fixes = _slot_fixes(data, state)
+    if fixes is None or _unmet_gates(data, state, fixes):
+        return None
     offers: dict = {}
     committed_load = 0.0
     for c, o in enumerate(state):
@@ -377,18 +367,6 @@ def _leaf_value(data: _StructuredData, state: tuple, floor: float):
             n, k = data.cats[c]
             offers[(n, k)] = (int(data.off_m[c, o]), int(data.off_p[c, o]))
             committed_load += float(data.off_weight[c, o])
-    fixes = _slot_fixes(data, state)
-    if fixes is None:
-        return None
-    for slot, p in fixes.items():
-        level = data.slot_min_demand[slot][p]
-        n, m = data.slots[slot]
-        committed = sum(
-            float(data.cat_demand[c]) for c in data.shipper_cats[n]
-            if state[c] >= 0 and data.off_m[c, state[c]] == m
-        )
-        if committed < level - 1e-9:
-            return None
 
     # value bound per facility mask: committed offer values, overflow
     # correction, fixed cost
@@ -403,7 +381,7 @@ def _leaf_value(data: _StructuredData, state: tuple, floor: float):
     best = None
     best_value = floor
     for mask in np.argsort(-mask_bound):
-        if mask_bound[mask] <= best_value + 1e-12:
+        if mask_bound[mask] <= best_value + 1e-12 or _past(deadline):
             break
         subset = tuple(i for i in range(inst.n_facilities) if mask & (1 << i))
         status, profit, flows = evaluate_offers(inst, data.rho, offers, subset)
@@ -415,13 +393,13 @@ def _leaf_value(data: _StructuredData, state: tuple, floor: float):
     return best
 
 
-def _warm_start(data: _StructuredData):
+def _warm_start(data: _StructuredData, deadline: float | None):
     """Feasible offer pattern seeded from the preprocessing bound, repaired to
-    respect slot uniqueness and minimum-demand gates."""
-    inst, rho = data.inst, data.rho
-    pattern = upper_bound_offer_pattern(inst, rho)
+    respect slot uniqueness and minimum-demand gates, and valued like a leaf;
+    None when it earns nothing."""
+    pattern = upper_bound_offer_pattern(data.inst, data.rho)
     slot_price: dict[int, int] = {}
-    offers: dict = {}
+    state = [_NONE] * len(data.cats)
     full_mask = data.n_masks - 1
     for c, (n, k) in enumerate(data.cats):
         want = pattern.get((n, k))
@@ -432,34 +410,19 @@ def _warm_start(data: _StructuredData):
             value = float(data.val[full_mask, c, o])
             prefer = 1 if want == (m, p) else 0
             if best_opt is None or (prefer, value) > best_opt[0]:
-                best_opt = ((prefer, value), slot, m, p)
+                best_opt = ((prefer, value), o, slot, p)
         if best_opt is not None and best_opt[0][1] > 0.0:
-            _key, slot, m, p = best_opt
+            _key, o, slot, p = best_opt
             slot_price[slot] = p
-            offers[(n, k)] = (m, p)
+            state[c] = o
 
-    changed = True
-    while changed:
-        changed = False
-        for slot, p in list(slot_price.items()):
-            n, m = data.slots[slot]
-            level = data.slot_min_demand[slot][p]
-            committed = sum(
-                float(data.cat_demand[data.cat_index[key]])
-                for key, (mm, _pp) in offers.items() if key[0] == n and mm == m
-            )
-            if committed < level - 1e-9:
-                for key in [key for key, (mm, _pp) in offers.items()
-                            if key[0] == n and mm == m]:
-                    del offers[key]
-                del slot_price[slot]
-                changed = True
-    if not offers:
-        return None
-    best = best_facility_set(inst, rho, offers)
-    if best is None or best[0] <= 0.0:
-        return None
-    return best[0], offers, best[1], best[2]
+    # dropping one slot's offers leaves every other slot's committed demand
+    # unchanged, so a single pass repairs every gate
+    for slot in _unmet_gates(data, state, slot_price):
+        for c, o in enumerate(state):
+            if o >= 0 and data.off_slot[c, o] == slot:
+                state[c] = _NONE
+    return _leaf_value(data, tuple(state), 0.0, deadline)
 
 
 def _assemble_solution(inst: "Instance", rho: RhoTable, status: str,
@@ -492,27 +455,16 @@ def _assemble_solution(inst: "Instance", rho: RhoTable, status: str,
     return solution
 
 
-def _record_node(diagnostics, data, state, bound, depth, branch_tag):
-    if diagnostics is None:
-        return
-    fixed = {}
-    for c, o in enumerate(state):
-        if o == _UNDECIDED:
-            continue
-        n, k = data.cats[c]
-        for oo, (slot, m, p, _r, _rev, _wgt) in enumerate(data.offers[c]):
-            fixed[("z", n, k, m)] = 0.0
-        if o >= 0:
-            m = int(data.off_m[c, o])
-            p = int(data.off_p[c, o])
-            fixed[("z", n, k, m)] = 1.0
-            fixed[("y", n, m, p)] = 1.0
-    diagnostics.nodes.append(BnBNode(fixed, bound, depth, branch_tag))
+def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
+          diagnostics: SearchDiagnostics | None = None) -> Solution:
+    """Solve the instance under ``rho`` to proven optimality (or best
+    incumbent + gap) with the structured engine.
 
-
-def _solve_structured(model: MilpModel, budget, gap_tol, diagnostics) -> Solution:
-    inst, rho = model.source
+    ``budget`` is a wall-clock limit in seconds (None = none); it is checked
+    before every node and inside the facility-subset ranking of every leaf.
+    """
     start = time.perf_counter()
+    deadline = None if budget is None else start + budget
 
     bound = profit_upper_bound(inst, rho)
     if certifies_trivial(bound):
@@ -520,56 +472,44 @@ def _solve_structured(model: MilpModel, budget, gap_tol, diagnostics) -> Solutio
                         seconds=time.perf_counter() - start, gap=0.0)
 
     data = _StructuredData(inst, rho)
-    incumbent = 0.0
-    payload = None
-    warm = _warm_start(data)
-    if warm is not None and warm[0] > incumbent:
-        incumbent = warm[0]
-        payload = warm
-        if diagnostics is not None:
-            diagnostics.incumbents.append(incumbent)
+    payload = _warm_start(data, deadline)
+    incumbent = 0.0 if payload is None else payload[0]
 
     root = (_UNDECIDED,) * len(data.cats)
     root_bound, root_mask, root_arg = _structured_bound(data, root)
     if diagnostics is not None:
         diagnostics.root_bound = root_bound
 
-    # heap entries: (-bound, -depth, tie, state, best_mask, best_arg, branch_tag)
+    # heap entries: (-bound, -depth, tie, state, best_mask, best_arg)
     heap: list = []
     ticket = _counter()
-    heapq.heappush(heap, (-root_bound, 0, next(ticket), root, root_mask,
-                          root_arg, None))
+    heapq.heappush(heap, (-root_bound, 0, next(ticket), root, root_mask, root_arg))
     nodes = 0
-    status = "optimal"
-    final_gap = 0.0
-
-    def prune_tol(inc: float) -> float:
-        return max(1e-9, gap_tol * max(1.0, abs(inc)))
+    open_bound = None  # bound of the node left unfinished when the budget ran out
 
     while heap:
-        neg_bound, neg_depth, _tie, state, best_mask, best_arg, tag = \
-            heapq.heappop(heap)
+        neg_bound, neg_depth, _tie, state, best_mask, best_arg = heapq.heappop(heap)
         bound = -neg_bound
         depth = -neg_depth
-        if bound <= incumbent + prune_tol(incumbent):
+        if bound <= incumbent + _prune_tol(incumbent):
             break
-        if budget is not None and time.perf_counter() - start > budget:
-            status = "time_limit"
-            final_gap = max(0.0, bound - incumbent) / max(1.0, abs(incumbent))
+        if _past(deadline):
+            open_bound = bound
             break
         nodes += 1
-        _record_node(diagnostics, data, state, bound, depth, tag)
 
         undecided = [c for c, o in enumerate(state) if o == _UNDECIDED]
         if not undecided:
-            leaf = _leaf_value(data, state, incumbent)
-            if diagnostics is not None and leaf is not None:
-                diagnostics.leaf_checks.append((bound, leaf[0]))
-            if leaf is not None and leaf[0] > incumbent:
+            leaf = _leaf_value(data, state, incumbent, deadline)
+            if leaf is not None:
+                if diagnostics is not None:
+                    diagnostics.leaf_checks.append((bound, leaf[0]))
                 incumbent = leaf[0]
                 payload = leaf
-                if diagnostics is not None:
-                    diagnostics.incumbents.append(incumbent)
+            if _past(deadline):
+                # the subset ranking may have stopped early
+                open_bound = bound
+                break
             continue
 
         # branch shipper-major so price-slot coupling resolves early; within
@@ -577,9 +517,7 @@ def _solve_structured(model: MilpModel, budget, gap_tol, diagnostics) -> Solutio
         first_shipper = data.cats[undecided[0]][0]
         same = [c for c in undecided if data.cats[c][0] == first_shipper]
         cat = max(same, key=lambda c: data.val[best_mask, c, int(best_arg[c])])
-        n, k = data.cats[cat]
-        choices = [o for o in range(len(data.offers[cat]))] + [_NONE]
-        for choice in choices:
+        for choice in [*range(len(data.offers[cat])), _NONE]:
             child = list(state)
             child[cat] = choice
             child_state = tuple(child)
@@ -589,21 +527,17 @@ def _solve_structured(model: MilpModel, budget, gap_tol, diagnostics) -> Solutio
             child_bound = min(child_bound, bound)  # bound inheritance
             if diagnostics is not None:
                 diagnostics.bound_pairs.append((bound, child_bound))
-            if child_bound > incumbent + prune_tol(incumbent):
-                if choice == _NONE:
-                    branch_tag = ("z", n, k, _NONE)
-                else:
-                    branch_tag = ("z", n, k, int(data.off_m[cat, choice]))
-                heapq.heappush(heap, (
-                    -child_bound, -(depth + 1), next(ticket), child_state,
-                    child_mask, child_arg, branch_tag,
-                ))
+            if child_bound > incumbent + _prune_tol(incumbent):
+                heapq.heappush(heap, (-child_bound, -(depth + 1), next(ticket),
+                                      child_state, child_mask, child_arg))
 
     seconds = time.perf_counter() - start
-    if status == "optimal" and payload is None:
-        return Solution(status="optimal", objective=0.0, nodes=nodes,
-                        seconds=seconds, gap=0.0)
-    return _assemble_solution(inst, rho, status, payload, nodes, seconds, final_gap)
+    if open_bound is None:
+        status, gap = "optimal", 0.0
+    else:
+        status = "time_limit"
+        gap = max(0.0, open_bound - incumbent) / max(1.0, abs(incumbent))
+    return _assemble_solution(inst, rho, status, payload, nodes, seconds, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +579,11 @@ def _relaxation_model(model: MilpModel) -> MilpModel:
     return reduced
 
 
-def _solve_relaxation(model: MilpModel, budget, gap_tol, diagnostics) -> Solution:
+def solve_milp(model: MilpModel, budget: float | None = None,
+               diagnostics: SearchDiagnostics | None = None) -> Solution:
+    """Solve any model, built or parsed from LP text, with the relaxation
+    engine.  ``budget`` is a wall-clock limit in seconds (None = none),
+    checked before every node."""
     cells = (len(model.constraints) + len(model.variables) + 1) * (
         2 * len(model.variables) + len(model.constraints) + 1
     )
@@ -656,6 +594,7 @@ def _solve_relaxation(model: MilpModel, budget, gap_tol, diagnostics) -> Solutio
         )
     node_model = _relaxation_model(model)
     start = time.perf_counter()
+    deadline = None if budget is None else start + budget
     binaries = model.binary_indices()
 
     incumbent = None  # (objective, values)
@@ -676,15 +615,12 @@ def _solve_relaxation(model: MilpModel, budget, gap_tol, diagnostics) -> Solutio
     nodes = 0
     status = "optimal"
     final_gap = 0.0
-    root_bound = None
 
     def inc_value() -> float:
         return incumbent[0] if incumbent is not None else -float("inf")
 
     def prune_tol() -> float:
-        if incumbent is None:
-            return 0.0
-        return max(1e-9, gap_tol * max(1.0, abs(incumbent[0])))
+        return 0.0 if incumbent is None else _prune_tol(incumbent[0])
 
     while heap:
         neg_est, neg_depth, _tie, fixed = heapq.heappop(heap)
@@ -692,7 +628,7 @@ def _solve_relaxation(model: MilpModel, budget, gap_tol, diagnostics) -> Solutio
         depth = -neg_depth
         if incumbent is not None and est <= inc_value() + prune_tol():
             break
-        if budget is not None and time.perf_counter() - start > budget:
+        if _past(deadline):
             status = "time_limit"
             final_gap = (max(0.0, est - inc_value())
                          / max(1.0, abs(inc_value())))
@@ -702,12 +638,9 @@ def _solve_relaxation(model: MilpModel, budget, gap_tol, diagnostics) -> Solutio
         if lp.status != "optimal":
             continue
         bound = lp.objective
-        if root_bound is None:
-            root_bound = bound
-            if diagnostics is not None:
-                diagnostics.root_bound = bound
         if diagnostics is not None:
-            diagnostics.nodes.append(BnBNode(dict(fixed), bound, depth, None))
+            if nodes == 1:  # an infeasible root ends the search
+                diagnostics.root_bound = bound
             if np.isfinite(est):
                 diagnostics.bound_pairs.append((est, bound))
         if incumbent is not None and bound <= inc_value() + prune_tol():
@@ -735,8 +668,6 @@ def _solve_relaxation(model: MilpModel, budget, gap_tol, diagnostics) -> Solutio
             # integral: candidate incumbent (continuous vars already optimal)
             if incumbent is None or bound > incumbent[0]:
                 incumbent = (bound, dict(lp.values))
-                if diagnostics is not None:
-                    diagnostics.incumbents.append(bound)
             continue
 
         name = model.variables[frac_var].name

@@ -1,20 +1,18 @@
 """Shared first-stage evaluation: offers -> transportation -> profit.
 
 An *offer map* assigns to some categories a (service, price-position) pair;
-these helpers translate offer maps into transportation subproblems, evaluate
-them against fixed or enumerated facility sets, and verify the first-stage
-constraint families on a Solution.
+these helpers translate offer maps into transportation subproblems and
+evaluate them against a fixed facility set.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..choice import RhoTable
-from ..milp import FEASIBILITY_TOL, Solution
+from ..milp import Solution
 from .transportation import TransportResult, solve_transportation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,44 +27,6 @@ def offers_from_solution(inst: "Instance", solution: Solution) -> dict:
         if p is not None:
             offers[(n, k)] = (m, p)
     return offers
-
-
-def first_stage_violations(inst: "Instance", solution: Solution) -> list[str]:
-    """Violations of the first-stage families only (prices, services, budget,
-    minimum demand); the allocation is not examined."""
-    out: list[str] = []
-    for (n, m), p in solution.price_choices.items():
-        if m not in inst.shipper_services(n):
-            out.append(f"shipper {n}: priced service {m} is not available")
-        elif not 0 <= p < len(inst.ladder(n, m).prices):
-            out.append(f"shipper {n} service {m}: price position {p} out of range")
-    for n in range(inst.n_shippers):
-        priced = sum(1 for (nn, _m) in solution.price_choices if nn == n)
-        if priced > inst.categories_per_shipper[n]:
-            out.append(f"shipper {n}: {priced} priced services exceed the "
-                       f"{inst.categories_per_shipper[n]}-category budget")
-    for (n, k), m in solution.service_choices.items():
-        if m not in inst.services_by_category[n][k]:
-            out.append(f"shipper {n} category {k}: service {m} is not available")
-        elif (n, m) not in solution.price_choices:
-            out.append(f"shipper {n} category {k}: service {m} has no chosen price")
-    for (n, m), p in solution.price_choices.items():
-        if m not in inst.shipper_services(n):
-            continue
-        if not 0 <= p < len(inst.ladder(n, m).prices):
-            continue
-        level = inst.ladder(n, m).min_demands[p]
-        committed = sum(
-            inst.category_demand(n, k)
-            for k in range(inst.categories_per_shipper[n])
-            if solution.service_choices.get((n, k)) == m
-        )
-        if committed < level - FEASIBILITY_TOL:
-            out.append(
-                f"shipper {n} service {m}: committed demand {committed:g} below "
-                f"minimum level {level:g}"
-            )
-    return out
 
 
 def serving_problem(inst: "Instance", offers: dict, open_facilities,
@@ -139,19 +99,3 @@ def evaluate_offers(inst: "Instance", rho: RhoTable, offers: dict,
     revenue = offer_revenue(inst, rho, offers)
     fixed = sum(inst.facilities[i].fixed_cost for i in open_facilities)
     return "optimal", revenue - result.cost - fixed, flows
-
-
-def best_facility_set(inst: "Instance", rho: RhoTable, offers: dict
-                      ) -> tuple[float, tuple[int, ...], dict] | None:
-    """Best facility subset for the offers by full enumeration; None when no
-    subset can serve them."""
-    best = None
-    indices = range(inst.n_facilities)
-    for size in range(inst.n_facilities + 1):
-        for subset in combinations(indices, size):
-            status, profit, flows = evaluate_offers(inst, rho, offers, subset)
-            if status != "optimal":
-                continue
-            if best is None or profit > best[0]:
-                best = (profit, subset, flows)
-    return best

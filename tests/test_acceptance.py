@@ -62,7 +62,7 @@ def test_criterion_1_three_route_agreement():
         inst = tiny_family_instance(seed)
         rho = RhoTable.closed_form(inst)
         model = build(inst, rho)
-        ours = solve(model)
+        ours = solve(inst, rho)
         assert ours.proven_optimal
         truth = enumerate_oracle(inst, rho)
         external = external_milp_optimum(parse_lp(export_lp(model)))
@@ -105,7 +105,7 @@ def test_criterion_3_sample_average_consistency():
     started = time.perf_counter()
     inst = generate(tiny_params(seed=0))
     rho = RhoTable.closed_form(inst)
-    solution = solve(build(inst, rho))
+    solution = solve(inst, rho)
     scen = ScenarioSet.for_model(inst.choice_model, 200_000, seed=3)
     result = simulate(inst, solution, scen, mode=REDUCED)
     deviation = abs(result.mean_profit - solution.objective)
@@ -138,7 +138,7 @@ def test_criterion_4_trivial_certification_threshold():
         candidate = inst.with_choice_model(inst.choice_model.with_alpha(alpha))
         rho = RhoTable.closed_form(candidate)
         bound = profit_upper_bound(candidate, rho)
-        solution = solve(build(candidate, rho), budget=300.0)
+        solution = solve(candidate, rho, budget=300.0)
         if certifies_trivial(bound):
             certified.append(alpha)
             assert solution.status == "trivial"
@@ -166,7 +166,7 @@ def desk_alpha_objectives(desk_instance):
     for alpha in bench.default_alpha_grid():
         inst = desk_instance.with_choice_model(
             desk_instance.choice_model.with_alpha(alpha))
-        objs.append(solve(build(inst, RhoTable.closed_form(inst)),
+        objs.append(solve(inst, RhoTable.closed_form(inst),
                           budget=600.0).objective)
     return objs
 
@@ -187,9 +187,9 @@ def test_criterion_5a_profit_monotone_in_price_sensitivity(desk_alpha_objectives
     "exceeds 5% for every positive fixed cost"))
 def test_criterion_5b_wide_noise_approaches_uniform(desk_instance):
     inst = desk_instance.with_choice_model(desk_instance.choice_model.with_beta(8.0))
-    wide = solve(build(inst, RhoTable.closed_form(inst)), budget=600.0)
-    uniform = solve(build(desk_instance,
-                          RhoTable.constant(desk_instance, 0.5)), budget=600.0)
+    wide = solve(inst, RhoTable.closed_form(inst), budget=600.0)
+    uniform = solve(desk_instance, RhoTable.constant(desk_instance, 0.5),
+                    budget=600.0)
     gap = abs(wide.objective - uniform.objective) / abs(uniform.objective)
     _verdict("criterion 5b: beta=8 within 5% of the uniform solve", gap <= 0.05,
              f"relative gap {gap:.4f}")
@@ -207,7 +207,7 @@ def test_criterion_5c_heavy_noise_flattens_sensitivity(desk_instance):
     for alpha in bench.default_alpha_grid():
         inst = desk_instance.with_choice_model(
             desk_instance.choice_model.with_alpha(alpha).with_beta(32.0))
-        objs.append(solve(build(inst, RhoTable.closed_form(inst)),
+        objs.append(solve(inst, RhoTable.closed_form(inst),
                           budget=600.0).objective)
     spread = (max(objs) - min(objs)) / (sum(objs) / len(objs))
     _verdict("criterion 5c: beta=32 sweep range within 5% of mean",
@@ -220,7 +220,7 @@ def test_criterion_5d_profit_monotone_in_capacity(desk_instance):
     objs = []
     for ratio in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
         scaled = scale_to_ratio(desk_instance, ratio)
-        objs.append(solve(build(scaled, RhoTable.closed_form(scaled)),
+        objs.append(solve(scaled, RhoTable.closed_form(scaled),
                           budget=600.0).objective)
     ok = all(a <= b + 1e-9 for a, b in zip(objs, objs[1:]))
     elapsed = time.perf_counter() - started
@@ -239,7 +239,7 @@ def test_criterion_6_linearization_exactness():
         inst = generate(tiny_params(seed=1000 + seed))
         rho = RhoTable.closed_form(inst)
         model = build(inst, rho)
-        solution = solve(model)
+        solution = solve(inst, rho)
         fixed = {}
         for var in model.variables:
             tag = var.tag
@@ -277,8 +277,7 @@ def test_criterion_7_benchmark_scale_tractability():
     started = time.perf_counter()
     inst = generate(BENCHMARK_PARAMS)
     rho = RhoTable.closed_form(inst)
-    model = build(inst, rho)
-    solution = solve(model, budget=600.0, workers=1)
+    solution = solve(inst, rho, budget=600.0)
     elapsed = time.perf_counter() - started
     ok = solution.status == "optimal" and elapsed <= 600.0
     _verdict("criterion 7: benchmark-scale tractability", ok,

@@ -108,8 +108,7 @@ def test_build_requires_full_rho_table(tiny_instance, tiny_rho):
 
 
 def test_zero_rho_model_optimum_is_zero(tiny_instance):
-    model = build(tiny_instance, RhoTable.constant(tiny_instance, 0.0))
-    solution = solve(model)
+    solution = solve(tiny_instance, RhoTable.constant(tiny_instance, 0.0))
     assert solution.objective == 0.0
     assert solution.open_facilities == ()
     assert solution.service_choices == {}
@@ -144,7 +143,7 @@ def test_empty_model_exports_header_only_and_fails_to_parse():
 
 def test_external_solver_agrees_on_exported_file(tiny_instance, tiny_rho):
     model = build(tiny_instance, tiny_rho)
-    ours = solve(model).objective
+    ours = solve(tiny_instance, tiny_rho).objective
     theirs = external_milp_optimum(parse_lp(export_lp(model)))
     assert theirs == pytest.approx(ours, rel=1e-6, abs=1e-6)
 
@@ -207,7 +206,7 @@ def test_evaluate_matches_solver_objective():
     for seed in range(6):
         inst = generate(tiny_params(seed=seed))
         rho = RhoTable.closed_form(inst)
-        solution = solve(build(inst, rho))
+        solution = solve(inst, rho)
         assert evaluate(inst, rho, solution) == pytest.approx(
             solution.objective, abs=1e-8)
 
@@ -223,6 +222,24 @@ def test_evaluate_reports_violations():
     with pytest.raises(InfeasibleSolutionError) as err:
         evaluate(inst, rho, bad)
     assert any("minimum level" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("decisions, fragment", [
+    (dict(price_choices={(0, 0): 5}, service_choices={(0, 0): 0}),
+     "price position 5 out of range"),
+    (dict(price_choices={(0, 3): 0}), "priced service 3 is not available"),
+    (dict(open_facilities=(0,), allocation={(9, 0, 0): 1.0}),
+     "w[9,0,0] names a facility or customer out of range"),
+    (dict(open_facilities=(0,), allocation={(0, 99, 0): 1.0}),
+     "w[0,99,0] names a facility or customer out of range"),
+], ids=["price-position", "priced-service", "allocation-facility",
+        "allocation-customer"])
+def test_evaluate_reports_out_of_range_decisions(decisions, fragment):
+    inst = single_offer_instance()
+    with pytest.raises(InfeasibleSolutionError) as err:
+        evaluate(inst, RhoTable.constant(inst, 1.0),
+                 Solution("optimal", 0.0, **decisions))
+    assert any(fragment in v for v in err.value.violations)
 
 
 def test_check_solution_flags_closed_facility(tiny_instance):
@@ -256,7 +273,7 @@ def test_linearization_products_exact_at_integral_points():
         inst = generate(tiny_params(seed=seed))
         rho = RhoTable.closed_form(inst)
         model = build(inst, rho)
-        solution = solve(model)
+        solution = solve(inst, rho)
         fixed = {}
         for var in model.variables:
             tag = var.tag
@@ -331,7 +348,7 @@ def test_external_solver_agrees_beyond_oracle_scale():
         inst = generate(tiny_params(categories_per_shipper=3, **config))
         rho = RhoTable.closed_form(inst)
         model = build(inst, rho)
-        ours = solve(model, budget=240.0)
+        ours = solve(inst, rho, budget=240.0)
         assert ours.status == "optimal"
         theirs = external_milp_optimum(parse_lp(export_lp(model)))
         assert theirs == pytest.approx(ours.objective, rel=1e-6, abs=1e-6)

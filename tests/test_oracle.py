@@ -9,7 +9,6 @@ from biloc import (
     RhoTable,
     ScenarioSet,
     Solution,
-    build,
     generate,
     min_demand_violation_rate,
     simulate,
@@ -22,7 +21,7 @@ from conftest import single_offer_instance, tiny_params
 def _solved(seed=0, **overrides):
     inst = generate(tiny_params(seed=seed, **overrides))
     rho = RhoTable.closed_form(inst)
-    solution = solve(build(inst, rho))
+    solution = solve(inst, rho)
     return inst, rho, solution
 
 
@@ -39,7 +38,7 @@ def test_deterministic_mode_every_scenario_identical():
     inst = generate(tiny_params(seed=1, alpha=0.0))  # offers beat the opt-out
     inst = inst.with_choice_model(inst.choice_model.with_deterministic(True))
     rho = RhoTable.closed_form(inst)
-    solution = solve(build(inst, rho))
+    solution = solve(inst, rho)
     scen = ScenarioSet.for_model(inst.choice_model, 400, seed=2)
     result = simulate(inst, solution, scen, mode=REDUCED, keep_outcomes=True)
     profits = {round(o.profit, 9) for o in result.outcomes}
@@ -49,7 +48,7 @@ def test_deterministic_mode_every_scenario_identical():
 
 
 def test_reduced_mean_within_three_stderr(tiny_instance, tiny_rho):
-    solution = solve(build(tiny_instance, tiny_rho))
+    solution = solve(tiny_instance, tiny_rho)
     scen = ScenarioSet.for_model(tiny_instance.choice_model, 200_000, seed=3)
     result = simulate(tiny_instance, solution, scen, mode=REDUCED)
     assert abs(result.mean_profit - solution.objective) <= 3 * result.std_error
@@ -120,7 +119,7 @@ def test_simulate_rejects_mismatched_scenarios(tiny_instance):
 
 
 def test_violation_rate_zero_without_gates(tiny_instance, tiny_rho):
-    solution = solve(build(tiny_instance, tiny_rho))
+    solution = solve(tiny_instance, tiny_rho)
     scen = ScenarioSet.for_model(tiny_instance.choice_model, 2_000, seed=8)
     result = simulate(tiny_instance, solution, scen, mode=REDUCED,
                       keep_outcomes=True)
