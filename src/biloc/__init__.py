@@ -42,6 +42,7 @@ from .milp import (
     LpParseError,
     MilpModel,
     Solution,
+    SolutionFormatError,
     build,
     certifies_trivial,
     evaluate,
@@ -75,6 +76,7 @@ __all__ = [
     "ScenarioSet",
     "ServiceLevel",
     "Solution",
+    "SolutionFormatError",
     "SolverError",
     "accept_rule",
     "acceptance_probability",

@@ -240,14 +240,28 @@ def rho_saa(
     the same (n, k).  Converges to the closed form as the count grows.
     """
     scenarios.require_match(inst.choice_model)
-    v = deterministic_utility(inst, n, k, m, p)
+    return _saa_category(inst, n, k, {m: [p]}, scenarios)[(m, p)]
+
+
+def _saa_category(
+    inst: "Instance", n: int, k: int, positions: dict[int, list[int]],
+    scenarios: ScenarioSet,
+) -> dict[tuple[int, int], float]:
+    """Sample-average acceptance probability of every offer (m, p) with p in
+    ``positions[m]`` to (n, k), drawing each of the category's streams once."""
     v0 = inst.choice_model.optout(n, k)
-    hits = 0
-    for eps_m, eps_0 in zip(
-        scenarios.epsilon_chunks(n, k, m), scenarios.epsilon_chunks(n, k, OPT_OUT)
-    ):
-        hits += int(np.count_nonzero((v + eps_m) - (v0 + eps_0) > 0.0))
-    return hits / scenarios.count
+    utilities = {
+        m: [(p, deterministic_utility(inst, n, k, m, p)) for p in ps]
+        for m, ps in positions.items()
+    }
+    hits = {(m, p): 0 for m, ps in positions.items() for p in ps}
+    offer_streams = {m: scenarios.epsilon_chunks(n, k, m) for m in positions}
+    for eps_0 in scenarios.epsilon_chunks(n, k, OPT_OUT):
+        for m, stream in offer_streams.items():
+            eps_m = next(stream)
+            for p, v in utilities[m]:
+                hits[(m, p)] += int(np.count_nonzero((v + eps_m) - (v0 + eps_0) > 0.0))
+    return {key: count / scenarios.count for key, count in hits.items()}
 
 
 def alpha_for_target_rho(
@@ -310,11 +324,16 @@ class RhoTable:
 
     @classmethod
     def saa(cls, inst: "Instance", scenarios: ScenarioSet) -> "RhoTable":
-        values = {
-            (n, k, m, p): rho_saa(inst, n, k, m, p, scenarios)
-            for n, k, m, p in inst.offer_keys()
-        }
-        return cls(values)
+        """``rho_saa`` for every key, drawing each noise stream once."""
+        scenarios.require_match(inst.choice_model)
+        positions: dict = {}
+        for n, k, m, p in inst.offer_keys():
+            positions.setdefault((n, k), {}).setdefault(m, []).append(p)
+        return cls({
+            (n, k, m, p): value
+            for (n, k), by_service in positions.items()
+            for (m, p), value in _saa_category(inst, n, k, by_service, scenarios).items()
+        })
 
     @classmethod
     def constant(cls, inst: "Instance", value: float) -> "RhoTable":

@@ -42,19 +42,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _rho_rows(inst, saa_count: int | None, seed: int) -> list[str]:
     lines = ["shipper,category,service,price_index,price,rho_closed_form,rho_saa"]
-    scenarios = None
+    closed = RhoTable.closed_form(inst)
+    saa = None
     if saa_count:
-        scenarios = ScenarioSet.for_model(inst.choice_model, saa_count, seed)
-    from .choice import rho_closed_form, rho_saa
-
-    for n, k, m, p in inst.offer_keys():
-        closed = rho_closed_form(inst, n, k, m, p)
-        if scenarios is not None:
-            estimate = repr(rho_saa(inst, n, k, m, p, scenarios))
-        else:
-            estimate = ""
+        saa = RhoTable.saa(inst, ScenarioSet.for_model(inst.choice_model, saa_count, seed))
+    for (n, k, m, p), value in closed.items():
+        estimate = repr(saa.get(n, k, m, p)) if saa is not None else ""
         price = inst.ladder(n, m).prices[p]
-        lines.append(f"{n},{k},{m},{p},{price!r},{closed!r},{estimate}")
+        lines.append(f"{n},{k},{m},{p},{price!r},{value!r},{estimate}")
     return lines
 
 

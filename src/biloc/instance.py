@@ -451,13 +451,16 @@ def validate(inst: Instance) -> list[str]:
 # drifting experiment configs fail loudly instead of being silently ignored.
 # ---------------------------------------------------------------------------
 
-def _require_keys(obj: dict, allowed: dict[str, bool], where: str) -> None:
+def _require_keys(obj: dict, allowed: dict[str, bool], where: str,
+                  error: type[ValueError] = InstanceFormatError) -> None:
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be a JSON object")
     for key in obj:
         if key not in allowed:
-            raise InstanceFormatError(f"unknown field '{key}' in {where}")
+            raise error(f"unknown field '{key}' in {where}")
     for key, required in allowed.items():
         if required and key not in obj:
-            raise InstanceFormatError(f"missing field '{key}' in {where}")
+            raise error(f"missing field '{key}' in {where}")
 
 
 def to_json_dict(inst: Instance) -> dict:

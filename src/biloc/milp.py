@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .choice import RhoTable
+from .instance import _require_keys
 
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import Instance
@@ -38,6 +39,10 @@ class BuildError(ValueError):
 
 class LpParseError(ValueError):
     """Raised when LP text cannot be parsed back into a model."""
+
+
+class SolutionFormatError(ValueError):
+    """Raised when solution JSON has unknown or missing fields."""
 
 
 class InfeasibleSolutionError(ValueError):
@@ -108,6 +113,23 @@ class MilpModel:
 
     def binary_indices(self) -> list[int]:
         return [i for i, v in enumerate(self.variables) if v.kind == "binary"]
+
+
+#: Top-level fields of solution JSON -> required; the profit breakdown and the
+#: search counters default to zero when absent.
+_SOLUTION_FIELDS = {
+    "status": True, "objective": True, "open_facilities": True,
+    "price_choices": True, "service_choices": True, "allocation": True,
+    "revenue": False, "assignment_cost": False, "fixed_cost": False,
+    "offer_summary": False, "nodes": False, "seconds": False, "gap": False,
+}
+#: Fields of each entry of the solution's list-valued fields (all required).
+_SOLUTION_ENTRY_FIELDS = {
+    "price_choices": ("shipper", "service", "price_index"),
+    "service_choices": ("shipper", "category", "service"),
+    "allocation": ("facility", "customer", "service", "fraction"),
+    "offer_summary": ("shipper", "category", "service", "price_index", "price", "rho"),
+}
 
 
 @dataclass(frozen=True)
@@ -196,6 +218,11 @@ class Solution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Solution":
+        _require_keys(data, _SOLUTION_FIELDS, "solution", SolutionFormatError)
+        for name, fields in _SOLUTION_ENTRY_FIELDS.items():
+            for idx, entry in enumerate(data.get(name, ())):
+                _require_keys(entry, dict.fromkeys(fields, True), f"{name}[{idx}]",
+                              SolutionFormatError)
         return cls(
             status=data["status"],
             objective=float(data["objective"]),

@@ -73,7 +73,7 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
 
     The first stage must satisfy the first-stage constraint families; its
     allocation is reused when present (and recomputed by the transportation
-    fast path otherwise).  Draws are streamed in chunks keyed by
+    kernel otherwise).  Draws are streamed in chunks keyed by
     (shipper, category, alternative), so they coincide with the draws behind
     the sample-average probability estimates for the same seed.
     """
@@ -140,9 +140,7 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
         gates.append(((n, m), level, members))
 
     total = scenarios.count
-    sum_profit = 0.0
-    sum_sq = 0.0
-    counted = 0
+    moments = (0, 0.0, 0.0)
     infeasible = 0
     violation_counts = {key: 0 for key, _level, _members in gates}
     outcomes: list[ScenarioOutcome] | None = [] if keep_outcomes else None
@@ -211,13 +209,8 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
             violated[g] = committed < level - 1e-12
             violation_counts[gates[g][0]] += int(violated[g].sum())
 
-        good = feasible
-        counted += int(good.sum())
-        infeasible += int((~good).sum())
-        if good.any():
-            vals = profits[good]
-            sum_profit += float(vals.sum())
-            sum_sq += float((vals * vals).sum())
+        infeasible += int((~feasible).sum())
+        moments = merge_moments(moments, chunk_moments(profits[feasible]))
 
         if keep_outcomes:
             for s in range(take):
@@ -236,25 +229,49 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
                 ))
         offset += take
 
-    if counted == 0:
-        mean = float("nan")
-        stderr = float("nan")
-    else:
-        mean = sum_profit / counted
-        if counted > 1:
-            var = max(0.0, (sum_sq - counted * mean * mean) / (counted - 1))
-            stderr = (var / counted) ** 0.5
-        else:
-            stderr = float("inf")
     return SimulationResult(
         mode=mode,
         count=total,
-        mean_profit=mean,
-        std_error=stderr,
+        mean_profit=moments[1] if moments[0] else float("nan"),
+        std_error=standard_error(moments),
         infeasible_scenarios=infeasible,
         violation_rate={key: c / total for key, c in violation_counts.items()},
         outcomes=outcomes,
     )
+
+
+def chunk_moments(values: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations from the mean) of one chunk,
+    by two passes over it."""
+    if values.size == 0:
+        return 0, 0.0, 0.0
+    mean = float(values.mean())
+    return values.size, mean, float(np.square(values - mean).sum())
+
+
+def merge_moments(a: tuple[int, float, float],
+                  b: tuple[int, float, float]) -> tuple[int, float, float]:
+    """Moments of two chunks together, by the pairwise update of Chan, Golub
+    and LeVeque (1979); unlike sum(x^2) - n*mean^2 it loses no precision when
+    the spread is small against the mean."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    if n == 0:
+        return a
+    delta = mean_b - mean_a
+    return (n, mean_a + delta * (n_b / n),
+            m2_a + m2_b + delta * delta * (n_a * n_b / n))
+
+
+def standard_error(moments: tuple[int, float, float]) -> float:
+    """Standard error of the mean: nan without values, inf from one value."""
+    n, _mean, m2 = moments
+    if n == 0:
+        return float("nan")
+    if n == 1:
+        return float("inf")
+    return (m2 / (n - 1) / n) ** 0.5
 
 
 def _covers_offers(inst: "Instance", offers: dict, allocation: dict) -> bool:

@@ -1,4 +1,4 @@
-"""Exact optimization: branch-and-bound, LP kernel, transportation fast path,
+"""Exact optimization: branch-and-bound, LP kernel, transportation kernel,
 and the exhaustive enumeration oracle."""
 
 from .bnb import SearchDiagnostics, SolverError, solve, solve_milp

@@ -7,7 +7,7 @@ Two engines share the best-first search loop:
   child either binds one shipper-category to a concrete (service, ladder
   position) offer (which also pins that shipper-service price slot) or sends
   it to the outside option.  Fully decided nodes are evaluated exactly by
-  enumerating facility subsets over the transportation fast path, so facility
+  enumerating facility subsets over the transportation kernel, so facility
   decisions never need their own tree levels.  Node bounds come from a
   relaxation that drops price coupling across categories, minimum-demand
   gates and per-facility capacity: for every candidate facility subset, each

@@ -2,8 +2,10 @@
 
 Two-phase method over an explicit tableau; adequate for the desk-scale row
 and column counts this package works with (up to roughly 10^4 tableau cells
-per pivot).  A revised or sparse kernel is the documented extension point for
-anything larger.  Pricing is Dantzig's rule, switching to Bland's rule after a
+per pivot).  It serves the general LPs only: the relaxation engine's node
+relaxations and ``solve_lp`` for LP files.  Leaf transportation problems go
+to the network kernel in ``transportation.py``.  A revised or sparse kernel
+is the documented extension point for anything larger.  Pricing is Dantzig's rule, switching to Bland's rule after a
 degeneracy streak; a run that stalls or hits a numerically unusable pivot is
 restarted from scratch under pure Bland's rule before giving up.
 """

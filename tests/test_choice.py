@@ -8,6 +8,7 @@ import pytest
 from biloc import (
     OPT_OUT,
     ChoiceModel,
+    GeneratorParams,
     RhoTable,
     ScenarioSet,
     accept_rule,
@@ -274,3 +275,15 @@ def test_rho_table_constant_validates():
 def test_choice_model_rejects_zero_beta():
     with pytest.raises(ValueError):
         ChoiceModel.uniform_spec(1, (1,), 1, beta=0.0)
+
+
+def test_rho_table_saa_equals_rho_saa_on_desk_instance():
+    inst = generate(GeneratorParams(
+        n_facilities=3, n_customers=24, n_shippers=2, categories_per_shipper=3,
+        n_services=3, n_prices=5, ratio=2.0, seed=7,
+    ))
+    scen = ScenarioSet.for_model(inst.choice_model, 20_000, seed=3)
+    table = RhoTable.saa(inst, scen)
+    assert list(table.values) == list(inst.offer_keys())
+    for (n, k, m, p), value in table.items():
+        assert value == rho_saa(inst, n, k, m, p, scen)

@@ -21,6 +21,7 @@ from biloc.milp import (
     InfeasibleSolutionError,
     LpParseError,
     MilpModel,
+    SolutionFormatError,
     check_solution,
 )
 
@@ -352,3 +353,28 @@ def test_external_solver_agrees_beyond_oracle_scale():
         assert ours.status == "optimal"
         theirs = external_milp_optimum(parse_lp(export_lp(model)))
         assert theirs == pytest.approx(ours.objective, rel=1e-6, abs=1e-6)
+
+
+def test_solution_json_round_trip(tiny_instance, tiny_rho):
+    solution = solve(tiny_instance, tiny_rho)
+    loaded = Solution.from_json_dict(solution.to_json_dict())
+    assert loaded.to_json_dict() == solution.to_json_dict()
+
+
+def test_solution_json_rejects_unknown_field(tiny_instance, tiny_rho):
+    data = solve(tiny_instance, tiny_rho).to_json_dict()
+    data["objectve"] = data["objective"]
+    with pytest.raises(SolutionFormatError, match="unknown field 'objectve' in solution"):
+        Solution.from_json_dict(data)
+
+
+def test_solution_json_reports_missing_field(tiny_instance, tiny_rho):
+    data = solve(tiny_instance, tiny_rho).to_json_dict()
+    del data["allocation"]
+    with pytest.raises(SolutionFormatError, match="missing field 'allocation' in solution"):
+        Solution.from_json_dict(data)
+    data = solve(tiny_instance, tiny_rho).to_json_dict()
+    del data["price_choices"][0]["price_index"]
+    with pytest.raises(SolutionFormatError,
+                       match=r"missing field 'price_index' in price_choices\[0\]"):
+        Solution.from_json_dict(data)

@@ -15,6 +15,8 @@ from biloc import (
     solve,
 )
 
+from biloc.oracle import chunk_moments, merge_moments, standard_error
+
 from conftest import single_offer_instance, tiny_params
 
 
@@ -186,3 +188,22 @@ def test_reallocation_counts_infeasible_scenarios():
     result = simulate(inst, first_stage, scen, mode=REALLOC)
     assert result.infeasible_scenarios > 0
     assert result.count == 4_000
+
+
+def test_merged_moments_keep_a_small_spread_at_a_large_mean():
+    # sum(x^2) - n*mean^2 over these values cancels to exactly 0
+    values = 1e6 + 1e-3 * np.random.default_rng(0).standard_normal(200_000)
+    moments = (0, 0.0, 0.0)
+    for start in range(0, values.size, 1 << 15):
+        moments = merge_moments(moments, chunk_moments(values[start:start + (1 << 15)]))
+    assert moments[0] == values.size
+    assert moments[1] == pytest.approx(values.mean(), rel=1e-15)
+    assert standard_error(moments) == pytest.approx(
+        values.std(ddof=1) / values.size ** 0.5, rel=1e-6)
+    assert standard_error(moments) == pytest.approx(2.2e-6, rel=0.05)
+
+
+def test_standard_error_of_empty_and_single_chunks():
+    assert np.isnan(standard_error(chunk_moments(np.zeros(0))))
+    assert standard_error(chunk_moments(np.array([3.0]))) == float("inf")
+    assert merge_moments((0, 0.0, 0.0), (0, 0.0, 0.0)) == (0, 0.0, 0.0)

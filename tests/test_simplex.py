@@ -1,4 +1,4 @@
-"""Dense LP kernel and the transportation fast path."""
+"""Dense LP kernel, and the transportation kernel checked against it."""
 
 import numpy as np
 import pytest
@@ -92,7 +92,7 @@ def test_primal_residuals_are_tight():
         assert result.max_residual <= 1e-7
 
 
-# -- transportation fast path -------------------------------------------------
+# -- transportation kernel ----------------------------------------------------
 
 def test_transport_exact_capacity_single_facility():
     result = solve_transportation(
