@@ -11,6 +11,7 @@ sits behind ``scale="full"``.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,6 +34,8 @@ from .instance import (
 )
 from .solver import enumerate_oracle, solve
 from .solver.serving import evaluate_offers
+
+logger = logging.getLogger(__name__)
 
 CSV_SCHEMA = "biloc-sweep-csv v1"
 CSV_COLUMNS = ("kind", "point", "replication", "seed", "status", "objective",
@@ -110,9 +113,8 @@ def _solve_point(inst: Instance, budget: float | None) -> milp.Solution:
 
 
 def _row(spec: SweepSpec, point, replication: int, seed: int,
-         solution: milp.Solution | None, seconds: float,
-         error: str | None = None) -> dict:
-    if error is not None or solution is None:
+         solution: milp.Solution | None, seconds: float) -> dict:
+    if solution is None:
         return {
             "kind": spec.kind, "point": _point_label(point),
             "replication": replication, "seed": seed, "status": "error",
@@ -164,8 +166,9 @@ def _sweep_instances(spec: SweepSpec, point, replication: int
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
-    """Run every (point, replication); failures become error rows and the
-    sweep continues.  Writes CSV to spec.out_path when set."""
+    """Run every (point, replication); failures become error rows, their
+    reason is logged as a warning, and the sweep continues.  Writes CSV to
+    spec.out_path when set."""
     rows: list[dict] = []
     for point in spec.points:
         for replication in range(spec.replications):
@@ -176,9 +179,11 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
                 rows.append(_row(spec, point, replication, seed, solution,
                                  time.perf_counter() - started))
             except Exception as exc:  # noqa: BLE001 - error rows keep the sweep alive
+                logger.warning("%s sweep point %s, replication %d failed: %s",
+                               spec.kind, _point_label(point), replication, exc)
                 rows.append(_row(spec, point, replication,
                                  spec.base.seed + replication, None,
-                                 time.perf_counter() - started, error=str(exc)))
+                                 time.perf_counter() - started))
     if spec.out_path is not None:
         write_csv(rows, spec.out_path)
     return rows

@@ -655,57 +655,34 @@ def read_lp(path: str | Path) -> MilpModel:
 # Preprocessing: profit upper bound and trivial certification
 # ---------------------------------------------------------------------------
 
-def best_offer_values(inst: "Instance", rho: RhoTable) -> dict:
-    """Per category: the best capacity-blind offer value and its (m, p).
-
-    The value of offer (m, p) is rho * (d_k * q - cheapest way to serve every
-    customer of the category at service m, each from its individually cheapest
-    facility).  Returns {(n, k): (value, m, p)} with value possibly <= 0.
-    """
-    out: dict[tuple[int, int], tuple[float, int, int]] = {}
-    min_cost = inst.costs.min(axis=0)  # (J, M)
-    for n in range(inst.n_shippers):
-        for k in range(inst.categories_per_shipper[n]):
-            d_k = inst.category_demand(n, k)
-            members = inst.customers_by_category[(n, k)]
-            best = None
-            for m in inst.services_by_category[n][k]:
-                serve_cost = float(sum(min_cost[j, m] for j in members))
-                ladder = inst.ladder(n, m)
-                for p, q in enumerate(ladder.prices):
-                    value = rho.get(n, k, m, p) * (d_k * q - serve_cost)
-                    if best is None or value > best[0]:
-                        best = (value, m, p)
-            if best is not None:
-                out[(n, k)] = best
-    return out
-
-
 def profit_upper_bound(inst: "Instance", rho: RhoTable) -> float:
     """Capacity-blind bound on the optimum over solutions that open something.
 
     Sums each category's best nonnegative offer value and subtracts the
-    cheapest fixed cost.  A bound at or below TRIVIAL_THRESHOLD certifies the
-    instance trivial (optimum exactly 0) without any search; a positive bound
-    certifies nothing, since it ignores capacity and minimum-demand gates.
+    cheapest fixed cost.  The value of offer (m, p) is rho * (d_k * q -
+    cheapest way to serve every customer of the category at service m, each
+    from its individually cheapest facility).  A bound at or below
+    TRIVIAL_THRESHOLD certifies the instance trivial (optimum exactly 0)
+    without any search; a positive bound certifies nothing, since it ignores
+    capacity and minimum-demand gates.
     """
-    best = best_offer_values(inst, rho)
-    total = sum(max(0.0, value) for value, _, _ in best.values())
+    min_cost = inst.costs.min(axis=0)  # (J, M)
+    total = 0.0
+    for n in range(inst.n_shippers):
+        for k in range(inst.categories_per_shipper[n]):
+            d_k = inst.category_demand(n, k)
+            members = inst.customers_by_category[(n, k)]
+            best = 0.0
+            for m in inst.services_by_category[n][k]:
+                serve_cost = float(sum(min_cost[j, m] for j in members))
+                for p, q in enumerate(inst.ladder(n, m).prices):
+                    best = max(best, rho.get(n, k, m, p) * (d_k * q - serve_cost))
+            total += best
     return total - min(f.fixed_cost for f in inst.facilities)
 
 
 def certifies_trivial(bound: float) -> bool:
     return bound <= TRIVIAL_THRESHOLD
-
-
-def upper_bound_offer_pattern(inst: "Instance", rho: RhoTable) -> dict:
-    """Offer pattern behind the bound: {(n, k): (m, p)} for positive-value
-    categories.  Used to warm-start the search incumbent."""
-    return {
-        key: (m, p)
-        for key, (value, m, p) in best_offer_values(inst, rho).items()
-        if value > 0.0
-    }
 
 
 # ---------------------------------------------------------------------------

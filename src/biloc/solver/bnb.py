@@ -1,20 +1,25 @@
 """Exact branch-and-bound over the first-stage binaries.
 
-Two engines share the best-first search loop:
+Two engines, each its own best-first search:
 
 * The *structured* engine (``solve``) works from the instance and its
   acceptance-probability table.  It branches on category commitments: each
   child either binds one shipper-category to a concrete (service, ladder
   position) offer (which also pins that shipper-service price slot) or sends
-  it to the outside option.  Fully decided nodes are evaluated exactly by
-  enumerating facility subsets over the transportation kernel, so facility
-  decisions never need their own tree levels.  Node bounds come from a
-  relaxation that drops price coupling across categories, minimum-demand
-  gates and per-facility capacity: for every candidate facility subset, each
-  undecided category takes its best still-allowed offer priced against
-  per-customer cheapest serving cost, and a fractional knapsack caps total
-  gamma-scaled demand by the subset's aggregate capacity.  The bound only
-  ever over-estimates and shrinks monotonically along any branch.
+  it to the outside option.  One routine derives a node's allowed offers
+  and checks it: conflicting prices on a slot, or a pinned price whose
+  minimum-demand gate the allowed offers cannot reach, make it infeasible.
+  At a fully decided node that gate check is the exact committed-demand
+  test.  Node bounds come from a relaxation that drops price coupling
+  across categories, the remaining gate slack and per-facility capacity:
+  for every candidate facility subset, each undecided category takes its
+  best still-allowed offer priced against per-customer cheapest serving
+  cost, and a fractional knapsack caps total gamma-scaled demand by the
+  subset's aggregate capacity.  The bound only ever over-estimates and
+  shrinks monotonically along any branch.  Fully decided nodes are
+  evaluated exactly by transporting facility subsets in the order of that
+  same per-subset bound, so facility decisions never need their own tree
+  levels.
 
 * The *relaxation* engine (``solve_milp``) works on any model, such as a
   parsed LP file: it solves the continuous relaxation per node with the dense
@@ -37,16 +42,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..choice import RhoTable
-from ..milp import (
-    MilpModel,
-    Solution,
-    certifies_trivial,
-    offer_summary,
-    profit_report,
-    profit_upper_bound,
-    upper_bound_offer_pattern,
-)
-from .serving import evaluate_offers
+from ..milp import MilpModel, Solution, certifies_trivial, profit_upper_bound
+from .serving import evaluate_offers, solution_from_offers
 from .simplex import solve_lp
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,9 +88,10 @@ def _past(deadline: float | None) -> bool:
 class _StructuredData:
     """Precomputed tensors for the knapsack bound.
 
-    A category's *offer list* enumerates every (service, ladder position) it
-    could take; ``val[mask, c, o]`` is the capacity-blind value of offer o for
-    category c when the open facilities are exactly the bits of ``mask``:
+    Offers are padded (category, offer) arrays: row c lists every (service,
+    ladder position) category c could take, valid entries first.
+    ``val[mask, c, o]`` is the capacity-blind value of offer o for category c
+    when the open facilities are exactly the bits of ``mask``:
     probability-weighted revenue minus probability-weighted cheapest serving
     cost.  Padding entries carry -BIG so vectorized maxima ignore them.
     """
@@ -104,30 +102,18 @@ class _StructuredData:
 
         self.slots = [(n, m) for n in range(inst.n_shippers)
                       for m in inst.shipper_services(n)]
-        self.slot_index = {sm: s for s, sm in enumerate(self.slots)}
+        slot_index = {sm: s for s, sm in enumerate(self.slots)}
         self.slot_min_demand = [inst.ladder(n, m).min_demands for n, m in self.slots]
 
         self.cats = [(n, k) for n in range(inst.n_shippers)
                      for k in range(inst.categories_per_shipper[n])]
         self.cat_demand = np.array([inst.category_demand(n, k) for n, k in self.cats])
         C = len(self.cats)
+        M = inst.n_services
 
-        offers: list[list[tuple]] = []
-        for n, k in self.cats:
-            per_cat = []
-            for m in inst.services_by_category[n][k]:
-                slot = self.slot_index[(n, m)]
-                ladder = inst.ladder(n, m)
-                for p, q in enumerate(ladder.prices):
-                    r = rho.get(n, k, m, p)
-                    per_cat.append((slot, m, p, r,
-                                    r * inst.category_demand(n, k) * q,
-                                    inst.service_levels[m].gamma
-                                    * inst.category_demand(n, k)))
-            offers.append(per_cat)
-        self.offers = offers
-        O = max((len(o) for o in offers), default=1)
-        self.n_offers = O
+        O = max((sum(len(inst.ladder(n, m).prices)
+                     for m in inst.services_by_category[n][k])
+                 for n, k in self.cats), default=1)
         self.off_valid = np.zeros((C, O), dtype=bool)
         self.off_slot = np.full((C, O), 0, dtype=int)
         self.off_m = np.zeros((C, O), dtype=int)
@@ -135,15 +121,23 @@ class _StructuredData:
         self.off_rho = np.zeros((C, O))
         self.off_rev = np.zeros((C, O))
         self.off_weight = np.full((C, O), np.inf)
-        for c, per_cat in enumerate(offers):
-            for o, (slot, m, p, r, rev, weight) in enumerate(per_cat):
-                self.off_valid[c, o] = True
-                self.off_slot[c, o] = slot
-                self.off_m[c, o] = m
-                self.off_p[c, o] = p
-                self.off_rho[c, o] = r
-                self.off_rev[c, o] = rev
-                self.off_weight[c, o] = weight
+        min_rho = np.full((C, M), np.inf)  # lowest acceptance per service ladder
+        for c, (n, k) in enumerate(self.cats):
+            d_k = inst.category_demand(n, k)
+            o = 0
+            for m in inst.services_by_category[n][k]:
+                ladder = inst.ladder(n, m)
+                for p, q in enumerate(ladder.prices):
+                    r = rho.get(n, k, m, p)
+                    self.off_valid[c, o] = True
+                    self.off_slot[c, o] = slot_index[(n, m)]
+                    self.off_m[c, o] = m
+                    self.off_p[c, o] = p
+                    self.off_rho[c, o] = r
+                    self.off_rev[c, o] = r * d_k * q
+                    self.off_weight[c, o] = inst.service_levels[m].gamma * d_k
+                    min_rho[c, m] = min(min_rho[c, m], r)
+                    o += 1
 
         I = inst.n_facilities
         self.n_masks = 1 << I
@@ -159,7 +153,6 @@ class _StructuredData:
         # cheapest assignment uses, the load that lands there, and the lowest
         # probability-weighted regret rate (second cheapest minus cheapest,
         # per unit of scaled load) anyone at that facility would pay to move
-        M = inst.n_services
         J = inst.n_customers
         cheap = np.full((self.n_masks, C, M), _BIG)
         cat_members = [inst.customers_by_category[nk] for nk in self.cats]
@@ -199,10 +192,6 @@ class _StructuredData:
         # node-independent move rate: min over every offerable (category,
         # service) pair of (lowest acceptance probability on that ladder) x
         # (raw regret rate); pairs that cannot be offered contribute nothing
-        min_rho = np.full((C, M), np.inf)
-        for c, per_cat in enumerate(self.offers):
-            for (_slot, m, _p, r, _rev, _wgt) in per_cat:
-                min_rho[c, m] = min(min_rho[c, m], r)
         offerable = np.isfinite(min_rho)[None, :, :, None]
         finite_raw = np.isfinite(raw_rate_min)
         rho_safe = np.where(np.isfinite(min_rho), min_rho, 0.0)[None, :, :, None]
@@ -212,11 +201,6 @@ class _StructuredData:
             weighted.reshape(self.n_masks, C * M, I).min(axis=1), _BIG
         )
         self.facility_capacity = caps
-
-        self.shipper_cats = [
-            [c for c, (n, _k) in enumerate(self.cats) if n == shipper]
-            for shipper in range(inst.n_shippers)
-        ]
 
     def overflow_correction(self, state: tuple) -> np.ndarray:
         """Per-mask lower bound on extra transport cost the committed offers
@@ -232,74 +216,57 @@ class _StructuredData:
         return np.minimum((overflow * self.overflow_rate).sum(axis=1), _BIG)
 
 
-def _slot_fixes(data: _StructuredData, state: tuple) -> dict | None:
-    """Price slots pinned by the committed offers; None on a price conflict."""
-    fixes: dict[int, int] = {}
+def _node_offers(data: _StructuredData, state) -> tuple[np.ndarray, list] | None:
+    """(allowed offers, pinned price slots whose gate is unreachable) of a
+    node; None on a price conflict between its commitments.
+
+    Committed offers pin their slots' prices.  A committed category allows
+    only its offer, one sent to the outside option none, and an undecided
+    one every offer whose slot is unpinned or pinned at the offer's price.
+    A category holds at most one allowed offer on a pinned slot, so a single
+    bincount gives the demand each slot can still reach; at a fully decided
+    node that is exactly its committed demand.
+    """
+    pins: dict[int, int] = {}
     for c, o in enumerate(state):
-        if o < 0:
-            continue
-        slot = int(data.off_slot[c, o])
-        p = int(data.off_p[c, o])
-        if fixes.get(slot, p) != p:
-            return None
-        fixes[slot] = p
-    return fixes
-
-
-def _node_feasible(data: _StructuredData, state: tuple) -> bool:
-    fixes = _slot_fixes(data, state)
-    if fixes is None:
-        return False
-    for slot, p in fixes.items():
-        level = data.slot_min_demand[slot][p]
-        if level <= 0.0:
-            continue
-        n, m = data.slots[slot]
-        achievable = 0.0
-        for c in data.shipper_cats[n]:
-            o = state[c]
-            if o == _UNDECIDED:
-                if any(data.off_valid[c, oo] and data.off_m[c, oo] == m
-                       and data.off_p[c, oo] == p
-                       for oo in range(data.n_offers)):
-                    achievable += data.cat_demand[c]
-            elif o >= 0 and data.off_m[c, o] == m:
-                achievable += data.cat_demand[c]
-        if achievable < level - 1e-9:
-            return False
-    return True
-
-
-def _allowed_offers(data: _StructuredData, state: tuple) -> np.ndarray | None:
-    fixes = _slot_fixes(data, state)
-    if fixes is None:
-        return None
-    slot_state = np.full(len(data.slots), _UNDECIDED)
-    for slot, p in fixes.items():
-        slot_state[slot] = p
-    allowed = data.off_valid.copy()
-    ps = slot_state[data.off_slot]
-    allowed &= (ps == _UNDECIDED) | (ps == data.off_p)
+        if o >= 0:
+            slot, p = int(data.off_slot[c, o]), int(data.off_p[c, o])
+            if pins.setdefault(slot, p) != p:
+                return None
+    pinned = np.full(len(data.slots), _UNDECIDED)
+    pinned[list(pins)] = list(pins.values())
+    pinned_price = pinned[data.off_slot]
+    allowed = data.off_valid & ((pinned_price == _UNDECIDED)
+                                | (pinned_price == data.off_p))
     for c, o in enumerate(state):
-        if o == _NONE:
-            allowed[c, :] = False
-        elif o >= 0:
-            row = np.zeros(data.n_offers, dtype=bool)
-            row[o] = True
-            allowed[c, :] = row
-    return allowed
+        if o != _UNDECIDED:
+            allowed[c] = False
+            if o >= 0:
+                allowed[c, o] = True
+    levels = {slot: data.slot_min_demand[slot][p] for slot, p in pins.items()}
+    if all(level <= 0.0 for level in levels.values()):
+        return allowed, []  # only a positive gate can be missed
+    reach = np.bincount(data.off_slot.ravel(),
+                        weights=(allowed * data.cat_demand[:, None]).ravel(),
+                        minlength=len(data.slots))
+    return allowed, [slot for slot, level in levels.items()
+                     if reach[slot] < level - 1e-9]
 
 
-def _structured_bound(data: _StructuredData, state: tuple
-                      ) -> tuple[float, int, np.ndarray]:
-    """(bound, best facility mask, best-offer index per category)."""
+def _mask_bounds(data: _StructuredData, state: tuple
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(bound per facility mask, best-offer index per mask and category).
+
+    Every mask reads -BIG at an infeasible node (a price conflict or an
+    unreachable gate) and where the committed load exceeds the capacity.
+    """
     C = len(data.cats)
-    allowed = _allowed_offers(data, state)
-    if allowed is None:
-        return -_BIG, 0, np.zeros(C, dtype=int)
+    bounds = np.full(data.n_masks, -_BIG)
+    node = _node_offers(data, state)
+    if node is None or node[1]:
+        return bounds, np.zeros((data.n_masks, C), dtype=int)
+    allowed = node[0]
     committed = np.array([o >= 0 for o in state])
-    if np.any(committed & ~allowed.any(axis=1)):
-        return -_BIG, 0, np.zeros(C, dtype=int)
 
     vals = np.where(allowed[None, :, :], data.val, -_BIG)  # (nMask, C, O)
     best = vals.max(axis=2)                                # (nMask, C)
@@ -310,16 +277,14 @@ def _structured_bound(data: _StructuredData, state: tuple
     base = best[:, committed].sum(axis=1) if committed.any() else np.zeros(data.n_masks)
     base = base - data.overflow_correction(state)
 
-    opt_rows = np.where(~committed)[0]
-    best_bound = -_BIG
-    best_mask = 0
+    opt_rows = [c for c, o in enumerate(state) if o == _UNDECIDED]
     for mask in range(data.n_masks):
         capacity = data.mask_capacity[mask]
         if forced_load > capacity + 1e-9:
             continue
         value = float(base[mask])
         room = capacity - forced_load
-        if opt_rows.size:
+        if opt_rows:
             items = [(float(best[mask, c]), float(weight[c])) for c in opt_rows
                      if best[mask, c] > 0.0]
             items.sort(key=lambda it: it[0] / it[1], reverse=True)
@@ -329,22 +294,16 @@ def _structured_bound(data: _StructuredData, state: tuple
                 take = min(1.0, room / w)
                 value += v * take
                 room -= w * take
-        value -= float(data.mask_fixed_cost[mask])
-        if value > best_bound:
-            best_bound = value
-            best_mask = mask
-    return best_bound, best_mask, arg[best_mask]
+        bounds[mask] = value - float(data.mask_fixed_cost[mask])
+    return bounds, arg
 
 
-def _unmet_gates(data: _StructuredData, state: tuple, fixes: dict) -> list[int]:
-    """Pinned price slots (``fixes`` from ``_slot_fixes``) whose committed
-    demand misses the pinned price's minimum level."""
-    committed = np.zeros(len(data.slots))
-    for c, o in enumerate(state):
-        if o >= 0:
-            committed[data.off_slot[c, o]] += data.cat_demand[c]
-    return [slot for slot, p in fixes.items()
-            if committed[slot] < data.slot_min_demand[slot][p] - 1e-9]
+def _structured_bound(data: _StructuredData, state: tuple
+                      ) -> tuple[float, int, np.ndarray]:
+    """(bound, best facility mask, best-offer index per category)."""
+    bounds, arg = _mask_bounds(data, state)
+    mask = int(np.argmax(bounds))
+    return float(bounds[mask]), mask, arg[mask]
 
 
 def _leaf_value(data: _StructuredData, state: tuple, floor: float,
@@ -352,31 +311,14 @@ def _leaf_value(data: _StructuredData, state: tuple, floor: float,
     """Exact value of a fully decided node, or None when infeasible or unable
     to beat ``floor``.
 
-    Facility subsets are ranked by their capacity-blind value bound and only
-    transported while the bound still beats the best value seen, so most
-    subsets are never solved exactly.  Past ``deadline`` the ranking stops
-    early and the best value found so far is returned.
+    Facility subsets are ranked by the node's bound per facility mask and
+    only transported while that bound still beats the best value seen, so
+    most subsets are never solved exactly.  Past ``deadline`` the ranking
+    stops early and the best value found so far is returned.
     """
-    fixes = _slot_fixes(data, state)
-    if fixes is None or _unmet_gates(data, state, fixes):
-        return None
-    offers: dict = {}
-    committed_load = 0.0
-    for c, o in enumerate(state):
-        if o >= 0:
-            n, k = data.cats[c]
-            offers[(n, k)] = (int(data.off_m[c, o]), int(data.off_p[c, o]))
-            committed_load += float(data.off_weight[c, o])
-
-    # value bound per facility mask: committed offer values, overflow
-    # correction, fixed cost
-    mask_bound = -data.mask_fixed_cost.astype(float).copy()
-    for c, o in enumerate(state):
-        if o >= 0:
-            mask_bound += data.val[:, c, o]
-    mask_bound -= data.overflow_correction(state)
-    mask_bound[data.mask_capacity + 1e-9 < committed_load] = -_BIG
-
+    mask_bound, _arg = _mask_bounds(data, state)
+    offers = {data.cats[c]: (int(data.off_m[c, o]), int(data.off_p[c, o]))
+              for c, o in enumerate(state) if o >= 0}
     inst = data.inst
     best = None
     best_value = floor
@@ -394,65 +336,32 @@ def _leaf_value(data: _StructuredData, state: tuple, floor: float,
 
 
 def _warm_start(data: _StructuredData, deadline: float | None):
-    """Feasible offer pattern seeded from the preprocessing bound, repaired to
-    respect slot uniqueness and minimum-demand gates, and valued like a leaf;
-    None when it earns nothing."""
-    pattern = upper_bound_offer_pattern(data.inst, data.rho)
-    slot_price: dict[int, int] = {}
+    """Incumbent that seeds pruning, valued like a leaf; None when it earns
+    nothing.
+
+    Category by category, each takes its most valuable offer with every
+    facility open among those priced like the slots already pinned, if that
+    value is positive.  Slots whose committed demand then misses the gate
+    lose their offers; dropping one slot's offers leaves every other slot's
+    committed demand unchanged, so one pass repairs every gate.
+    """
+    value = data.val[data.n_masks - 1]  # (C, O)
+    pinned = np.full(len(data.slots), _UNDECIDED)
     state = [_NONE] * len(data.cats)
-    full_mask = data.n_masks - 1
-    for c, (n, k) in enumerate(data.cats):
-        want = pattern.get((n, k))
-        best_opt = None
-        for o, (slot, m, p, _r, _rev, _wgt) in enumerate(data.offers[c]):
-            if slot in slot_price and slot_price[slot] != p:
-                continue
-            value = float(data.val[full_mask, c, o])
-            prefer = 1 if want == (m, p) else 0
-            if best_opt is None or (prefer, value) > best_opt[0]:
-                best_opt = ((prefer, value), o, slot, p)
-        if best_opt is not None and best_opt[0][1] > 0.0:
-            _key, o, slot, p = best_opt
-            slot_price[slot] = p
+    for c in range(len(data.cats)):
+        pinned_price = pinned[data.off_slot[c]]
+        row = np.where((pinned_price == _UNDECIDED) | (pinned_price == data.off_p[c]),
+                       value[c], -_BIG)
+        o = int(np.argmax(row))
+        if row[o] > 0.0:
+            pinned[data.off_slot[c, o]] = data.off_p[c, o]
             state[c] = o
 
-    # dropping one slot's offers leaves every other slot's committed demand
-    # unchanged, so a single pass repairs every gate
-    for slot in _unmet_gates(data, state, slot_price):
-        for c, o in enumerate(state):
-            if o >= 0 and data.off_slot[c, o] == slot:
-                state[c] = _NONE
+    _allowed, unmet = _node_offers(data, state)
+    for c, o in enumerate(state):
+        if o >= 0 and data.off_slot[c, o] in unmet:
+            state[c] = _NONE
     return _leaf_value(data, tuple(state), 0.0, deadline)
-
-
-def _assemble_solution(inst: "Instance", rho: RhoTable, status: str,
-                       payload, nodes: int, seconds: float, gap: float) -> Solution:
-    if payload is None:
-        return Solution(status=status, objective=0.0, nodes=nodes,
-                        seconds=seconds, gap=gap)
-    value, offers, subset, flows = payload
-    price_choices = {}
-    service_choices = {}
-    for (n, k), (m, p) in offers.items():
-        price_choices[(n, m)] = p
-        service_choices[(n, k)] = m
-    solution = Solution(
-        status=status,
-        objective=float(value),
-        open_facilities=tuple(sorted(subset)),
-        price_choices=price_choices,
-        service_choices=service_choices,
-        allocation=dict(flows),
-        nodes=nodes,
-        seconds=seconds,
-        gap=gap,
-    )
-    revenue, cost, fixed = profit_report(inst, rho, solution)
-    solution.revenue = revenue
-    solution.assignment_cost = cost
-    solution.fixed_cost = fixed
-    solution.offer_summary = offer_summary(inst, rho, solution)
-    return solution
 
 
 def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
@@ -513,16 +422,16 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
             continue
 
         # branch shipper-major so price-slot coupling resolves early; within
-        # the active shipper take the category with the most valuable offer
+        # the active shipper take the category with the most valuable offer.
+        # Infeasible children bound at -BIG, below the incumbent (never
+        # negative), so they are never pushed.
         first_shipper = data.cats[undecided[0]][0]
         same = [c for c in undecided if data.cats[c][0] == first_shipper]
         cat = max(same, key=lambda c: data.val[best_mask, c, int(best_arg[c])])
-        for choice in [*range(len(data.offers[cat])), _NONE]:
+        for choice in [*range(data.off_valid[cat].sum()), _NONE]:
             child = list(state)
             child[cat] = choice
             child_state = tuple(child)
-            if not _node_feasible(data, child_state):
-                continue
             child_bound, child_mask, child_arg = _structured_bound(data, child_state)
             child_bound = min(child_bound, bound)  # bound inheritance
             if diagnostics is not None:
@@ -537,7 +446,12 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
     else:
         status = "time_limit"
         gap = max(0.0, open_bound - incumbent) / max(1.0, abs(incumbent))
-    return _assemble_solution(inst, rho, status, payload, nodes, seconds, gap)
+    if payload is None:
+        return Solution(status=status, objective=0.0, nodes=nodes,
+                        seconds=seconds, gap=gap)
+    value, offers, subset, flows = payload
+    return solution_from_offers(inst, rho, status, value, offers, subset, flows,
+                                nodes=nodes, seconds=seconds, gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 Enumerates every feasible first stage (facility set, price menu, service
 assignment), solves the continuous allocation for each, and returns the best.
 Deliberately dumb: it shares nothing with the branch-and-bound search beyond
-the transportation subproblem, so agreement between the two is a meaningful
-check of the whole reduction.
+evaluating an offer map on a facility subset (``evaluate_offers``, over the
+transportation kernel) and building the reported ``Solution`` from the winning
+offer map (``solution_from_offers``).  Its enumeration, its minimum-demand gate
+and its choice of the optimum are its own, so agreement between the two is a
+meaningful check of the whole reduction.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from ..choice import RhoTable
-from ..milp import Solution, offer_summary, profit_report
-from .serving import evaluate_offers
+from ..milp import Solution
+from .serving import evaluate_offers, solution_from_offers
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..instance import Instance
@@ -99,10 +102,7 @@ def enumerate_oracle(inst: "Instance", rho: RhoTable,
     cache: dict = {}  # plans differing only in unused priced services coincide
     for plan_combo in product(*per_shipper):
         offers: dict = {}
-        price_choices: dict = {}
         for n, (menu, assignment) in enumerate(plan_combo):
-            for m, p in menu.items():
-                price_choices[(n, m)] = p
             for k, m in assignment.items():
                 offers[(n, k)] = (m, menu[m])
         offer_key = tuple(sorted(offers.items()))
@@ -117,25 +117,10 @@ def enumerate_oracle(inst: "Instance", rho: RhoTable,
                 continue
             if profit > best_value:
                 best_value = profit
-                best_payload = (dict(offers), dict(price_choices), subset, flows)
+                best_payload = (dict(offers), subset, flows)
 
     if best_payload is None:
         return Solution(status="optimal", objective=0.0, nodes=combos)
-    offers, price_choices, subset, flows = best_payload
-    solution = Solution(
-        status="optimal",
-        objective=float(best_value),
-        open_facilities=tuple(sorted(subset)),
-        price_choices={(n, m): p for (n, m), p in price_choices.items()
-                       if any(key[0] == n and off[0] == m
-                              for key, off in offers.items())},
-        service_choices={(n, k): m for (n, k), (m, _p) in offers.items()},
-        allocation=flows,
-        nodes=combos,
-    )
-    revenue, cost, fixed = profit_report(inst, rho, solution)
-    solution.revenue = revenue
-    solution.assignment_cost = cost
-    solution.fixed_cost = fixed
-    solution.offer_summary = offer_summary(inst, rho, solution)
-    return solution
+    offers, subset, flows = best_payload
+    return solution_from_offers(inst, rho, "optimal", best_value, offers,
+                                subset, flows, nodes=combos)

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..choice import RhoTable
-from ..milp import Solution
+from ..milp import Solution, offer_summary, profit_report
 from .transportation import TransportResult, solve_transportation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,6 +27,32 @@ def offers_from_solution(inst: "Instance", solution: Solution) -> dict:
         if p is not None:
             offers[(n, k)] = (m, p)
     return offers
+
+
+def solution_from_offers(inst: "Instance", rho: RhoTable, status: str,
+                         objective: float, offers: dict, open_facilities,
+                         flows: dict, nodes: int, seconds: float = 0.0,
+                         gap: float = 0.0) -> Solution:
+    """Solution serving the offer map {(n, k): (m, p)} from the open
+    facilities with the given flows, with its profit breakdown and offer
+    summary; the inverse of ``offers_from_solution``."""
+    solution = Solution(
+        status=status,
+        objective=float(objective),
+        open_facilities=tuple(sorted(open_facilities)),
+        price_choices={(n, m): p for (n, _k), (m, p) in offers.items()},
+        service_choices={(n, k): m for (n, k), (m, _p) in offers.items()},
+        allocation=dict(flows),
+        nodes=nodes,
+        seconds=seconds,
+        gap=gap,
+    )
+    revenue, cost, fixed = profit_report(inst, rho, solution)
+    solution.revenue = revenue
+    solution.assignment_cost = cost
+    solution.fixed_cost = fixed
+    solution.offer_summary = offer_summary(inst, rho, solution)
+    return solution
 
 
 def serving_problem(inst: "Instance", offers: dict, open_facilities,
@@ -50,16 +76,14 @@ def serving_problem(inst: "Instance", offers: dict, open_facilities,
             served.append(j)
             services.append(m)
             weight.append(factor)
-    if not served:
-        return [], [], np.zeros((len(open_facilities), 0)), np.zeros(0), np.array(
-            [inst.facilities[i].capacity for i in open_facilities])
-    cost = np.empty((len(open_facilities), len(served)))
-    loads = np.empty(len(served))
-    for col, (j, m, factor) in enumerate(zip(served, services, weight)):
-        loads[col] = inst.service_levels[m].gamma * inst.customers[j].demand
-        for row, i in enumerate(open_facilities):
-            cost[row, col] = factor * inst.costs[i, j, m]
     caps = np.array([inst.facilities[i].capacity for i in open_facilities])
+    if not served:
+        return [], [], np.zeros((len(open_facilities), 0)), np.zeros(0), caps
+    gamma = np.array([inst.service_levels[m].gamma for m in services])
+    demand = np.array([inst.customers[j].demand for j in served])
+    loads = gamma * demand
+    rows = np.array(open_facilities, dtype=int)[:, None]
+    cost = np.array(weight)[None, :] * inst.costs[rows, served, services]
     return served, services, cost, loads, caps
 
 
@@ -82,11 +106,8 @@ def transport_offers(inst: "Instance", offers: dict, open_facilities,
     flows: dict = {}
     if result.status == "optimal" and result.w is not None and served:
         open_list = list(open_facilities)
-        for row in range(result.w.shape[0]):
-            for col in range(result.w.shape[1]):
-                w = result.w[row, col]
-                if w > 1e-12:
-                    flows[(open_list[row], served[col], services[col])] = float(w)
+        for row, col in zip(*np.nonzero(result.w > 1e-12)):
+            flows[(open_list[row], served[col], services[col])] = float(result.w[row, col])
     return result, flows
 
 

@@ -5,9 +5,11 @@ and column counts this package works with (up to roughly 10^4 tableau cells
 per pivot).  It serves the general LPs only: the relaxation engine's node
 relaxations and ``solve_lp`` for LP files.  Leaf transportation problems go
 to the network kernel in ``transportation.py``.  A revised or sparse kernel
-is the documented extension point for anything larger.  Pricing is Dantzig's rule, switching to Bland's rule after a
-degeneracy streak; a run that stalls or hits a numerically unusable pivot is
-restarted from scratch under pure Bland's rule before giving up.
+is the documented extension point for anything larger.
+
+Pricing is Dantzig's rule, switching to Bland's rule after a degeneracy
+streak; a run that stalls or hits a numerically unusable pivot is restarted
+from scratch under pure Bland's rule before giving up.
 """
 
 from __future__ import annotations
@@ -223,23 +225,16 @@ class LpSolution:
 def solve_lp(model: MilpModel, fixed: dict | None = None) -> LpSolution:
     """Solve the continuous relaxation of a model with the dense kernel.
 
-    ``fixed`` maps variable tags, names or indices to values; those columns
+    ``fixed`` maps variable tags or indices to values; those columns
     are substituted out before solving.  All model variables must have a zero
     lower bound (true for every model this package builds); finite upper
     bounds become explicit rows, except that single-variable constraint rows
     are folded into the bounds first.
     """
-    fixed_by_index: dict[int, float] = {}
-    if fixed:
-        by_name = {v.name: i for i, v in enumerate(model.variables)}
-        for key, value in fixed.items():
-            if isinstance(key, int):
-                idx = key
-            elif isinstance(key, str):
-                idx = by_name[key]
-            else:
-                idx = model.var_index(key)
-            fixed_by_index[idx] = float(value)
+    fixed_by_index = {
+        key if isinstance(key, int) else model.var_index(key): float(value)
+        for key, value in (fixed or {}).items()
+    }
 
     free = [i for i in range(len(model.variables)) if i not in fixed_by_index]
     for i in free:

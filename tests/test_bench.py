@@ -74,11 +74,13 @@ def test_size_sweep_runs_each_point():
     assert all(r["status"] in ("optimal", "trivial") for r in rows)
 
 
-def test_sweep_survives_point_failures(tmp_path):
+def test_sweep_survives_point_failures(tmp_path, caplog):
     spec = bench.SweepSpec(kind="alpha", points=(-0.1,), base=MICRO,
                            instance_path=str(tmp_path / "missing.json"))
     rows = bench.run_sweep(spec)
     assert rows[0]["status"] == "error"
+    # the reason is logged, not lost
+    assert "missing.json" in caplog.text
 
 
 def test_replications_use_distinct_seeds():

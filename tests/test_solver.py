@@ -7,6 +7,7 @@ import pytest
 
 from biloc import (
     RhoTable,
+    bench,
     build,
     enumerate_oracle,
     evaluate,
@@ -233,3 +234,60 @@ def test_solve_is_deterministic_across_repeats(tiny_instance, tiny_rho):
     assert first.open_facilities == second.open_facilities
     assert first.price_choices == second.price_choices
     assert first.service_choices == second.service_choices
+
+
+# -- search invariants ---------------------------------------------------------
+# Status, objective and node count of fixed solves.  A refactor of the
+# structured engine must leave them unchanged; a change that tightens the
+# bounds or reorders the search updates them on purpose.
+
+#: (status, objective, nodes) per point of ``bench.default_alpha_grid()`` on
+#: the desk instance, from alpha = -0.45289 up to 0.
+FROZEN_ALPHA_SWEEP = (
+    ("trivial", 0.0, 0),
+    ("trivial", 0.0, 0),
+    ("trivial", 0.0, 0),
+    ("optimal", 0.0, 18),
+    ("optimal", 123.68659579078889, 1925),
+    ("optimal", 409.4007832375612, 588),
+    ("optimal", 929.1544938556924, 7),
+    ("optimal", 1688.3608035544014, 10),
+    ("optimal", 3005.0153263683196, 14),
+    ("optimal", 5350.565901488729, 6),
+    ("optimal", 7282.025399235914, 0),
+)
+
+
+def _frozen_key(solution):
+    return solution.status, solution.objective, solution.nodes
+
+
+def test_search_is_frozen_on_the_desk_alpha_sweep():
+    base = generate(bench.DESK_PARAMS)
+    got = []
+    for alpha in bench.default_alpha_grid():
+        inst = base.with_choice_model(base.choice_model.with_alpha(alpha))
+        got.append(_frozen_key(solve(inst, RhoTable.closed_form(inst))))
+    assert [(s, n) for s, _o, n in got] == [(s, n) for s, _o, n in FROZEN_ALPHA_SWEEP]
+    assert [o for _s, o, _n in got] == pytest.approx(
+        [o for _s, o, _n in FROZEN_ALPHA_SWEEP], rel=1e-12)
+
+
+def test_search_is_frozen_at_full_scale():
+    inst = generate(replace(bench.DESK_PARAMS, n_facilities=7, n_customers=140))
+    status, objective, nodes = _frozen_key(solve(inst, RhoTable.closed_form(inst)))
+    assert (status, nodes) == ("optimal", 152)
+    assert objective == pytest.approx(17558.455063465233, rel=1e-12)
+
+
+def test_search_is_frozen_on_the_tiny_family():
+    # 96 of these seeds carry positive minimum-demand gates
+    statuses = {"optimal": 0, "trivial": 0}
+    nodes = 0
+    for seed in range(200):
+        inst = tiny_family_instance(seed)
+        solution = solve(inst, RhoTable.closed_form(inst))
+        statuses[solution.status] += 1
+        nodes += solution.nodes
+    assert statuses == {"optimal": 154, "trivial": 46}
+    assert nodes == 411
