@@ -14,9 +14,11 @@ Two engines, each its own best-first search:
   across categories, the remaining gate slack and per-facility capacity:
   for every candidate facility subset, each undecided category takes its
   best still-allowed offer priced against per-customer cheapest serving
-  cost, and a fractional knapsack caps total gamma-scaled demand by the
-  subset's aggregate capacity.  The bound only ever over-estimates and
-  shrinks monotonically along any branch.  Fully decided nodes are
+  cost, and an exact 0/1 knapsack, solved for all facility subsets at
+  once, caps total gamma-scaled demand by the subset's aggregate capacity;
+  when too many categories are undecided to enumerate their subsets, the
+  fractional knapsack takes its place.  The bound only ever over-estimates
+  and shrinks monotonically along any branch.  Fully decided nodes are
   evaluated exactly by transporting facility subsets in the order of that
   same per-subset bound, so facility decisions never need their own tree
   levels.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import count as _counter
 from typing import TYPE_CHECKING
 
@@ -45,6 +48,7 @@ from ..choice import RhoTable
 from ..milp import MilpModel, Solution, certifies_trivial, profit_upper_bound
 from .serving import evaluate_offers, solution_from_offers
 from .simplex import solve_lp
+from .transportation import capacity_limit
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..instance import Instance
@@ -54,6 +58,10 @@ _UNDECIDED = -2
 _NONE = -1
 #: Relative bound gap below which a search declares its incumbent optimal.
 _GAP_TOL = 1e-9
+
+#: Most (facility mask, category subset) pairs a node bound enumerates for
+#: its exact 0/1 knapsack (1 MB of float64); past it the bound is fractional.
+_EXACT_KNAPSACK_CELLS = 1 << 17
 
 #: Upper limit on tableau cells for the relaxation engine; larger models must
 #: be solved through their instance (structured engine).
@@ -160,6 +168,9 @@ class _StructuredData:
         demand = np.array([c.demand for c in inst.customers])
         scaled_load = gamma[None, :] * demand[:, None]  # (J, M)
 
+        # a category without customers costs nothing to serve, from any mask
+        cheap[:, [c for c, js in enumerate(cat_members) if not js], :] = 0.0
+
         self.loads_at = np.zeros((self.n_masks, C, M, I))
         raw_rate_min = np.full((self.n_masks, C, M, I), np.inf)
         for mask in range(1, self.n_masks):
@@ -175,7 +186,6 @@ class _StructuredData:
             regret_rate = (second - min_cost) / scaled_load  # (J, M)
             for c, js in enumerate(cat_members):
                 if not js:
-                    cheap[mask, c, :] = 0.0
                     continue
                 js = list(js)
                 cheap[mask, c, :] = min_cost[js, :].sum(axis=0)
@@ -200,19 +210,20 @@ class _StructuredData:
         self.overflow_rate = np.minimum(
             weighted.reshape(self.n_masks, C * M, I).min(axis=1), _BIG
         )
-        self.facility_capacity = caps
+        self.facility_limit = capacity_limit(caps)
 
     def overflow_correction(self, state: tuple) -> np.ndarray:
         """Per-mask lower bound on extra transport cost the committed offers
-        must pay beyond everyone-at-their-cheapest, from capacity overflow."""
+        must pay beyond everyone-at-their-cheapest, from load past each
+        facility's capacity limit."""
         committed = [(c, int(self.off_m[c, o])) for c, o in enumerate(state)
                      if o >= 0]
         if not committed:
             return np.zeros(self.n_masks)
-        loads = np.zeros((self.n_masks, len(self.facility_capacity)))
+        loads = np.zeros((self.n_masks, len(self.facility_limit)))
         for c, m in committed:
             loads += self.loads_at[:, c, m, :]
-        overflow = np.maximum(loads - self.facility_capacity[None, :], 0.0)
+        overflow = np.maximum(loads - self.facility_limit[None, :], 0.0)
         return np.minimum((overflow * self.overflow_rate).sum(axis=1), _BIG)
 
 
@@ -253,12 +264,48 @@ def _node_offers(data: _StructuredData, state) -> tuple[np.ndarray, list] | None
                      if reach[slot] < level - 1e-9]
 
 
+@lru_cache(maxsize=None)
+def _subsets(n: int) -> np.ndarray:
+    """(2^n, n) 0/1 matrix whose row s holds the bits of s; shared, so
+    read-only."""
+    subsets = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    subsets.flags.writeable = False
+    return subsets
+
+
+def _knapsack(values: np.ndarray, weights: np.ndarray, room: np.ndarray
+              ) -> np.ndarray:
+    """Per mask, the most value a set of items fits into the mask's room.
+
+    ``values`` is (masks, items) and non-negative, ``weights`` (items,) and
+    ``room`` (masks,).  Up to ``_EXACT_KNAPSACK_CELLS`` (mask, subset) pairs
+    every subset of items is valued at once, an exact 0/1 knapsack;
+    beyond that the items are taken greedily by value per weight with the
+    last one split, the fractional bound.
+    """
+    n_masks, n_items = values.shape
+    if n_masks << n_items <= _EXACT_KNAPSACK_CELLS:
+        subsets = _subsets(n_items)
+        fits = (subsets @ weights)[None, :] <= room[:, None]
+        return np.where(fits, values @ subsets.T, 0.0).max(axis=1)
+    order = np.argsort(-values / weights, axis=1, kind="stable")
+    value = np.take_along_axis(values, order, axis=1)
+    weight = weights[order]
+    before = np.cumsum(weight, axis=1) - weight
+    take = np.clip((room[:, None] - before) / weight, 0.0, 1.0)
+    return (value * take).sum(axis=1)
+
+
 def _mask_bounds(data: _StructuredData, state: tuple
                  ) -> tuple[np.ndarray, np.ndarray]:
     """(bound per facility mask, best-offer index per mask and category).
 
-    Every mask reads -BIG at an infeasible node (a price conflict or an
-    unreachable gate) and where the committed load exceeds the capacity.
+    Committed categories add their best allowed value less the overflow
+    correction; the undecided ones share the room their least allowed
+    weights leave, valued by a 0/1 knapsack (by its fractional relaxation
+    when they are too many to enumerate).  Every mask reads -BIG at an
+    infeasible node (a price conflict or an unreachable gate) and where the
+    committed load exceeds the capacity limit.
     """
     C = len(data.cats)
     bounds = np.full(data.n_masks, -_BIG)
@@ -267,34 +314,21 @@ def _mask_bounds(data: _StructuredData, state: tuple
         return bounds, np.zeros((data.n_masks, C), dtype=int)
     allowed = node[0]
     committed = np.array([o >= 0 for o in state])
+    undecided = np.array([o == _UNDECIDED for o in state])
 
     vals = np.where(allowed[None, :, :], data.val, -_BIG)  # (nMask, C, O)
     best = vals.max(axis=2)                                # (nMask, C)
     arg = vals.argmax(axis=2)                              # (nMask, C)
     weight = np.where(allowed, data.off_weight, np.inf).min(axis=1)  # (C,)
 
-    forced_load = float(weight[committed].sum()) if committed.any() else 0.0
-    base = best[:, committed].sum(axis=1) if committed.any() else np.zeros(data.n_masks)
-    base = base - data.overflow_correction(state)
-
-    opt_rows = [c for c, o in enumerate(state) if o == _UNDECIDED]
-    for mask in range(data.n_masks):
-        capacity = data.mask_capacity[mask]
-        if forced_load > capacity + 1e-9:
-            continue
-        value = float(base[mask])
-        room = capacity - forced_load
-        if opt_rows:
-            items = [(float(best[mask, c]), float(weight[c])) for c in opt_rows
-                     if best[mask, c] > 0.0]
-            items.sort(key=lambda it: it[0] / it[1], reverse=True)
-            for v, w in items:
-                if room <= 1e-12:
-                    break
-                take = min(1.0, room / w)
-                value += v * take
-                room -= w * take
-        bounds[mask] = value - float(data.mask_fixed_cost[mask])
+    room = capacity_limit(data.mask_capacity) - weight[committed].sum()
+    fits = room >= 0.0
+    value = best[:, committed].sum(axis=1) - data.overflow_correction(state)
+    opt = undecided & (best > 0.0).any(axis=0)
+    if opt.any():
+        value = value + _knapsack(np.maximum(best[:, opt], 0.0), weight[opt],
+                                  room)
+    bounds[fits] = (value - data.mask_fixed_cost)[fits]
     return bounds, arg
 
 

@@ -31,6 +31,12 @@ _FEAS_TOL = 1e-9
 _PATH_TOL = 1e-12
 
 
+def capacity_limit(capacity):
+    """Largest load that fits ``capacity`` (a number or an array) within the
+    feasibility tolerance."""
+    return capacity * (1.0 + _FEAS_TOL) + _FEAS_TOL
+
+
 @dataclass
 class TransportResult:
     status: str  # "optimal" | "infeasible"
@@ -53,10 +59,10 @@ def solve_transportation(cost: np.ndarray, loads: np.ndarray,
         return TransportResult("infeasible", float("inf"), None)
     total_load = float(loads.sum())
     total_cap = float(capacities.sum())
-    if total_load > total_cap * (1.0 + _FEAS_TOL) + _FEAS_TOL:
+    if total_load > capacity_limit(total_cap):
         return TransportResult("infeasible", float("inf"), None)
     # a facility is overloaded past its own tolerance on its own capacity
-    limit = capacities * (1.0 + _FEAS_TOL) + _FEAS_TOL
+    limit = capacity_limit(capacities)
     if 0.0 < total_cap < total_load:
         # an overload inside the tolerance is shared by all facilities in
         # proportion to capacity; each scaled capacity stays within its limit
