@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import bench, instance, milp, oracle
@@ -133,7 +134,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec_args: dict = {}
     if args.config:
         spec_args = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        sweep_fields = {f.name for f in fields(bench.SweepSpec)} - {"kind", "out_path"}
+        instance._require_keys(spec_args, dict.fromkeys(sweep_fields, False),
+                               "sweep config", ValueError)
     if "base" in spec_args:
+        instance._require_keys(spec_args["base"], {
+            f.name: f.default is MISSING for f in fields(GeneratorParams)
+        }, "sweep config base", ValueError)
         spec_args["base"] = GeneratorParams(**spec_args["base"])
     if "points" in spec_args:
         spec_args["points"] = tuple(

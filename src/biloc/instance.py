@@ -337,10 +337,16 @@ def scale_to_ratio(inst: Instance, ratio: float) -> Instance:
 
 
 def validate(inst: Instance) -> list[str]:
-    """Structural check; returns a violation message per problem (empty = ok)."""
+    """Structural check; returns a violation message per problem (empty = ok).
+    Ids are indices, so each must equal its position."""
     out: list[str] = []
     n_shippers = inst.n_shippers
     n_services = inst.n_services
+
+    for kind, items in (("facility", inst.facilities), ("customer", inst.customers),
+                        ("service level", inst.service_levels)):
+        out += [f"{kind} at position {i} has id {x.id}"
+                for i, x in enumerate(items) if x.id != i]
 
     for f in inst.facilities:
         if not f.capacity > 0.0:
@@ -419,16 +425,15 @@ def validate(inst: Instance) -> list[str]:
             f"({inst.n_facilities}, {inst.n_customers}, {n_services})"
         )
     else:
-        for j in range(inst.n_customers):
-            if not 0 <= inst.customers[j].shipper < n_shippers:
-                continue
-            if not 0 <= inst.customers[j].category < inst.categories_per_shipper[
-                inst.customers[j].shipper
-            ]:
-                continue
-            for m in inst.services_for_customer(j):
-                bad = np.where(inst.costs[:, j, m] < 0.0)[0]
-                for i in bad:
+        listed = inst.services_by_category
+        for j, cust in enumerate(inst.customers):
+            n, k = cust.shipper, cust.category
+            if not (0 <= n < min(n_shippers, len(listed)) and 0 <= k < len(listed[n])):
+                continue  # reported above
+            for m in listed[n][k]:
+                if not 0 <= m < n_services:
+                    continue  # reported above
+                for i in np.flatnonzero(inst.costs[:, j, m] < 0.0):
                     out.append(
                         f"cost c[{int(i)},{j},{m}] must be >= 0 "
                         f"(got {inst.costs[int(i), j, m]})"
@@ -521,8 +526,8 @@ def to_json_dict(inst: Instance) -> dict:
 
 
 def from_json_dict(data: dict) -> Instance:
-    if not isinstance(data, dict):
-        raise InstanceFormatError("instance file root must be a JSON object")
+    """Instance from its JSON form; raises ``InstanceFormatError`` on a
+    schema violation or listing every problem ``validate`` finds."""
     _require_keys(
         data,
         {"facilities": True, "customers": True, "shippers": True,
@@ -621,7 +626,7 @@ def from_json_dict(data: dict) -> Instance:
         )
 
     costs = np.asarray(data["costs"], dtype=float)
-    return Instance(
+    inst = Instance(
         facilities=tuple(facilities),
         customers=tuple(customers),
         service_levels=tuple(service_levels),
@@ -632,6 +637,10 @@ def from_json_dict(data: dict) -> Instance:
         choice_model=model,
         meta=Meta(seed=int(meta_obj["seed"]), generator=generator),
     )
+    problems = validate(inst)
+    if problems:
+        raise InstanceFormatError("invalid instance:\n  " + "\n  ".join(problems))
+    return inst
 
 
 def dumps(inst: Instance) -> str:

@@ -18,10 +18,11 @@ Two engines, each its own best-first search:
   once, caps total gamma-scaled demand by the subset's aggregate capacity;
   when too many categories are undecided to enumerate their subsets, the
   fractional knapsack takes its place.  The bound only ever over-estimates
-  and shrinks monotonically along any branch.  Fully decided nodes are
-  evaluated exactly by transporting facility subsets in the order of that
-  same per-subset bound, so facility decisions never need their own tree
-  levels.
+  and shrinks monotonically along any branch.  A node is derived once,
+  when made; its heap entry carries that per-subset bound and its allowed
+  offers, which give its children.  Fully decided nodes are evaluated
+  exactly by transporting facility subsets in the order of that bound, so
+  facility decisions never need their own tree levels.
 
 * The *relaxation* engine (``solve_milp``) works on any model, such as a
   parsed LP file: it solves the continuous relaxation per node with the dense
@@ -189,11 +190,9 @@ class _StructuredData:
                     continue
                 js = list(js)
                 cheap[mask, c, :] = min_cost[js, :].sum(axis=0)
-                for m in range(M):
-                    np.add.at(self.loads_at[mask, c, m], arg_fac[js, m],
-                              scaled_load[js, m])
-                    np.minimum.at(raw_rate_min[mask, c, m], arg_fac[js, m],
-                                  regret_rate[js, m])
+                at = (np.arange(M), arg_fac[js])  # (service, facility) per member
+                np.add.at(self.loads_at[mask, c], at, scaled_load[js])
+                np.minimum.at(raw_rate_min[mask, c], at, regret_rate[js])
         rows = np.arange(C)[:, None]
         val = self.off_rev[None, :, :] - self.off_rho[None, :, :] * cheap[:, rows, self.off_m]
         val[:, ~self.off_valid] = -_BIG
@@ -216,13 +215,10 @@ class _StructuredData:
         """Per-mask lower bound on extra transport cost the committed offers
         must pay beyond everyone-at-their-cheapest, from load past each
         facility's capacity limit."""
-        committed = [(c, int(self.off_m[c, o])) for c, o in enumerate(state)
-                     if o >= 0]
+        committed = [(c, o) for c, o in enumerate(state) if o >= 0]
         if not committed:
             return np.zeros(self.n_masks)
-        loads = np.zeros((self.n_masks, len(self.facility_limit)))
-        for c, m in committed:
-            loads += self.loads_at[:, c, m, :]
+        loads = sum(self.loads_at[:, c, self.off_m[c, o]] for c, o in committed)
         overflow = np.maximum(loads - self.facility_limit[None, :], 0.0)
         return np.minimum((overflow * self.overflow_rate).sum(axis=1), _BIG)
 
@@ -297,29 +293,26 @@ def _knapsack(values: np.ndarray, weights: np.ndarray, room: np.ndarray
 
 
 def _mask_bounds(data: _StructuredData, state: tuple
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(bound per facility mask, best-offer index per mask and category).
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(bound per facility mask, allowed offers) of a node.
 
     Committed categories add their best allowed value less the overflow
     correction; the undecided ones share the room their least allowed
     weights leave, valued by a 0/1 knapsack (by its fractional relaxation
-    when they are too many to enumerate).  Every mask reads -BIG at an
-    infeasible node (a price conflict or an unreachable gate) and where the
-    committed load exceeds the capacity limit.
+    when they are too many to enumerate).  Every mask reads -BIG, and the
+    allowed offers are None, at an infeasible node (a price conflict or an
+    unreachable gate); masks the committed load overfills read -BIG too.
     """
-    C = len(data.cats)
     bounds = np.full(data.n_masks, -_BIG)
     node = _node_offers(data, state)
     if node is None or node[1]:
-        return bounds, np.zeros((data.n_masks, C), dtype=int)
+        return bounds, None
     allowed = node[0]
     committed = np.array([o >= 0 for o in state])
     undecided = np.array([o == _UNDECIDED for o in state])
 
-    vals = np.where(allowed[None, :, :], data.val, -_BIG)  # (nMask, C, O)
-    best = vals.max(axis=2)                                # (nMask, C)
-    arg = vals.argmax(axis=2)                              # (nMask, C)
-    weight = np.where(allowed, data.off_weight, np.inf).min(axis=1)  # (C,)
+    best = np.where(allowed[None, :, :], data.val, -_BIG).max(axis=2)  # (nMask, C)
+    weight = np.where(allowed, data.off_weight, np.inf).min(axis=1)     # (C,)
 
     room = capacity_limit(data.mask_capacity) - weight[committed].sum()
     fits = room >= 0.0
@@ -329,38 +322,28 @@ def _mask_bounds(data: _StructuredData, state: tuple
         value = value + _knapsack(np.maximum(best[:, opt], 0.0), weight[opt],
                                   room)
     bounds[fits] = (value - data.mask_fixed_cost)[fits]
-    return bounds, arg
+    return bounds, allowed
 
 
-def _structured_bound(data: _StructuredData, state: tuple
-                      ) -> tuple[float, int, np.ndarray]:
-    """(bound, best facility mask, best-offer index per category)."""
-    bounds, arg = _mask_bounds(data, state)
-    mask = int(np.argmax(bounds))
-    return float(bounds[mask]), mask, arg[mask]
-
-
-def _leaf_value(data: _StructuredData, state: tuple, floor: float,
-                deadline: float | None = None):
+def _leaf_value(data: _StructuredData, state: tuple, mask_bound: np.ndarray,
+                floor: float, deadline: float | None = None):
     """Exact value of a fully decided node, or None when infeasible or unable
     to beat ``floor``.
 
-    Facility subsets are ranked by the node's bound per facility mask and
-    only transported while that bound still beats the best value seen, so
-    most subsets are never solved exactly.  Past ``deadline`` the ranking
-    stops early and the best value found so far is returned.
+    Facility subsets are ranked by ``mask_bound``, the node's bound per
+    facility mask, and only transported while it still beats the best value
+    seen, so most subsets are never solved exactly.  Past ``deadline`` the
+    ranking stops early and the best value found so far is returned.
     """
-    mask_bound, _arg = _mask_bounds(data, state)
     offers = {data.cats[c]: (int(data.off_m[c, o]), int(data.off_p[c, o]))
               for c, o in enumerate(state) if o >= 0}
-    inst = data.inst
     best = None
     best_value = floor
     for mask in np.argsort(-mask_bound):
         if mask_bound[mask] <= best_value + 1e-12 or _past(deadline):
             break
-        subset = tuple(i for i in range(inst.n_facilities) if mask & (1 << i))
-        status, profit, flows = evaluate_offers(inst, data.rho, offers, subset)
+        subset = tuple(i for i in range(data.inst.n_facilities) if mask & (1 << i))
+        status, profit, flows = evaluate_offers(data.inst, data.rho, offers, subset)
         if status != "optimal":
             continue
         if profit > best_value:
@@ -373,29 +356,25 @@ def _warm_start(data: _StructuredData, deadline: float | None):
     """Incumbent that seeds pruning, valued like a leaf; None when it earns
     nothing.
 
-    Category by category, each takes its most valuable offer with every
-    facility open among those priced like the slots already pinned, if that
-    value is positive.  Slots whose committed demand then misses the gate
-    lose their offers; dropping one slot's offers leaves every other slot's
-    committed demand unchanged, so one pass repairs every gate.
+    A dive: category by category, each takes its most valuable allowed
+    offer with every facility open if that value is positive, else none.
+    Slots whose committed demand then misses the gate lose their offers;
+    dropping one slot's offers leaves every other slot's committed demand
+    unchanged, so one pass repairs every gate.
     """
     value = data.val[data.n_masks - 1]  # (C, O)
-    pinned = np.full(len(data.slots), _UNDECIDED)
-    state = [_NONE] * len(data.cats)
+    state = [_UNDECIDED] * len(data.cats)
     for c in range(len(data.cats)):
-        pinned_price = pinned[data.off_slot[c]]
-        row = np.where((pinned_price == _UNDECIDED) | (pinned_price == data.off_p[c]),
-                       value[c], -_BIG)
+        row = np.where(_node_offers(data, state)[0][c], value[c], -_BIG)
         o = int(np.argmax(row))
-        if row[o] > 0.0:
-            pinned[data.off_slot[c, o]] = data.off_p[c, o]
-            state[c] = o
+        state[c] = o if row[o] > 0.0 else _NONE
 
     _allowed, unmet = _node_offers(data, state)
     for c, o in enumerate(state):
         if o >= 0 and data.off_slot[c, o] in unmet:
             state[c] = _NONE
-    return _leaf_value(data, tuple(state), 0.0, deadline)
+    state = tuple(state)
+    return _leaf_value(data, state, _mask_bounds(data, state)[0], 0.0, deadline)
 
 
 def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
@@ -419,19 +398,21 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
     incumbent = 0.0 if payload is None else payload[0]
 
     root = (_UNDECIDED,) * len(data.cats)
-    root_bound, root_mask, root_arg = _structured_bound(data, root)
+    root_bounds, root_allowed = _mask_bounds(data, root)
+    root_bound = float(root_bounds.max())
     if diagnostics is not None:
         diagnostics.root_bound = root_bound
 
-    # heap entries: (-bound, -depth, tie, state, best_mask, best_arg)
+    # heap entries: (-bound, -depth, tie, state, bound per mask, allowed offers)
     heap: list = []
     ticket = _counter()
-    heapq.heappush(heap, (-root_bound, 0, next(ticket), root, root_mask, root_arg))
+    heapq.heappush(heap, (-root_bound, 0, next(ticket), root, root_bounds,
+                          root_allowed))
     nodes = 0
     open_bound = None  # bound of the node left unfinished when the budget ran out
 
     while heap:
-        neg_bound, neg_depth, _tie, state, best_mask, best_arg = heapq.heappop(heap)
+        neg_bound, neg_depth, _tie, state, mask_bound, allowed = heapq.heappop(heap)
         bound = -neg_bound
         depth = -neg_depth
         if bound <= incumbent + _prune_tol(incumbent):
@@ -443,7 +424,7 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
 
         undecided = [c for c, o in enumerate(state) if o == _UNDECIDED]
         if not undecided:
-            leaf = _leaf_value(data, state, incumbent, deadline)
+            leaf = _leaf_value(data, state, mask_bound, incumbent, deadline)
             if leaf is not None:
                 if diagnostics is not None:
                     diagnostics.leaf_checks.append((bound, leaf[0]))
@@ -456,23 +437,25 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
             continue
 
         # branch shipper-major so price-slot coupling resolves early; within
-        # the active shipper take the category with the most valuable offer.
-        # Infeasible children bound at -BIG, below the incumbent (never
-        # negative), so they are never pushed.
+        # the active shipper take the category with the most valuable allowed
+        # offer at the best mask.  Children take only allowed offers, so none
+        # conflicts with a pinned price; infeasible ones bound at -BIG, below
+        # the incumbent (never negative), so they are never pushed.
         first_shipper = data.cats[undecided[0]][0]
         same = [c for c in undecided if data.cats[c][0] == first_shipper]
-        cat = max(same, key=lambda c: data.val[best_mask, c, int(best_arg[c])])
-        for choice in [*range(data.off_valid[cat].sum()), _NONE]:
+        best = np.where(allowed, data.val[np.argmax(mask_bound)], -_BIG).max(axis=1)
+        cat = max(same, key=lambda c: best[c])
+        for choice in [*np.flatnonzero(allowed[cat]).tolist(), _NONE]:
             child = list(state)
             child[cat] = choice
             child_state = tuple(child)
-            child_bound, child_mask, child_arg = _structured_bound(data, child_state)
-            child_bound = min(child_bound, bound)  # bound inheritance
+            child_bounds, child_allowed = _mask_bounds(data, child_state)
+            child_bound = min(float(child_bounds.max()), bound)  # bound inheritance
             if diagnostics is not None:
                 diagnostics.bound_pairs.append((bound, child_bound))
             if child_bound > incumbent + _prune_tol(incumbent):
                 heapq.heappush(heap, (-child_bound, -(depth + 1), next(ticket),
-                                      child_state, child_mask, child_arg))
+                                      child_state, child_bounds, child_allowed))
 
     seconds = time.perf_counter() - start
     if open_bound is None:

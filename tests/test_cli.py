@@ -6,6 +6,7 @@ import pytest
 
 from biloc import Solution, load
 from biloc.cli import main
+from biloc.instance import InstanceFormatError
 
 
 @pytest.fixture
@@ -90,6 +91,38 @@ def test_sweep_with_config(inst_path, tmp_path):
                  "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 4
+
+
+def test_solve_rejects_an_invalid_instance_file(inst_path, tmp_path, capsys):
+    data = json.loads(inst_path.read_text())
+    data["customers"][0]["category"] = 7
+    data["service_levels"][0]["gamma"] = 0.2
+    data["price_ladders"][0]["prices"].reverse()
+    inst_path.write_text(json.dumps(data))
+    with pytest.raises(InstanceFormatError) as err:
+        main(["solve", str(inst_path), "--out", str(tmp_path / "sol.json")])
+    message = str(err.value)
+    assert "category 7 out of range" in message
+    assert "gamma must be >= 1" in message
+    assert "strictly increasing" in message
+    assert "status=" not in capsys.readouterr().out
+    assert not (tmp_path / "sol.json").exists()
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"pointz": [1.0]}, "unknown field 'pointz' in sweep config"),
+    ({"kind": "alpha"}, "unknown field 'kind' in sweep config"),
+    ({"points": [1.0], "base": {"n_facilities": 2}},
+     "missing field 'n_customers' in sweep config base"),
+    ({"base": {"n_facilities": 2, "colour": 1}},
+     "unknown field 'colour' in sweep config base"),
+])
+def test_sweep_config_names_a_bad_field(tmp_path, config, field):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=field):
+        main(["sweep", "--kind", "ratio", "--config", str(path),
+              "--out", str(tmp_path / "ratio.csv")])
 
 
 def test_fixture_command(tmp_path, capsys):

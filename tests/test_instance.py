@@ -120,6 +120,72 @@ def test_validate_flags_nonincreasing_prices(tiny_instance):
     assert any("strictly increasing" in p for p in validate(broken))
 
 
+def test_validate_flags_ids_that_are_not_positions(tiny_instance):
+    # ids index costs, categories and service levels, so a swap is an error
+    customers = list(tiny_instance.customers)
+    customers[0], customers[1] = (replace(customers[0], id=1),
+                                  replace(customers[1], id=0))
+    facilities = (replace(tiny_instance.facilities[0], id=5),
+                  *tiny_instance.facilities[1:])
+    services = (replace(tiny_instance.service_levels[0], id=3),
+                *tiny_instance.service_levels[1:])
+    broken = replace(tiny_instance, customers=tuple(customers),
+                     facilities=facilities, service_levels=services)
+    assert validate(broken) == [
+        "facility at position 0 has id 5",
+        "customer at position 0 has id 1",
+        "customer at position 1 has id 0",
+        "service level at position 0 has id 3",
+    ]
+
+
+def _edited_file(tmp_path, inst, edit):
+    path = tmp_path / "inst.json"
+    save(inst, path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_load_lists_every_validation_problem(tmp_path, tiny_instance):
+    def edit(data):
+        data["customers"][0]["category"] = 7
+        data["service_levels"][0]["gamma"] = 0.2
+        data["price_ladders"][0]["prices"].reverse()
+
+    with pytest.raises(InstanceFormatError) as err:
+        load(_edited_file(tmp_path, tiny_instance, edit))
+    message = str(err.value)
+    assert "customer 0: category 7 out of range" in message
+    assert "service 0: gamma must be >= 1 (got 0.2)" in message
+    assert "prices must be strictly increasing" in message
+
+
+def test_load_reports_a_short_service_list_instead_of_failing(tmp_path,
+                                                              tiny_instance):
+    # a customer of the category without services, and a service id out of
+    # range, are reported rather than indexed
+    def edit(data):
+        data["shippers"][0]["services_by_category"].pop()
+        data["shippers"][1]["services_by_category"][0].append(9)
+
+    with pytest.raises(InstanceFormatError) as err:
+        load(_edited_file(tmp_path, tiny_instance, edit))
+    message = str(err.value)
+    assert "shipper 0: services listed for 1 categories, expected 2" in message
+    assert "shipper 1 category 0: service 9 out of range" in message
+
+
+def test_load_rejects_swapped_customer_ids(tmp_path, tiny_instance):
+    def edit(data):
+        first, second = data["customers"][:2]
+        first["id"], second["id"] = second["id"], first["id"]
+
+    with pytest.raises(InstanceFormatError, match="customer at position 0 has id 1"):
+        load(_edited_file(tmp_path, tiny_instance, edit))
+
+
 def test_scale_to_ratio_identity(tiny_instance):
     same = scale_to_ratio(tiny_instance, tiny_instance.capacity_ratio)
     assert dumps(same) == dumps(tiny_instance)

@@ -372,3 +372,29 @@ def test_search_is_frozen_on_the_tiny_family():
         nodes += solution.nodes
     assert statuses == {"optimal": 154, "trivial": 46}
     assert nodes == 274
+
+
+def test_each_search_node_is_derived_once(monkeypatch):
+    # the root, the warm start's leaf and every child of a branched node are
+    # derived once, when made; popped nodes and leaves reuse what their push
+    # carried, and no child conflicts with a price its parent pinned
+    from biloc.solver import bnb
+
+    derived = []
+    real = bnb._mask_bounds
+
+    def counting(data, state):
+        assert _node_offers(data, state) is not None, state
+        derived.append(state)
+        return real(data, state)
+
+    monkeypatch.setattr(bnb, "_mask_bounds", counting)
+    base = generate(bench.DESK_PARAMS)
+    for alpha in bench.default_alpha_grid():
+        inst = base.with_choice_model(base.choice_model.with_alpha(alpha))
+        solve(inst, RhoTable.closed_form(inst))
+    assert len(derived) == 636  # 772 when derived twice
+    derived.clear()
+    inst = generate(replace(bench.DESK_PARAMS, n_facilities=7, n_customers=140))
+    solve(inst, RhoTable.closed_form(inst))
+    assert len(derived) == 1162  # 1,639 when derived twice
