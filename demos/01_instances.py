@@ -6,6 +6,9 @@ over total demand hits the requested ratio exactly, and a shared price grid
 per (shipper, service level).
 """
 
+import tempfile
+from pathlib import Path
+
 from biloc import GeneratorParams, generate, load, save, scale_to_ratio, validate
 
 params = GeneratorParams(
@@ -33,7 +36,8 @@ print(f"after scaling to ratio 0.5: {tight.capacity_ratio:.12f} "
       f"(demand unchanged: {tight.total_demand == inst.total_demand})")
 
 # JSON round trip is lossless and strict (unknown fields are rejected)
-save(inst, "/tmp/biloc_demo_instance.json")
-again = load("/tmp/biloc_demo_instance.json")
+with tempfile.TemporaryDirectory() as tmp:
+    save(inst, Path(tmp) / "instance.json")
+    again = load(Path(tmp) / "instance.json")
 print(f"saved and reloaded: {again.n_customers} customers, "
       f"ratio {again.capacity_ratio:.12f}")

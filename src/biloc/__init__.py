@@ -52,7 +52,7 @@ from .milp import (
     read_lp,
     write_lp,
 )
-from .oracle import REALLOC, REDUCED, min_demand_violation_rate, simulate
+from .oracle import REALLOC, REDUCED, simulate
 from .solver import SolverError, enumerate_oracle, solve, solve_lp, solve_milp
 
 __version__ = "0.1.0"
@@ -90,7 +90,6 @@ __all__ = [
     "export_lp",
     "generate",
     "load",
-    "min_demand_violation_rate",
     "offer_utility",
     "parse_lp",
     "profit_upper_bound",

@@ -21,6 +21,10 @@ from .instance import GeneratorParams
 from .solver import solve, solve_milp
 
 
+class SweepConfigError(ValueError):
+    """Raised when a sweep config file does not describe a ``SweepSpec``."""
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = GeneratorParams(
         n_facilities=args.facilities,
@@ -133,14 +137,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec_args: dict = {}
     if args.config:
-        spec_args = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            spec_args = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise SweepConfigError(f"{args.config}: not valid JSON: {exc}") from None
         sweep_fields = {f.name for f in fields(bench.SweepSpec)} - {"kind", "out_path"}
         instance._require_keys(spec_args, dict.fromkeys(sweep_fields, False),
-                               "sweep config", ValueError)
+                               "sweep config", SweepConfigError)
     if "base" in spec_args:
         instance._require_keys(spec_args["base"], {
             f.name: f.default is MISSING for f in fields(GeneratorParams)
-        }, "sweep config base", ValueError)
+        }, "sweep config base", SweepConfigError)
         spec_args["base"] = GeneratorParams(**spec_args["base"])
     if "points" in spec_args:
         spec_args["points"] = tuple(
@@ -148,7 +155,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     spec_args["kind"] = args.kind
     spec_args["out_path"] = args.out
-    spec = bench.SweepSpec(**spec_args)
+    try:
+        spec = bench.SweepSpec(**spec_args)
+    except (TypeError, ValueError) as exc:
+        raise SweepConfigError(f"sweep config: {exc}") from None
     rows = bench.run_sweep(spec)
     print(f"wrote {args.out}: {len(rows)} rows")
     return 0
@@ -237,10 +247,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Faults of the files a command reads, reported in one line (exit status 2)
+#: instead of a traceback.
+_INPUT_ERRORS = (OSError, instance.InstanceFormatError, milp.SolutionFormatError,
+                 milp.LpParseError, SweepConfigError)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -525,117 +525,106 @@ def to_json_dict(inst: Instance) -> dict:
     }
 
 
+def _read(obj, where: str, convert: dict, optional: tuple = (), into=dict):
+    """``into(**fields)`` from the JSON object ``obj``, each field passed
+    through its converter in ``convert``; the fields in ``optional`` may be
+    missing.  Raises ``InstanceFormatError`` naming the unknown, missing or
+    malformed field."""
+    _require_keys(obj, {key: key not in optional for key in convert}, where)
+    values = {}
+    for key, fn in convert.items():
+        if key in obj:
+            try:
+                values[key] = fn(obj[key])
+            except (TypeError, ValueError) as exc:
+                raise InstanceFormatError(f"{where}.{key}: {exc}") from None
+    try:
+        return into(**values)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{where}: {exc}") from None
+
+
+def _of_type(kind: type):
+    """Converter passing values of ``kind`` through and rejecting the rest."""
+    def check(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return value
+    return check
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
 def from_json_dict(data: dict) -> Instance:
     """Instance from its JSON form; raises ``InstanceFormatError`` on a
     schema violation or listing every problem ``validate`` finds."""
-    _require_keys(
-        data,
-        {"facilities": True, "customers": True, "shippers": True,
-         "service_levels": True, "price_ladders": True, "costs": True,
-         "choice_model": True, "meta": True},
-        "instance",
-    )
-
-    facilities = []
-    for idx, obj in enumerate(data["facilities"]):
-        _require_keys(obj, {"id": True, "capacity": True, "fixed_cost": True,
-                            "location": False}, f"facilities[{idx}]")
-        facilities.append(Facility(
-            int(obj["id"]), float(obj["capacity"]), float(obj["fixed_cost"]),
-            tuple(float(x) for x in obj.get("location", (0.0, 0.0))),
-        ))
-
-    customers = []
-    for idx, obj in enumerate(data["customers"]):
-        _require_keys(obj, {"id": True, "shipper": True, "category": True,
-                            "demand": True, "location": False}, f"customers[{idx}]")
-        customers.append(Customer(
-            int(obj["id"]), int(obj["shipper"]), int(obj["category"]),
-            float(obj["demand"]),
-            tuple(float(x) for x in obj.get("location", (0.0, 0.0))),
-        ))
-
-    shippers = data["shippers"]
-    categories_per_shipper = []
-    services_by_category = []
+    data = _read(data, "instance", {
+        **dict.fromkeys(("facilities", "customers", "shippers", "service_levels",
+                         "price_ladders"), _of_type(list)),
+        "choice_model": _of_type(dict), "meta": _of_type(dict),
+        "costs": lambda v: np.asarray(v, dtype=float)})
+    facilities = tuple(
+        _read(obj, f"facilities[{idx}]",
+              {"id": int, "capacity": float, "fixed_cost": float, "location": _floats},
+              ("location",), Facility)
+        for idx, obj in enumerate(data["facilities"]))
+    customers = tuple(
+        _read(obj, f"customers[{idx}]",
+              {"id": int, "shipper": int, "category": int, "demand": float,
+               "location": _floats},
+              ("location",), Customer)
+        for idx, obj in enumerate(data["customers"]))
+    shippers = [
+        _read(obj, f"shippers[{idx}]",
+              {"id": int, "n_categories": int,
+               "services_by_category": lambda v: tuple(tuple(int(m) for m in ms)
+                                                       for ms in v)})
+        for idx, obj in enumerate(data["shippers"])]
     for idx, obj in enumerate(shippers):
-        _require_keys(obj, {"id": True, "n_categories": True,
-                            "services_by_category": True}, f"shippers[{idx}]")
-        if int(obj["id"]) != idx:
+        if obj["id"] != idx:
             raise InstanceFormatError(
                 f"shippers[{idx}] has id {obj['id']}; shippers must be listed in order"
             )
-        categories_per_shipper.append(int(obj["n_categories"]))
-        services_by_category.append(
-            tuple(tuple(int(m) for m in ms) for ms in obj["services_by_category"])
-        )
-
-    service_levels = []
-    for idx, obj in enumerate(data["service_levels"]):
-        _require_keys(obj, {"id": True, "gamma": True, "cost_multiplier": True},
-                      f"service_levels[{idx}]")
-        service_levels.append(ServiceLevel(
-            int(obj["id"]), float(obj["gamma"]), float(obj["cost_multiplier"])
-        ))
-
-    ladders = []
-    for idx, obj in enumerate(data["price_ladders"]):
-        _require_keys(obj, {"shipper": True, "service": True, "prices": True,
-                            "min_demands": True}, f"price_ladders[{idx}]")
-        ladders.append(PriceLadder(
-            int(obj["shipper"]), int(obj["service"]),
-            tuple(float(q) for q in obj["prices"]),
-            tuple(float(l) for l in obj["min_demands"]),
-        ))
-
-    cm = data["choice_model"]
-    _require_keys(cm, {"alpha": True, "beta": True, "L": True, "L_optout": True,
-                       "deterministic": False}, "choice_model")
-    model = ChoiceModel(
-        alpha=float(cm["alpha"]),
-        beta=float(cm["beta"]),
-        service_preference=tuple(
-            tuple(tuple(float(v) for v in km) for km in kn) for kn in cm["L"]
-        ),
-        optout_preference=tuple(tuple(float(v) for v in kn) for kn in cm["L_optout"]),
-        deterministic=bool(cm.get("deterministic", False)),
-    )
-
-    meta_obj = data["meta"]
-    _require_keys(meta_obj, {"seed": True, "format_version": False, "generator": False},
-                  "meta")
+    service_levels = tuple(
+        _read(obj, f"service_levels[{idx}]",
+              {"id": int, "gamma": float, "cost_multiplier": float}, into=ServiceLevel)
+        for idx, obj in enumerate(data["service_levels"]))
+    ladders = tuple(
+        _read(obj, f"price_ladders[{idx}]",
+              {"shipper": int, "service": int, "prices": _floats, "min_demands": _floats},
+              into=PriceLadder)
+        for idx, obj in enumerate(data["price_ladders"]))
+    model = _read(data["choice_model"], "choice_model", {
+        "alpha": float, "beta": float,
+        "L": lambda v: tuple(tuple(_floats(km) for km in kn) for kn in v),
+        "L_optout": lambda v: tuple(_floats(kn) for kn in v),
+        "deterministic": _of_type(bool),
+    }, ("deterministic",), lambda L, L_optout, **rest: ChoiceModel(
+        service_preference=L, optout_preference=L_optout, **rest))
+    meta = _read(data["meta"], "meta", {"seed": int, "format_version": int,
+                                        "generator": _of_type(dict)},
+                 ("format_version", "generator"))
     generator = None
-    if "generator" in meta_obj:
-        g = meta_obj["generator"]
-        _require_keys(g, {"n_facilities": True, "n_customers": True, "n_shippers": True,
-                          "categories_per_shipper": True, "n_services": True,
-                          "n_prices": True, "ratio": True, "seed": True,
-                          "price_min": True, "price_max": True, "alpha": True,
-                          "beta": True, "service_preference": True,
-                          "optout_utility": True}, "meta.generator")
-        generator = GeneratorParams(
-            n_facilities=int(g["n_facilities"]), n_customers=int(g["n_customers"]),
-            n_shippers=int(g["n_shippers"]),
-            categories_per_shipper=int(g["categories_per_shipper"]),
-            n_services=int(g["n_services"]), n_prices=int(g["n_prices"]),
-            ratio=float(g["ratio"]), seed=int(g["seed"]),
-            price_min=float(g["price_min"]), price_max=float(g["price_max"]),
-            alpha=float(g["alpha"]), beta=float(g["beta"]),
-            service_preference=float(g["service_preference"]),
-            optout_utility=float(g["optout_utility"]),
-        )
+    if "generator" in meta:
+        generator = _read(meta["generator"], "meta.generator", {
+            "n_facilities": int, "n_customers": int, "n_shippers": int,
+            "categories_per_shipper": int, "n_services": int, "n_prices": int,
+            "ratio": float, "seed": int, "price_min": float, "price_max": float,
+            "alpha": float, "beta": float, "service_preference": float,
+            "optout_utility": float}, into=GeneratorParams)
 
-    costs = np.asarray(data["costs"], dtype=float)
     inst = Instance(
-        facilities=tuple(facilities),
-        customers=tuple(customers),
-        service_levels=tuple(service_levels),
-        categories_per_shipper=tuple(categories_per_shipper),
-        services_by_category=tuple(services_by_category),
-        price_ladders=tuple(ladders),
-        costs=costs,
+        facilities=facilities,
+        customers=customers,
+        service_levels=service_levels,
+        categories_per_shipper=tuple(obj["n_categories"] for obj in shippers),
+        services_by_category=tuple(obj["services_by_category"] for obj in shippers),
+        price_ladders=ladders,
+        costs=data["costs"],
         choice_model=model,
-        meta=Meta(seed=int(meta_obj["seed"]), generator=generator),
+        meta=Meta(seed=meta["seed"], generator=generator),
     )
     problems = validate(inst)
     if problems:

@@ -146,8 +146,8 @@ class OfferLine:
 class Solution:
     """First-stage decisions plus the allocation and a profit breakdown.
 
-    ``pi`` and ``nu`` are never stored; at integral points they are the exact
-    products y*z and w*y and are derived on demand.
+    The model's product variables ``pi`` and ``nu`` are not stored: at
+    integral points they equal y*z and w*y.
     """
 
     status: str  # "optimal" | "infeasible" | "time_limit" | "trivial"
@@ -176,15 +176,6 @@ class Solution:
 
     def z_value(self, n: int, k: int, m: int) -> float:
         return 1.0 if self.service_choices.get((n, k)) == m else 0.0
-
-    def w_value(self, i: int, j: int, m: int) -> float:
-        return self.allocation.get((i, j, m), 0.0)
-
-    def pi_value(self, n: int, k: int, m: int, p: int) -> float:
-        return self.y_value(n, m, p) * self.z_value(n, k, m)
-
-    def nu_value(self, i: int, j: int, m: int, p: int, shipper: int) -> float:
-        return self.w_value(i, j, m) * self.y_value(shipper, m, p)
 
     def to_json_dict(self) -> dict:
         return {
@@ -260,7 +251,13 @@ class Solution:
 
     @classmethod
     def load(cls, path: str | Path) -> "Solution":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        text = Path(path).read_text(encoding="utf-8")
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except SolutionFormatError:
+            raise
+        except (TypeError, ValueError) as exc:  # also invalid JSON
+            raise SolutionFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ single-level model exactly in expectation), while ``per-scenario-reallocation``
 re-solves the transportation problem on each scenario's accepted set with raw
 costs (matching the literal two-stage recourse).  The per-scenario
 minimum-demand shortfall is reported as a diagnostic; the deterministic model
-enforces that gate only in expectation terms, never per scenario.
+enforces that gate only in expectation terms, never per scenario.  A
+scenario acts only through its acceptance pattern, the set of offers it
+accepts, so each distinct pattern is valued once for all its scenarios.
 """
 
 from __future__ import annotations
@@ -56,17 +58,6 @@ class SimulationResult:
     outcomes: list | None = None
 
 
-def min_demand_violation_rate(outcomes: list) -> dict:
-    """Fraction of scenarios violating each (shipper, service) minimum-demand
-    gate, over the keys that were ever violated (all-zero gates yield {})."""
-    counts: dict = {}
-    for outcome in outcomes:
-        for key in outcome.min_demand_violations:
-            counts[key] = counts.get(key, 0) + 1
-    total = len(outcomes)
-    return {key: c / total for key, c in counts.items()}
-
-
 def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
              mode: str = REDUCED, keep_outcomes: bool = False) -> SimulationResult:
     """Sample-average profit of a first stage under simulated acceptances.
@@ -76,6 +67,10 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
     kernel otherwise).  Draws are streamed in chunks keyed by
     (shipper, category, alternative), so they coincide with the draws behind
     the sample-average probability estimates for the same seed.
+
+    Each chunk's acceptance matrix is split into its distinct patterns.  A
+    pattern's profit and gate shortfalls are worked out once (reallocation
+    mode solves its transportation once per run) and counted per scenario.
     """
     if mode not in (REDUCED, REALLOC):
         raise ValueError(f"unknown simulation mode '{mode}'")
@@ -88,145 +83,102 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
         )
 
     offers = offers_from_solution(inst, first_stage)
+    offer_list = sorted(offers.items())  # [((n,k),(m,p)), ...] fixed order
     open_facilities = tuple(sorted(first_stage.open_facilities))
     fixed_cost = sum(inst.facilities[i].fixed_cost for i in open_facilities)
-
-    offer_list = sorted(offers.items())  # [((n,k),(m,p)), ...] fixed order
-    n_offers = len(offer_list)
     model = inst.choice_model
 
-    # realized (not probability-weighted) revenue and reduced-mode cost per offer
-    revenue = np.zeros(n_offers)
-    margins = np.zeros(n_offers)
-    demand = np.zeros(n_offers)
-    v_offer = np.zeros(n_offers)
-    v_optout = np.zeros(n_offers)
+    # realized (not probability-weighted) demand, revenue and utilities per offer
+    demand = np.array([inst.category_demand(n, k) for (n, k), _ in offer_list])
+    price = np.array([inst.ladder(n, m).prices[p] for (n, _k), (m, p) in offer_list])
+    revenue = demand * price
+    v_offer = model.alpha * price + np.array(
+        [model.preference(n, k, m) for (n, k), (m, _p) in offer_list])
+    v_optout = np.array([model.optout(n, k) for (n, k), _ in offer_list])
     if mode == REDUCED:
-        allocation = dict(first_stage.allocation)
-        if n_offers and not _covers_offers(inst, offers, allocation):
+        allocation = first_stage.allocation
+        if offers and not _covers_offers(inst, offers, allocation):
             result, allocation = transport_offers(
                 inst, offers, open_facilities, rho=RhoTable.closed_form(inst)
             )
             if result.status != "optimal":
                 raise ValueError(
                     "the offered categories cannot be served by the open "
-                    "facilities; reduced-consistent mode needs a serving plan"
-                )
-    else:
-        allocation = {}
+                    "facilities; reduced-consistent mode needs a serving plan")
+        cost = dict.fromkeys(offers, 0.0)
+        for (i, j, m), w in allocation.items():
+            key = (inst.customers[j].shipper, inst.customers[j].category)
+            if key in cost and offers[key][0] == m:
+                cost[key] += inst.costs[i, j, m] * w
+        margins = revenue - np.array([cost[key] for key, _ in offer_list])
 
-    cost_by_cat: dict = {key: 0.0 for key, _ in offer_list}
-    for (i, j, m), w in allocation.items():
-        cust = inst.customers[j]
-        key = (cust.shipper, cust.category)
-        if key in cost_by_cat and offers.get(key, (None,))[0] == m:
-            cost_by_cat[key] += inst.costs[i, j, m] * w
-
-    for idx, ((n, k), (m, p)) in enumerate(offer_list):
-        d_k = inst.category_demand(n, k)
-        q = inst.ladder(n, m).prices[p]
-        revenue[idx] = d_k * q
-        margins[idx] = d_k * q - cost_by_cat[(n, k)]
-        demand[idx] = d_k
-        v_offer[idx] = model.alpha * q + model.preference(n, k, m)
-        v_optout[idx] = model.optout(n, k)
-
-    # minimum-demand gates to monitor: every priced (n, m)
-    gates = []
-    for (n, m), p in sorted(first_stage.price_choices.items()):
-        level = inst.ladder(n, m).min_demands[p]
-        members = [idx for idx, ((nn, _kk), (mm, _pp)) in enumerate(offer_list)
-                   if nn == n and mm == m]
-        gates.append(((n, m), level, members))
+    # minimum-demand gates to monitor: every priced (n, m) and its offers
+    gates = [((n, m), inst.ladder(n, m).min_demands[p],
+              [idx for idx, ((nn, _k), (mm, _p)) in enumerate(offer_list)
+               if (nn, mm) == (n, m)])
+             for (n, m), p in sorted(first_stage.price_choices.items())]
 
     total = scenarios.count
     moments = (0, 0.0, 0.0)
     infeasible = 0
-    violation_counts = {key: 0 for key, _level, _members in gates}
+    violation_counts = np.zeros(len(gates), dtype=np.int64)
     outcomes: list[ScenarioOutcome] | None = [] if keep_outcomes else None
-    realloc_cache: dict = {}
+    realloc_cache: dict = {}  # pattern bytes -> (profit or nan, flows or None)
 
-    streams = [
-        (scenarios.epsilon_chunks(n, k, m, _CHUNK),
-         scenarios.epsilon_chunks(n, k, OPT_OUT, _CHUNK))
-        for (n, k), (m, _p) in offer_list
-    ]
+    streams = [(scenarios.epsilon_chunks(n, k, m, _CHUNK),
+                scenarios.epsilon_chunks(n, k, OPT_OUT, _CHUNK))
+               for (n, k), (m, _p) in offer_list]
 
     offset = 0
     while offset < total:
         take = min(_CHUNK, total - offset)
-        if n_offers:
-            accept = np.empty((n_offers, take), dtype=bool)
-            for idx, (offer_stream, optout_stream) in enumerate(streams):
-                eps_m = next(offer_stream)
-                eps_0 = next(optout_stream)
-                accept[idx] = (v_offer[idx] + eps_m) - (v_optout[idx] + eps_0) > 0.0
-        else:
-            accept = np.zeros((0, take), dtype=bool)
+        accept = np.empty((len(offer_list), take), dtype=bool)
+        for idx, (offer_stream, optout_stream) in enumerate(streams):
+            accept[idx] = ((v_offer[idx] + next(offer_stream))
+                           - (v_optout[idx] + next(optout_stream)) > 0.0)
+        patterns, index = _acceptance_patterns(accept)
 
         if mode == REDUCED:
-            profits = margins @ accept - fixed_cost
-            feasible = np.ones(take, dtype=bool)
-            alloc_for = None
+            values = margins @ patterns - fixed_cost
+            flows = [None] * patterns.shape[1]
         else:
-            profits = np.empty(take)
-            feasible = np.ones(take, dtype=bool)
-            alloc_for = []
-            for s in range(take):
-                key = accept[:, s].tobytes()
-                entry = realloc_cache.get(key)
-                if entry is None:
-                    accepted = {
-                        offer_list[idx][0] for idx in range(n_offers)
-                        if accept[idx, s]
-                    }
-                    result, flows = transport_offers(
+            entries = []
+            for column in patterns.T:
+                key = column.tobytes()
+                if key not in realloc_cache:
+                    accepted = {offer_list[idx][0] for idx in np.flatnonzero(column)}
+                    result, plan = transport_offers(
                         inst, offers, open_facilities, rho=None, accepted=accepted
                     )
-                    if result.status != "optimal":
-                        entry = (None, None)
-                    else:
-                        gross = revenue[accept[:, s]].sum() if n_offers else 0.0
-                        entry = (gross - result.cost - fixed_cost, flows)
-                    realloc_cache[key] = entry
-                value, flows = entry
-                if value is None:
-                    feasible[s] = False
-                    profits[s] = np.nan
-                else:
-                    profits[s] = value
-                if keep_outcomes:
-                    alloc_for.append(flows)
+                    realloc_cache[key] = (
+                        (revenue[column].sum() - result.cost - fixed_cost, plan)
+                        if result.status == "optimal" else (np.nan, None)
+                    )
+                entries.append(realloc_cache[key])
+            values = np.array([value for value, _plan in entries])
+            flows = [plan for _value, plan in entries]
 
-        # minimum-demand shortfall per (shipper, service)
-        violated = np.zeros((len(gates), take), dtype=bool)
-        for g, (_key, level, members) in enumerate(gates):
-            if level <= 0.0:
-                continue
-            committed = (
-                demand[members] @ accept[members] if members else np.zeros(take)
-            )
-            violated[g] = committed < level - 1e-12
-            violation_counts[gates[g][0]] += int(violated[g].sum())
+        # minimum-demand shortfall per (shipper, service) and pattern
+        short = np.array([
+            demand[members] @ patterns[members] < level - 1e-12
+            for _key, level, members in gates
+        ], dtype=bool).reshape(len(gates), patterns.shape[1])
+        violation_counts += short @ np.bincount(index, minlength=patterns.shape[1])
 
-        infeasible += int((~feasible).sum())
+        profits = values[index]
+        feasible = ~np.isnan(profits)
+        infeasible += take - int(feasible.sum())
         moments = merge_moments(moments, chunk_moments(profits[feasible]))
 
         if keep_outcomes:
-            for s in range(take):
-                accepted = frozenset(
-                    offer_list[idx][0] for idx in range(n_offers) if accept[idx, s]
-                )
-                flags = frozenset(
-                    gates[g][0] for g in range(len(gates)) if violated[g, s]
-                )
-                outcomes.append(ScenarioOutcome(
-                    scenario=offset + s,
-                    accepted=accepted,
-                    profit=float(profits[s]) if feasible[s] else float("nan"),
-                    min_demand_violations=flags,
-                    allocation=alloc_for[s] if alloc_for is not None else None,
-                ))
+            accepted_sets = [frozenset(offer_list[idx][0] for idx in np.flatnonzero(column))
+                             for column in patterns.T]
+            flagged = [frozenset(gates[g][0] for g in np.flatnonzero(column))
+                       for column in short.T]
+            outcomes.extend(
+                ScenarioOutcome(offset + s, accepted_sets[u], float(values[u]),
+                                flagged[u], flows[u])
+                for s, u in enumerate(index.tolist()))
         offset += take
 
     return SimulationResult(
@@ -235,9 +187,26 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
         mean_profit=moments[1] if moments[0] else float("nan"),
         std_error=standard_error(moments),
         infeasible_scenarios=infeasible,
-        violation_rate={key: c / total for key, c in violation_counts.items()},
+        violation_rate={key: c / total for (key, _level, _members), c
+                        in zip(gates, violation_counts.tolist())},
         outcomes=outcomes,
     )
+
+
+def _acceptance_patterns(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct columns of an (offers x scenarios) acceptance matrix, and for
+    each scenario the position of its column among them.  Without offers
+    every scenario shows the one empty pattern."""
+    n_offers, take = accept.shape
+    if n_offers == 0:
+        return np.zeros((0, 1), dtype=bool), np.zeros(take, dtype=np.intp)
+    order = np.lexsort(accept)
+    ordered = accept[:, order]
+    starts = np.ones(take, dtype=bool)
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
+    index = np.empty(take, dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    return ordered[:, starts], index
 
 
 def chunk_moments(values: np.ndarray) -> tuple[int, float, float]:

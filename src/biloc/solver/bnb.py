@@ -46,7 +46,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..choice import RhoTable
-from ..milp import MilpModel, Solution, certifies_trivial, profit_upper_bound
+from ..milp import (INTEGRALITY_TOL, MilpModel, Solution, certifies_trivial,
+                    profit_upper_bound)
 from .serving import evaluate_offers, solution_from_offers
 from .simplex import solve_lp
 from .transportation import capacity_limit
@@ -585,7 +586,7 @@ def solve_milp(model: MilpModel, budget: float | None = None,
                 continue
             value = lp.values[model.variables[idx].name]
             frac = abs(value - round(value))
-            if frac <= 1e-6:
+            if frac <= INTEGRALITY_TOL:
                 continue
             priority = _TAG_PRIORITY.get(model.variables[idx].tag[0], 3)
             if priority < best_priority or (

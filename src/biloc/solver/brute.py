@@ -80,14 +80,13 @@ def _shipper_plans(inst: "Instance", n: int) -> list[tuple[dict, dict]]:
     return plans
 
 
-def enumerate_oracle(inst: "Instance", rho: RhoTable,
-                     guard_bits: int = GUARD_BITS) -> Solution:
-    """Exact optimum by complete enumeration (refuses above 2**guard_bits)."""
+def enumerate_oracle(inst: "Instance", rho: RhoTable) -> Solution:
+    """Exact optimum by complete enumeration (refuses above 2**GUARD_BITS)."""
     n_bin = _count_binaries(inst)
-    if n_bin > guard_bits:
+    if n_bin > GUARD_BITS:
         raise OracleSizeError(
             f"instance has {n_bin} binary decisions; exhaustive search over "
-            f"2^{n_bin} assignments exceeds the 2^{guard_bits} guard rail"
+            f"2^{n_bin} assignments exceeds the 2^{GUARD_BITS} guard rail"
         )
 
     per_shipper = [_shipper_plans(inst, n) for n in range(inst.n_shippers)]

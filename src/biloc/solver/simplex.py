@@ -216,10 +216,6 @@ class LpSolution:
     values: dict
     objective: float | None  # in the model's own sense
     max_residual: float = 0.0
-    dual_feasible: bool = True
-
-    def value(self, name: str) -> float:
-        return self.values[name]
 
 
 def solve_lp(model: MilpModel, fixed: dict | None = None) -> LpSolution:
@@ -329,5 +325,4 @@ def solve_lp(model: MilpModel, fixed: dict | None = None) -> LpSolution:
     for idx, value in fixed_by_index.items():
         values[model.variables[idx].name] = value
     objective = sign * result.objective + constant
-    return LpSolution("optimal", values, objective,
-                      max_residual=result.max_residual, dual_feasible=True)
+    return LpSolution("optimal", values, objective, max_residual=result.max_residual)

@@ -6,7 +6,6 @@ import pytest
 
 from biloc import Solution, load
 from biloc.cli import main
-from biloc.instance import InstanceFormatError
 
 
 @pytest.fixture
@@ -99,13 +98,14 @@ def test_solve_rejects_an_invalid_instance_file(inst_path, tmp_path, capsys):
     data["service_levels"][0]["gamma"] = 0.2
     data["price_ladders"][0]["prices"].reverse()
     inst_path.write_text(json.dumps(data))
-    with pytest.raises(InstanceFormatError) as err:
-        main(["solve", str(inst_path), "--out", str(tmp_path / "sol.json")])
-    message = str(err.value)
-    assert "category 7 out of range" in message
-    assert "gamma must be >= 1" in message
-    assert "strictly increasing" in message
-    assert "status=" not in capsys.readouterr().out
+    assert main(["solve", str(inst_path), "--out", str(tmp_path / "sol.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("biloc: error: invalid instance:")
+    assert "category 7 out of range" in captured.err
+    assert "gamma must be >= 1" in captured.err
+    assert "strictly increasing" in captured.err
+    assert "Traceback" not in captured.err
+    assert "status=" not in captured.out
     assert not (tmp_path / "sol.json").exists()
 
 
@@ -117,12 +117,47 @@ def test_solve_rejects_an_invalid_instance_file(inst_path, tmp_path, capsys):
     ({"base": {"n_facilities": 2, "colour": 1}},
      "unknown field 'colour' in sweep config base"),
 ])
-def test_sweep_config_names_a_bad_field(tmp_path, config, field):
+def test_sweep_config_names_a_bad_field(tmp_path, capsys, config, field):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(config))
-    with pytest.raises(ValueError, match=field):
-        main(["sweep", "--kind", "ratio", "--config", str(path),
-              "--out", str(tmp_path / "ratio.csv")])
+    assert main(["sweep", "--kind", "ratio", "--config", str(path),
+                 "--out", str(tmp_path / "ratio.csv")]) == 2
+    assert capsys.readouterr().err == f"biloc: error: {field}\n"
+
+
+def _args_with_a_missing_file(inst_path, tmp_path):
+    return ["simulate", str(inst_path), str(tmp_path / "missing.json")]
+
+
+def _args_with_a_bad_solution(inst_path, tmp_path):
+    (tmp_path / "sol.json").write_text('{"status": "optimal"')
+    return ["simulate", str(inst_path), str(tmp_path / "sol.json")]
+
+
+def _args_with_a_bad_lp_file(inst_path, tmp_path):
+    (tmp_path / "model.lp").write_text("x + y\n")
+    return ["solve", str(tmp_path / "model.lp")]
+
+
+def _args_with_bad_sweep_json(inst_path, tmp_path):
+    (tmp_path / "sweep.json").write_text("{points: [1]}")
+    return ["sweep", "--kind", "ratio", "--config", str(tmp_path / "sweep.json"),
+            "--out", str(tmp_path / "ratio.csv")]
+
+
+@pytest.mark.parametrize("make_args, message", [
+    (_args_with_a_missing_file, "No such file or directory"),
+    (_args_with_a_bad_solution, "sol.json: "),
+    (_args_with_a_bad_lp_file, "content before any section header"),
+    (_args_with_bad_sweep_json, "sweep.json: not valid JSON"),
+], ids=["missing-file", "bad-solution", "bad-lp-file", "bad-sweep-json"])
+def test_input_errors_print_one_line_and_exit_2(inst_path, tmp_path, capsys,
+                                                make_args, message):
+    assert main(make_args(inst_path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("biloc: error: ")
+    assert message in err
+    assert err.count("\n") == 1
 
 
 def test_fixture_command(tmp_path, capsys):

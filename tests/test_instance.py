@@ -186,6 +186,40 @@ def test_load_rejects_swapped_customer_ids(tmp_path, tiny_instance):
         load(_edited_file(tmp_path, tiny_instance, edit))
 
 
+def _ragged_costs(data):
+    data["costs"][0][0].append(1.0)
+
+
+def _five_prices(data):
+    data["price_ladders"][0]["prices"] = [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def _text_capacity(data):
+    data["facilities"][0]["capacity"] = "abc"
+
+
+def _number_for_customers(data):
+    data["customers"] = 5
+
+
+def _text_flag(data):
+    data["choice_model"]["deterministic"] = "false"
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_ragged_costs, "instance.costs: "),
+    (_five_prices, r"price_ladders\[0\]: .*5 prices but 2 minimum demands"),
+    (_text_capacity, r"facilities\[0\]\.capacity: .*'abc'"),
+    (_number_for_customers, "instance.customers: expected list, got int"),
+    (_text_flag, "choice_model.deterministic: expected bool, got str"),
+], ids=["ragged-costs", "five-prices", "text-capacity", "number-for-customers",
+        "text-flag"])
+def test_load_names_the_field_of_a_malformed_value(tmp_path, tiny_instance,
+                                                   edit, where):
+    with pytest.raises(InstanceFormatError, match=where):
+        load(_edited_file(tmp_path, tiny_instance, edit))
+
+
 def test_scale_to_ratio_identity(tiny_instance):
     same = scale_to_ratio(tiny_instance, tiny_instance.capacity_ratio)
     assert dumps(same) == dumps(tiny_instance)

@@ -4,20 +4,24 @@ import numpy as np
 import pytest
 
 from biloc import (
+    OPT_OUT,
     REALLOC,
     REDUCED,
     RhoTable,
     ScenarioSet,
     Solution,
+    accept_rule,
+    bench,
     generate,
-    min_demand_violation_rate,
+    offer_utility,
     simulate,
     solve,
 )
 
 from biloc.oracle import chunk_moments, merge_moments, standard_error
+from biloc.solver.serving import offers_from_solution, transport_offers
 
-from conftest import single_offer_instance, tiny_params
+from conftest import single_offer_instance, tiny_family_instance, tiny_params
 
 
 def _solved(seed=0, **overrides):
@@ -27,10 +31,12 @@ def _solved(seed=0, **overrides):
     return inst, rho, solution
 
 
-def test_open_without_offers_costs_exactly_the_fixed_cost(tiny_instance):
+@pytest.mark.parametrize("mode", [REDUCED, REALLOC])
+def test_open_without_offers_costs_exactly_the_fixed_cost(tiny_instance, mode):
     first_stage = Solution("optimal", 0.0, open_facilities=(0,))
     scen = ScenarioSet.for_model(tiny_instance.choice_model, 500, seed=1)
-    result = simulate(tiny_instance, first_stage, scen, mode=REDUCED)
+    result = simulate(tiny_instance, first_stage, scen, mode=mode)
+    assert result.infeasible_scenarios == 0
     assert result.mean_profit == pytest.approx(
         -tiny_instance.facilities[0].fixed_cost)
     assert result.std_error == pytest.approx(0.0, abs=1e-6)
@@ -97,6 +103,46 @@ def test_rejecting_categories_contribute_exactly_zero():
         assert outcome.profit == pytest.approx(rebuilt, abs=1e-9)
 
 
+@pytest.mark.parametrize("mode", [REDUCED, REALLOC])
+def test_outcomes_match_a_scenario_by_scenario_replay(mode):
+    # simulate values each acceptance pattern once; rebuild sampled scenarios
+    # one at a time from their draws, across the chunk boundary at 32768
+    inst = tiny_family_instance(50)  # 4 offers, a gate missed about half the time
+    solution = solve(inst, RhoTable.closed_form(inst))
+    scen = ScenarioSet.for_model(inst.choice_model, 40_000, seed=6)
+    result = simulate(inst, solution, scen, mode=mode, keep_outcomes=True)
+    offers = offers_from_solution(inst, solution)
+    model = inst.choice_model
+    utilities = {
+        (n, k): (offer_utility(model.alpha, inst.ladder(n, m).prices[p],
+                               model.preference(n, k, m)) + scen.epsilon(n, k, m),
+                 model.optout(n, k) + scen.epsilon(n, k, OPT_OUT))
+        for (n, k), (m, p) in offers.items()
+    }
+    fixed = sum(inst.facilities[i].fixed_cost for i in solution.open_facilities)
+    for s in range(0, scen.count, 37):
+        outcome = result.outcomes[s]
+        accepted = frozenset(key for key, (u, u0) in utilities.items()
+                             if accept_rule(u[s], u0[s]))
+        assert outcome.scenario == s and outcome.accepted == accepted
+        short = set()
+        for (n, m), p in solution.price_choices.items():
+            committed = sum(inst.category_demand(*key) for key in accepted
+                            if key[0] == n and offers[key][0] == m)
+            if committed < inst.ladder(n, m).min_demands[p] - 1e-12:
+                short.add((n, m))
+        assert outcome.min_demand_violations == short
+        if mode == REALLOC:
+            served, flows = transport_offers(inst, offers, solution.open_facilities,
+                                             accepted=accepted)
+            revenue = sum(inst.category_demand(n, k) * inst.ladder(n, m).prices[p]
+                          for (n, k), (m, p) in offers.items() if (n, k) in accepted)
+            assert outcome.profit == pytest.approx(revenue - served.cost - fixed,
+                                                   abs=1e-9)
+            assert outcome.allocation == flows
+    assert any(o.min_demand_violations for o in result.outcomes[::37])
+
+
 def test_reallocation_never_below_reduced():
     for seed in (0, 2, 6):
         inst, rho, solution = _solved(seed=seed, ratio=1.0)
@@ -126,7 +172,7 @@ def test_violation_rate_zero_without_gates(tiny_instance, tiny_rho):
     result = simulate(tiny_instance, solution, scen, mode=REDUCED,
                       keep_outcomes=True)
     assert all(rate == 0.0 for rate in result.violation_rate.values())
-    assert min_demand_violation_rate(result.outcomes) == {}
+    assert not any(o.min_demand_violations for o in result.outcomes)
 
 
 def test_violation_rate_half_at_threshold():
@@ -147,8 +193,8 @@ def test_violation_rate_half_at_threshold():
     result = simulate(inst, first_stage, scen, mode=REDUCED, keep_outcomes=True)
     rate = result.violation_rate[(0, 0)]
     assert rate == pytest.approx(0.5, abs=0.01)
-    assert min_demand_violation_rate(result.outcomes)[(0, 0)] == pytest.approx(
-        rate)
+    flagged = sum((0, 0) in o.min_demand_violations for o in result.outcomes)
+    assert flagged / result.count == rate
 
 
 def test_violation_rate_degenerate_is_zero_or_one():
@@ -186,8 +232,37 @@ def test_reallocation_counts_infeasible_scenarios():
     )
     scen = ScenarioSet.for_model(inst.choice_model, 4_000, seed=11)
     result = simulate(inst, first_stage, scen, mode=REALLOC)
-    assert result.infeasible_scenarios > 0
+    assert result.infeasible_scenarios == 1_992
     assert result.count == 4_000
+    assert result.mean_profit == pytest.approx(-49.993994830995995, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode, mean, std_error", [
+    (REDUCED, 2645.972305761937, 11.048121650231957),
+    (REALLOC, 2648.335890524081, 11.058296514464889),
+])
+def test_replay_of_the_desk_optimum_is_pinned(mode, mean, std_error):
+    inst = generate(bench.DESK_PARAMS)
+    solution = solve(inst, RhoTable.closed_form(inst))
+    scen = ScenarioSet.for_model(inst.choice_model, 20_000, seed=9)
+    result = simulate(inst, solution, scen, mode=mode)
+    assert result.count == 20_000
+    assert result.infeasible_scenarios == 0
+    assert result.mean_profit == pytest.approx(mean, rel=1e-12)
+    assert result.std_error == pytest.approx(std_error, rel=1e-12)
+    assert result.violation_rate == {(0, 0): 0.0, (1, 0): 0.0}
+
+
+@pytest.mark.parametrize("mode", [REDUCED, REALLOC])
+def test_gate_shortfall_rate_is_pinned(mode):
+    inst = tiny_family_instance(15)
+    solution = solve(inst, RhoTable.closed_form(inst))
+    scen = ScenarioSet.for_model(inst.choice_model, 20_000, seed=3)
+    result = simulate(inst, solution, scen, mode=mode, keep_outcomes=True)
+    assert result.infeasible_scenarios == 0
+    assert result.violation_rate == {(1, 0): 0.6906}
+    flagged = sum((1, 0) in o.min_demand_violations for o in result.outcomes)
+    assert flagged == 13_812
 
 
 def test_merged_moments_keep_a_small_spread_at_a_large_mean():
