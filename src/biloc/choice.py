@@ -123,6 +123,7 @@ def acceptance_probability(
 
 def accept_rule(u_offer: float, u_optout: float) -> bool:
     """Follower decision on realized utilities: accept iff strictly better.
+    Works elementwise on arrays of utilities, one entry per scenario.
 
     Exact ties are rejected.  Under continuous noise a tie has probability
     zero, but floats can produce one, so the rule must be deterministic; the
@@ -249,7 +250,7 @@ def _saa_category(
 ) -> dict[tuple[int, int], float]:
     """Sample-average acceptance probability of every offer (m, p) with p in
     ``positions[m]`` to (n, k), drawing each of the category's streams once."""
-    v0 = inst.choice_model.optout(n, k)
+    v0 = deterministic_utility(inst, n, k, OPT_OUT)
     utilities = {
         m: [(p, deterministic_utility(inst, n, k, m, p)) for p in ps]
         for m, ps in positions.items()
@@ -260,7 +261,7 @@ def _saa_category(
         for m, stream in offer_streams.items():
             eps_m = next(stream)
             for p, v in utilities[m]:
-                hits[(m, p)] += int(np.count_nonzero((v + eps_m) - (v0 + eps_0) > 0.0))
+                hits[(m, p)] += int(np.count_nonzero(accept_rule(v + eps_m, v0 + eps_0)))
     return {key: count / scenarios.count for key, count in hits.items()}
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from pathlib import Path
 
 from . import bench, instance, milp, oracle
@@ -107,14 +107,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     inst = instance.load(args.instance)
     solution = milp.Solution.load(args.solution)
     scenarios = ScenarioSet.for_model(inst.choice_model, args.scenarios, args.seed)
-    modes = [oracle.REDUCED, oracle.REALLOC] if args.mode == "both" else [
-        oracle.REDUCED if args.mode == "reduced" else oracle.REALLOC
-    ]
+    modes = {"reduced": (oracle.REDUCED,), "per-scenario": (oracle.REALLOC,),
+             "both": (oracle.REDUCED, oracle.REALLOC)}[args.mode]
+    results = oracle.simulate(inst, solution, scenarios, modes=modes)
     lines = ["mode,scenarios,mean_profit,std_error,infeasible,violations"]
-    results = {}
-    for mode in modes:
-        result = oracle.simulate(inst, solution, scenarios, mode=mode)
-        results[mode] = result
+    for mode, result in results.items():
         flagged = ";".join(
             f"n{n}m{m}:{rate:.6f}" for (n, m), rate in
             sorted(result.violation_rate.items()) if rate > 0
@@ -145,10 +142,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         instance._require_keys(spec_args, dict.fromkeys(sweep_fields, False),
                                "sweep config", SweepConfigError)
     if "base" in spec_args:
-        instance._require_keys(spec_args["base"], {
-            f.name: f.default is MISSING for f in fields(GeneratorParams)
-        }, "sweep config base", SweepConfigError)
-        spec_args["base"] = GeneratorParams(**spec_args["base"])
+        spec_args["base"] = instance.read_record(
+            spec_args["base"], "sweep config base", GeneratorParams, SweepConfigError)
     if "points" in spec_args:
         spec_args["points"] = tuple(
             tuple(pt) if isinstance(pt, list) else pt for pt in spec_args["points"]

@@ -10,8 +10,10 @@ threads; all generation is a pure function of the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import reprlib
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -471,48 +473,17 @@ def _require_keys(obj: dict, allowed: dict[str, bool], where: str,
 def to_json_dict(inst: Instance) -> dict:
     meta: dict = {"seed": inst.meta.seed, "format_version": JSON_FORMAT_VERSION}
     if inst.meta.generator is not None:
-        g = inst.meta.generator
-        meta["generator"] = {
-            "n_facilities": g.n_facilities,
-            "n_customers": g.n_customers,
-            "n_shippers": g.n_shippers,
-            "categories_per_shipper": g.categories_per_shipper,
-            "n_services": g.n_services,
-            "n_prices": g.n_prices,
-            "ratio": g.ratio,
-            "seed": g.seed,
-            "price_min": g.price_min,
-            "price_max": g.price_max,
-            "alpha": g.alpha,
-            "beta": g.beta,
-            "service_preference": g.service_preference,
-            "optout_utility": g.optout_utility,
-        }
+        meta["generator"] = asdict(inst.meta.generator)
     return {
-        "facilities": [
-            {"id": f.id, "capacity": f.capacity, "fixed_cost": f.fixed_cost,
-             "location": list(f.location)}
-            for f in inst.facilities
-        ],
-        "customers": [
-            {"id": c.id, "shipper": c.shipper, "category": c.category,
-             "demand": c.demand, "location": list(c.location)}
-            for c in inst.customers
-        ],
+        "facilities": [asdict(f) for f in inst.facilities],
+        "customers": [asdict(c) for c in inst.customers],
         "shippers": [
             {"id": n, "n_categories": inst.categories_per_shipper[n],
              "services_by_category": [list(ms) for ms in inst.services_by_category[n]]}
             for n in range(inst.n_shippers)
         ],
-        "service_levels": [
-            {"id": s.id, "gamma": s.gamma, "cost_multiplier": s.cost_multiplier}
-            for s in inst.service_levels
-        ],
-        "price_ladders": [
-            {"shipper": lad.shipper, "service": lad.service,
-             "prices": list(lad.prices), "min_demands": list(lad.min_demands)}
-            for lad in inst.price_ladders
-        ],
+        "service_levels": [asdict(s) for s in inst.service_levels],
+        "price_ladders": [asdict(lad) for lad in inst.price_ladders],
         "costs": inst.costs.tolist(),
         "choice_model": {
             "alpha": inst.choice_model.alpha,
@@ -525,36 +496,77 @@ def to_json_dict(inst: Instance) -> dict:
     }
 
 
-def _read(obj, where: str, convert: dict, optional: tuple = (), into=dict):
+def _read(obj, where: str, convert: dict, optional: tuple = (), into=dict,
+          error: type[ValueError] = InstanceFormatError):
     """``into(**fields)`` from the JSON object ``obj``, each field passed
     through its converter in ``convert``; the fields in ``optional`` may be
-    missing.  Raises ``InstanceFormatError`` naming the unknown, missing or
-    malformed field."""
-    _require_keys(obj, {key: key not in optional for key in convert}, where)
+    missing.  Raises ``error`` naming the unknown, missing or malformed
+    field."""
+    _require_keys(obj, {key: key not in optional for key in convert}, where, error)
     values = {}
     for key, fn in convert.items():
         if key in obj:
             try:
                 values[key] = fn(obj[key])
             except (TypeError, ValueError) as exc:
-                raise InstanceFormatError(f"{where}.{key}: {exc}") from None
+                raise error(f"{where}.{key}: {exc}") from None
     try:
         return into(**values)
     except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"{where}: {exc}") from None
+        raise error(f"{where}: {exc}") from None
 
 
-def _of_type(kind: type):
-    """Converter passing values of ``kind`` through and rejecting the rest."""
+def _of_type(*kinds: type):
+    """Converter passing values of ``kinds`` through and rejecting the rest;
+    JSON ``true`` and ``false`` pass as bool only, never as a number."""
     def check(value):
-        if not isinstance(value, kind):
-            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
+            raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, "
+                            f"got {type(value).__name__} {reprlib.repr(value)}")
         return value
     return check
 
 
-def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+_integer = _of_type(int)
+
+
+def _number(value) -> float:
+    return float(_of_type(int, float)(value))
+
+
+def _tuple_of(convert):
+    """Converter of a JSON list whose items each pass ``convert``."""
+    def check(values):
+        return tuple(convert(v) for v in _of_type(list)(values))
+    return check
+
+
+_floats = _tuple_of(_number)
+
+
+def _float_array(value) -> np.ndarray:
+    """Nested JSON lists of numbers as a float array."""
+    array = np.asarray(value, dtype=float)
+    flat = [value]
+    for _ in range(array.ndim):
+        flat = chain.from_iterable(flat)
+    for kind in set(map(type, flat)) - {int, float}:
+        raise TypeError(f"expected int or float, got {kind.__name__}")
+    return array
+
+
+#: JSON converter of each field type of the records ``read_record`` reads.
+_CONVERTERS = {"int": _integer, "float": _number,
+               "tuple[float, float]": _floats, "tuple[float, ...]": _floats}
+
+
+def read_record(obj, where: str, cls, error: type[ValueError] = InstanceFormatError):
+    """Dataclass ``cls`` from a JSON object, each field converted by its
+    declared type; the fields with a default may be missing."""
+    spec = fields(cls)
+    convert = {f.name: _CONVERTERS[f.type] for f in spec}
+    optional = tuple(f.name for f in spec if f.default is not MISSING)
+    return _read(obj, where, convert, optional, cls, error)
 
 
 def from_json_dict(data: dict) -> Instance:
@@ -564,56 +576,42 @@ def from_json_dict(data: dict) -> Instance:
         **dict.fromkeys(("facilities", "customers", "shippers", "service_levels",
                          "price_ladders"), _of_type(list)),
         "choice_model": _of_type(dict), "meta": _of_type(dict),
-        "costs": lambda v: np.asarray(v, dtype=float)})
-    facilities = tuple(
-        _read(obj, f"facilities[{idx}]",
-              {"id": int, "capacity": float, "fixed_cost": float, "location": _floats},
-              ("location",), Facility)
-        for idx, obj in enumerate(data["facilities"]))
-    customers = tuple(
-        _read(obj, f"customers[{idx}]",
-              {"id": int, "shipper": int, "category": int, "demand": float,
-               "location": _floats},
-              ("location",), Customer)
-        for idx, obj in enumerate(data["customers"]))
+        "costs": _float_array})
+    facilities = tuple(read_record(obj, f"facilities[{idx}]", Facility)
+                       for idx, obj in enumerate(data["facilities"]))
+    customers = tuple(read_record(obj, f"customers[{idx}]", Customer)
+                      for idx, obj in enumerate(data["customers"]))
     shippers = [
         _read(obj, f"shippers[{idx}]",
-              {"id": int, "n_categories": int,
-               "services_by_category": lambda v: tuple(tuple(int(m) for m in ms)
-                                                       for ms in v)})
+              {"id": _integer, "n_categories": _integer,
+               "services_by_category": _tuple_of(_tuple_of(_integer))})
         for idx, obj in enumerate(data["shippers"])]
     for idx, obj in enumerate(shippers):
         if obj["id"] != idx:
             raise InstanceFormatError(
                 f"shippers[{idx}] has id {obj['id']}; shippers must be listed in order"
             )
+    # not read_record: gamma and cost_multiplier have defaults but files must set them
     service_levels = tuple(
         _read(obj, f"service_levels[{idx}]",
-              {"id": int, "gamma": float, "cost_multiplier": float}, into=ServiceLevel)
+              {"id": _integer, "gamma": _number, "cost_multiplier": _number},
+              into=ServiceLevel)
         for idx, obj in enumerate(data["service_levels"]))
-    ladders = tuple(
-        _read(obj, f"price_ladders[{idx}]",
-              {"shipper": int, "service": int, "prices": _floats, "min_demands": _floats},
-              into=PriceLadder)
-        for idx, obj in enumerate(data["price_ladders"]))
+    ladders = tuple(read_record(obj, f"price_ladders[{idx}]", PriceLadder)
+                    for idx, obj in enumerate(data["price_ladders"]))
     model = _read(data["choice_model"], "choice_model", {
-        "alpha": float, "beta": float,
-        "L": lambda v: tuple(tuple(_floats(km) for km in kn) for kn in v),
-        "L_optout": lambda v: tuple(_floats(kn) for kn in v),
+        "alpha": _number, "beta": _number,
+        "L": _tuple_of(_tuple_of(_floats)),
+        "L_optout": _tuple_of(_floats),
         "deterministic": _of_type(bool),
     }, ("deterministic",), lambda L, L_optout, **rest: ChoiceModel(
         service_preference=L, optout_preference=L_optout, **rest))
-    meta = _read(data["meta"], "meta", {"seed": int, "format_version": int,
+    meta = _read(data["meta"], "meta", {"seed": _integer, "format_version": _integer,
                                         "generator": _of_type(dict)},
                  ("format_version", "generator"))
     generator = None
     if "generator" in meta:
-        generator = _read(meta["generator"], "meta.generator", {
-            "n_facilities": int, "n_customers": int, "n_shippers": int,
-            "categories_per_shipper": int, "n_services": int, "n_prices": int,
-            "ratio": float, "seed": int, "price_min": float, "price_max": float,
-            "alpha": float, "beta": float, "service_preference": float,
-            "optout_utility": float}, into=GeneratorParams)
+        generator = read_record(meta["generator"], "meta.generator", GeneratorParams)
 
     inst = Instance(
         facilities=facilities,

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .choice import RhoTable
-from .instance import _require_keys
+from .instance import _integer, _number, _require_keys
 
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import Instance
@@ -216,32 +216,35 @@ class Solution:
                               SolutionFormatError)
         return cls(
             status=data["status"],
-            objective=float(data["objective"]),
-            open_facilities=tuple(int(i) for i in data["open_facilities"]),
+            objective=_number(data["objective"]),
+            open_facilities=tuple(_integer(i) for i in data["open_facilities"]),
             price_choices={
-                (int(o["shipper"]), int(o["service"])): int(o["price_index"])
+                (_integer(o["shipper"]), _integer(o["service"])):
+                    _integer(o["price_index"])
                 for o in data["price_choices"]
             },
             service_choices={
-                (int(o["shipper"]), int(o["category"])): int(o["service"])
+                (_integer(o["shipper"]), _integer(o["category"])):
+                    _integer(o["service"])
                 for o in data["service_choices"]
             },
             allocation={
-                (int(o["facility"]), int(o["customer"]), int(o["service"])):
-                    float(o["fraction"])
+                (_integer(o["facility"]), _integer(o["customer"]),
+                 _integer(o["service"])): _number(o["fraction"])
                 for o in data["allocation"]
             },
-            revenue=float(data.get("revenue", 0.0)),
-            assignment_cost=float(data.get("assignment_cost", 0.0)),
-            fixed_cost=float(data.get("fixed_cost", 0.0)),
+            revenue=_number(data.get("revenue", 0.0)),
+            assignment_cost=_number(data.get("assignment_cost", 0.0)),
+            fixed_cost=_number(data.get("fixed_cost", 0.0)),
             offer_summary=tuple(
-                OfferLine(int(o["shipper"]), int(o["category"]), int(o["service"]),
-                          int(o["price_index"]), float(o["price"]), float(o["rho"]))
+                OfferLine(_integer(o["shipper"]), _integer(o["category"]),
+                          _integer(o["service"]), _integer(o["price_index"]),
+                          _number(o["price"]), _number(o["rho"]))
                 for o in data.get("offer_summary", [])
             ),
-            nodes=int(data.get("nodes", 0)),
-            seconds=float(data.get("seconds", 0.0)),
-            gap=float(data.get("gap", 0.0)),
+            nodes=_integer(data.get("nodes", 0)),
+            seconds=_number(data.get("seconds", 0.0)),
+            gap=_number(data.get("gap", 0.0)),
         )
 
     def save(self, path: str | Path) -> None:

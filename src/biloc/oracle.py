@@ -11,7 +11,10 @@ costs (matching the literal two-stage recourse).  The per-scenario
 minimum-demand shortfall is reported as a diagnostic; the deterministic model
 enforces that gate only in expectation terms, never per scenario.  A
 scenario acts only through its acceptance pattern, the set of offers it
-accepts, so each distinct pattern is valued once for all its scenarios.
+accepts, so one call draws every noise stream once, tables the distinct
+patterns with their counts, and values each pattern once per requested mode:
+``simulate(inst, plan, scenarios, modes=(REDUCED, REALLOC))`` replays both
+modes from the same draws.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .choice import OPT_OUT, RhoTable, ScenarioSet
+from .choice import OPT_OUT, RhoTable, ScenarioSet, accept_rule, deterministic_utility
 from .milp import Solution, first_stage_violations
 from .solver.serving import offers_from_solution, transport_offers
 
@@ -59,8 +62,10 @@ class SimulationResult:
 
 
 def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
-             mode: str = REDUCED, keep_outcomes: bool = False) -> SimulationResult:
-    """Sample-average profit of a first stage under simulated acceptances.
+             modes: tuple[str, ...] = (REDUCED,), keep_outcomes: bool = False
+             ) -> dict[str, SimulationResult]:
+    """Sample-average profit of a first stage under simulated acceptances,
+    as ``{mode: SimulationResult}`` for every mode in ``modes``.
 
     The first stage must satisfy the first-stage constraint families; its
     allocation is reused when present (and recomputed by the transportation
@@ -68,12 +73,13 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
     (shipper, category, alternative), so they coincide with the draws behind
     the sample-average probability estimates for the same seed.
 
-    Each chunk's acceptance matrix is split into its distinct patterns.  A
-    pattern's profit and gate shortfalls are worked out once (reallocation
-    mode solves its transportation once per run) and counted per scenario.
+    The draws are tabled once as distinct acceptance patterns with counts;
+    each pattern's gate shortfalls are worked out once and its profit once
+    per mode, and means and standard errors weigh patterns by their counts.
     """
-    if mode not in (REDUCED, REALLOC):
-        raise ValueError(f"unknown simulation mode '{mode}'")
+    for mode in modes:
+        if mode not in (REDUCED, REALLOC):
+            raise ValueError(f"unknown simulation mode '{mode}'")
     scenarios.require_match(inst.choice_model)
     problems = first_stage_violations(inst, first_stage)
     if problems:
@@ -86,16 +92,12 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
     offer_list = sorted(offers.items())  # [((n,k),(m,p)), ...] fixed order
     open_facilities = tuple(sorted(first_stage.open_facilities))
     fixed_cost = sum(inst.facilities[i].fixed_cost for i in open_facilities)
-    model = inst.choice_model
 
-    # realized (not probability-weighted) demand, revenue and utilities per offer
+    # realized (not probability-weighted) demand and revenue per offer
     demand = np.array([inst.category_demand(n, k) for (n, k), _ in offer_list])
     price = np.array([inst.ladder(n, m).prices[p] for (n, _k), (m, p) in offer_list])
     revenue = demand * price
-    v_offer = model.alpha * price + np.array(
-        [model.preference(n, k, m) for (n, k), (m, _p) in offer_list])
-    v_optout = np.array([model.optout(n, k) for (n, k), _ in offer_list])
-    if mode == REDUCED:
+    if REDUCED in modes:
         allocation = first_stage.allocation
         if offers and not _covers_offers(inst, offers, allocation):
             result, allocation = transport_offers(
@@ -112,85 +114,84 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
                 cost[key] += inst.costs[i, j, m] * w
         margins = revenue - np.array([cost[key] for key, _ in offer_list])
 
-    # minimum-demand gates to monitor: every priced (n, m) and its offers
+    patterns, counts, pattern_ids = _pattern_table(inst, scenarios, offer_list,
+                                                   keep_outcomes)
+
+    # minimum-demand shortfall per (shipper, service) gate and pattern
     gates = [((n, m), inst.ladder(n, m).min_demands[p],
               [idx for idx, ((nn, _k), (mm, _p)) in enumerate(offer_list)
                if (nn, mm) == (n, m)])
              for (n, m), p in sorted(first_stage.price_choices.items())]
-
+    short = np.array([
+        demand[members] @ patterns[members] < level - 1e-12
+        for _key, level, members in gates
+    ], dtype=bool).reshape(len(gates), patterns.shape[1])
     total = scenarios.count
-    moments = (0, 0.0, 0.0)
-    infeasible = 0
-    violation_counts = np.zeros(len(gates), dtype=np.int64)
-    outcomes: list[ScenarioOutcome] | None = [] if keep_outcomes else None
-    realloc_cache: dict = {}  # pattern bytes -> (profit or nan, flows or None)
+    violation_rate = {key: c / total for (key, _level, _members), c
+                      in zip(gates, (short @ counts).tolist())}
+    if keep_outcomes:
+        accepted_sets = [frozenset(offer_list[idx][0] for idx in np.flatnonzero(column))
+                         for column in patterns.T]
+        flagged = [frozenset(gates[g][0] for g in np.flatnonzero(column))
+                   for column in short.T]
 
-    streams = [(scenarios.epsilon_chunks(n, k, m, _CHUNK),
-                scenarios.epsilon_chunks(n, k, OPT_OUT, _CHUNK))
-               for (n, k), (m, _p) in offer_list]
-
-    offset = 0
-    while offset < total:
-        take = min(_CHUNK, total - offset)
-        accept = np.empty((len(offer_list), take), dtype=bool)
-        for idx, (offer_stream, optout_stream) in enumerate(streams):
-            accept[idx] = ((v_offer[idx] + next(offer_stream))
-                           - (v_optout[idx] + next(optout_stream)) > 0.0)
-        patterns, index = _acceptance_patterns(accept)
-
+    results = {}
+    for mode in modes:
+        flows = [None] * patterns.shape[1]
         if mode == REDUCED:
             values = margins @ patterns - fixed_cost
-            flows = [None] * patterns.shape[1]
         else:
-            entries = []
-            for column in patterns.T:
-                key = column.tobytes()
-                if key not in realloc_cache:
-                    accepted = {offer_list[idx][0] for idx in np.flatnonzero(column)}
-                    result, plan = transport_offers(
-                        inst, offers, open_facilities, rho=None, accepted=accepted
-                    )
-                    realloc_cache[key] = (
-                        (revenue[column].sum() - result.cost - fixed_cost, plan)
-                        if result.status == "optimal" else (np.nan, None)
-                    )
-                entries.append(realloc_cache[key])
-            values = np.array([value for value, _plan in entries])
-            flows = [plan for _value, plan in entries]
+            values = np.full(patterns.shape[1], np.nan)
+            for u, column in enumerate(patterns.T):
+                accepted = {offer_list[idx][0] for idx in np.flatnonzero(column)}
+                result, plan = transport_offers(inst, offers, open_facilities,
+                                                accepted=accepted)
+                if result.status == "optimal":
+                    values[u] = revenue[column].sum() - result.cost - fixed_cost
+                    flows[u] = plan
+        feasible = ~np.isnan(values)
+        moments = weighted_moments(values[feasible], counts[feasible])
+        results[mode] = SimulationResult(
+            mode=mode,
+            count=total,
+            mean_profit=moments[1] if moments[0] else float("nan"),
+            std_error=standard_error(moments),
+            infeasible_scenarios=total - moments[0],
+            violation_rate=violation_rate,
+            outcomes=None if pattern_ids is None else [
+                ScenarioOutcome(s, accepted_sets[u], float(values[u]), flagged[u],
+                                flows[u])
+                for s, u in enumerate(pattern_ids.tolist())],
+        )
+    return results
 
-        # minimum-demand shortfall per (shipper, service) and pattern
-        short = np.array([
-            demand[members] @ patterns[members] < level - 1e-12
-            for _key, level, members in gates
-        ], dtype=bool).reshape(len(gates), patterns.shape[1])
-        violation_counts += short @ np.bincount(index, minlength=patterns.shape[1])
 
-        profits = values[index]
-        feasible = ~np.isnan(profits)
-        infeasible += take - int(feasible.sum())
-        moments = merge_moments(moments, chunk_moments(profits[feasible]))
-
-        if keep_outcomes:
-            accepted_sets = [frozenset(offer_list[idx][0] for idx in np.flatnonzero(column))
-                             for column in patterns.T]
-            flagged = [frozenset(gates[g][0] for g in np.flatnonzero(column))
-                       for column in short.T]
-            outcomes.extend(
-                ScenarioOutcome(offset + s, accepted_sets[u], float(values[u]),
-                                flagged[u], flows[u])
-                for s, u in enumerate(index.tolist()))
-        offset += take
-
-    return SimulationResult(
-        mode=mode,
-        count=total,
-        mean_profit=moments[1] if moments[0] else float("nan"),
-        std_error=standard_error(moments),
-        infeasible_scenarios=infeasible,
-        violation_rate={key: c / total for (key, _level, _members), c
-                        in zip(gates, violation_counts.tolist())},
-        outcomes=outcomes,
-    )
+def _pattern_table(inst: "Instance", scenarios: ScenarioSet, offer_list: list,
+                   keep_ids: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The run's distinct acceptance patterns as (offers x patterns) columns,
+    how many scenarios show each, and, when ``keep_ids``, each scenario's
+    column.  Every noise stream is drawn once, one chunk at a time."""
+    # per offer: its utility and noise, and those of its category's outside option
+    rows = [(deterministic_utility(inst, n, k, m, p),
+             scenarios.epsilon_chunks(n, k, m, _CHUNK),
+             deterministic_utility(inst, n, k, OPT_OUT),
+             scenarios.epsilon_chunks(n, k, OPT_OUT, _CHUNK))
+            for (n, k), (m, p) in offer_list]
+    chunks, chunk_counts, ids = [], [], []
+    for offset in range(0, scenarios.count, _CHUNK):
+        take = min(_CHUNK, scenarios.count - offset)
+        accept = np.empty((len(offer_list), take), dtype=bool)
+        for idx, (v, offer_stream, v0, optout_stream) in enumerate(rows):
+            accept[idx] = accept_rule(v + next(offer_stream), v0 + next(optout_stream))
+        patterns, index = _acceptance_patterns(accept)
+        if keep_ids:
+            ids.append(index + sum(chunk.shape[1] for chunk in chunks))
+        chunks.append(patterns)
+        chunk_counts.append(np.bincount(index))
+    # the chunks' patterns, merged: one column per distinct pattern of the run
+    table, where = _acceptance_patterns(np.hstack(chunks))
+    counts = np.bincount(where, np.concatenate(chunk_counts)).astype(np.int64)
+    return table, counts, where[np.concatenate(ids)] if keep_ids else None
 
 
 def _acceptance_patterns(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,28 +210,17 @@ def _acceptance_patterns(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[:, starts], index
 
 
-def chunk_moments(values: np.ndarray) -> tuple[int, float, float]:
-    """(count, mean, sum of squared deviations from the mean) of one chunk,
-    by two passes over it."""
-    if values.size == 0:
-        return 0, 0.0, 0.0
-    mean = float(values.mean())
-    return values.size, mean, float(np.square(values - mean).sum())
-
-
-def merge_moments(a: tuple[int, float, float],
-                  b: tuple[int, float, float]) -> tuple[int, float, float]:
-    """Moments of two chunks together, by the pairwise update of Chan, Golub
-    and LeVeque (1979); unlike sum(x^2) - n*mean^2 it loses no precision when
-    the spread is small against the mean."""
-    n_a, mean_a, m2_a = a
-    n_b, mean_b, m2_b = b
-    n = n_a + n_b
+def weighted_moments(values: np.ndarray, counts: np.ndarray
+                     ) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations from the mean) of values that
+    occur ``counts`` times each, by two passes over the distinct values;
+    unlike sum(x^2) - n*mean^2 it loses no precision when the spread is
+    small against the mean."""
+    n = int(counts.sum())
     if n == 0:
-        return a
-    delta = mean_b - mean_a
-    return (n, mean_a + delta * (n_b / n),
-            m2_a + m2_b + delta * delta * (n_a * n_b / n))
+        return 0, 0.0, 0.0
+    mean = float(np.sum(counts * values) / n)
+    return n, mean, float(np.sum(counts * np.square(values - mean)))
 
 
 def standard_error(moments: tuple[int, float, float]) -> float:

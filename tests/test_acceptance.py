@@ -107,7 +107,7 @@ def test_criterion_3_sample_average_consistency():
     rho = RhoTable.closed_form(inst)
     solution = solve(inst, rho)
     scen = ScenarioSet.for_model(inst.choice_model, 200_000, seed=3)
-    result = simulate(inst, solution, scen, mode=REDUCED)
+    result = simulate(inst, solution, scen)[REDUCED]
     deviation = abs(result.mean_profit - solution.objective)
     assert deviation <= 3 * result.std_error
 

@@ -1,10 +1,11 @@
 """End-to-end command-line pipeline."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from biloc import Solution, load
+from biloc import RhoTable, ScenarioSet, Solution, bench, generate, load, save, solve
 from biloc.cli import main
 
 
@@ -74,6 +75,26 @@ def test_simulate_both_modes(inst_path, tmp_path):
     assert abs(mean - solution.objective) <= 4 * stderr
 
 
+def test_simulate_both_modes_draws_each_stream_once(tmp_path, monkeypatch):
+    inst = generate(bench.DESK_PARAMS)
+    save(inst, tmp_path / "inst.json")
+    solve(inst, RhoTable.closed_form(inst)).save(tmp_path / "sol.json")
+    opened = Counter()
+    draw = ScenarioSet.epsilon_chunks
+
+    def counted(scenarios, n, k, m, *args, **kwargs):
+        opened[(n, k, m)] += 1
+        return draw(scenarios, n, k, m, *args, **kwargs)
+
+    monkeypatch.setattr(ScenarioSet, "epsilon_chunks", counted)
+    assert main(["simulate", str(tmp_path / "inst.json"), str(tmp_path / "sol.json"),
+                 "--scenarios", "1000", "--mode", "both",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+    # six offers, each with its own stream and its category's opt-out stream
+    assert sum(opened.values()) == 12
+    assert set(opened.values()) == {1}
+
+
 def test_sweep_with_config(inst_path, tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({
@@ -116,6 +137,10 @@ def test_solve_rejects_an_invalid_instance_file(inst_path, tmp_path, capsys):
      "missing field 'n_customers' in sweep config base"),
     ({"base": {"n_facilities": 2, "colour": 1}},
      "unknown field 'colour' in sweep config base"),
+    ({"base": {"n_facilities": "3", "n_customers": 6, "n_shippers": 2,
+               "categories_per_shipper": 2, "n_services": 2, "n_prices": 3,
+               "ratio": 2.0, "seed": 5}},
+     "sweep config base.n_facilities: expected int, got str '3'"),
 ])
 def test_sweep_config_names_a_bad_field(tmp_path, capsys, config, field):
     path = tmp_path / "sweep.json"

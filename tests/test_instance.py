@@ -206,14 +206,29 @@ def _text_flag(data):
     data["choice_model"]["deterministic"] = "false"
 
 
+def _bool_demand(data):
+    data["customers"][0]["demand"] = True
+
+
+def _fractional_id(data):
+    data["facilities"][1]["id"] = 1.5
+
+
+def _bool_cost(data):
+    data["costs"][1][0][1] = False
+
+
 @pytest.mark.parametrize("edit, where", [
     (_ragged_costs, "instance.costs: "),
     (_five_prices, r"price_ladders\[0\]: .*5 prices but 2 minimum demands"),
     (_text_capacity, r"facilities\[0\]\.capacity: .*'abc'"),
     (_number_for_customers, "instance.customers: expected list, got int"),
     (_text_flag, "choice_model.deterministic: expected bool, got str"),
+    (_bool_demand, r"customers\[0\]\.demand: expected int or float, got bool True"),
+    (_fractional_id, r"facilities\[1\]\.id: expected int, got float 1\.5"),
+    (_bool_cost, "instance.costs: expected int or float, got bool"),
 ], ids=["ragged-costs", "five-prices", "text-capacity", "number-for-customers",
-        "text-flag"])
+        "text-flag", "bool-demand", "fractional-id", "bool-cost"])
 def test_load_names_the_field_of_a_malformed_value(tmp_path, tiny_instance,
                                                    edit, where):
     with pytest.raises(InstanceFormatError, match=where):

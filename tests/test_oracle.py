@@ -18,7 +18,8 @@ from biloc import (
     solve,
 )
 
-from biloc.oracle import chunk_moments, merge_moments, standard_error
+from biloc.milp import evaluate
+from biloc.oracle import standard_error, weighted_moments
 from biloc.solver.serving import offers_from_solution, transport_offers
 
 from conftest import single_offer_instance, tiny_family_instance, tiny_params
@@ -35,7 +36,7 @@ def _solved(seed=0, **overrides):
 def test_open_without_offers_costs_exactly_the_fixed_cost(tiny_instance, mode):
     first_stage = Solution("optimal", 0.0, open_facilities=(0,))
     scen = ScenarioSet.for_model(tiny_instance.choice_model, 500, seed=1)
-    result = simulate(tiny_instance, first_stage, scen, mode=mode)
+    result = simulate(tiny_instance, first_stage, scen, modes=(mode,))[mode]
     assert result.infeasible_scenarios == 0
     assert result.mean_profit == pytest.approx(
         -tiny_instance.facilities[0].fixed_cost)
@@ -48,7 +49,7 @@ def test_deterministic_mode_every_scenario_identical():
     rho = RhoTable.closed_form(inst)
     solution = solve(inst, rho)
     scen = ScenarioSet.for_model(inst.choice_model, 400, seed=2)
-    result = simulate(inst, solution, scen, mode=REDUCED, keep_outcomes=True)
+    result = simulate(inst, solution, scen, keep_outcomes=True)[REDUCED]
     profits = {round(o.profit, 9) for o in result.outcomes}
     assert len(profits) == 1
     assert result.mean_profit == pytest.approx(solution.objective, abs=1e-8)
@@ -58,7 +59,7 @@ def test_deterministic_mode_every_scenario_identical():
 def test_reduced_mean_within_three_stderr(tiny_instance, tiny_rho):
     solution = solve(tiny_instance, tiny_rho)
     scen = ScenarioSet.for_model(tiny_instance.choice_model, 200_000, seed=3)
-    result = simulate(tiny_instance, solution, scen, mode=REDUCED)
+    result = simulate(tiny_instance, solution, scen)[REDUCED]
     assert abs(result.mean_profit - solution.objective) <= 3 * result.std_error
 
 
@@ -70,7 +71,7 @@ def test_monte_carlo_error_shrinks_at_root_rate():
         devs = []
         for seed in range(8):
             scen = ScenarioSet.for_model(inst.choice_model, count, seed=seed)
-            result = simulate(inst, solution, scen, mode=REDUCED)
+            result = simulate(inst, solution, scen)[REDUCED]
             devs.append(abs(result.mean_profit - solution.objective))
         errors.append(np.mean(devs))
     # quadrupling the sample should roughly halve the error
@@ -87,7 +88,7 @@ def test_rejecting_categories_contribute_exactly_zero():
     if not offers:
         pytest.skip("optimal first stage offers nothing on this seed")
     scen = ScenarioSet.for_model(inst.choice_model, 300, seed=5)
-    result = simulate(inst, solution, scen, mode=REDUCED, keep_outcomes=True)
+    result = simulate(inst, solution, scen, keep_outcomes=True)[REDUCED]
     margins = {}
     for (n, k), (m, p) in offers.items():
         d_k = inst.category_demand(n, k)
@@ -110,7 +111,7 @@ def test_outcomes_match_a_scenario_by_scenario_replay(mode):
     inst = tiny_family_instance(50)  # 4 offers, a gate missed about half the time
     solution = solve(inst, RhoTable.closed_form(inst))
     scen = ScenarioSet.for_model(inst.choice_model, 40_000, seed=6)
-    result = simulate(inst, solution, scen, mode=mode, keep_outcomes=True)
+    result = simulate(inst, solution, scen, modes=(mode,), keep_outcomes=True)[mode]
     offers = offers_from_solution(inst, solution)
     model = inst.choice_model
     utilities = {
@@ -147,8 +148,8 @@ def test_reallocation_never_below_reduced():
     for seed in (0, 2, 6):
         inst, rho, solution = _solved(seed=seed, ratio=1.0)
         scen = ScenarioSet.for_model(inst.choice_model, 30_000, seed=7)
-        reduced = simulate(inst, solution, scen, mode=REDUCED)
-        realloc = simulate(inst, solution, scen, mode=REALLOC)
+        results = simulate(inst, solution, scen, modes=(REDUCED, REALLOC))
+        reduced, realloc = results[REDUCED], results[REALLOC]
         assert realloc.infeasible_scenarios == 0
         assert realloc.mean_profit >= reduced.mean_profit - 3 * reduced.std_error
 
@@ -169,8 +170,7 @@ def test_simulate_rejects_mismatched_scenarios(tiny_instance):
 def test_violation_rate_zero_without_gates(tiny_instance, tiny_rho):
     solution = solve(tiny_instance, tiny_rho)
     scen = ScenarioSet.for_model(tiny_instance.choice_model, 2_000, seed=8)
-    result = simulate(tiny_instance, solution, scen, mode=REDUCED,
-                      keep_outcomes=True)
+    result = simulate(tiny_instance, solution, scen, keep_outcomes=True)[REDUCED]
     assert all(rate == 0.0 for rate in result.violation_rate.values())
     assert not any(o.min_demand_violations for o in result.outcomes)
 
@@ -190,7 +190,7 @@ def test_violation_rate_half_at_threshold():
         allocation={(0, 0, 0): 1.0},
     )
     scen = ScenarioSet.for_model(inst.choice_model, 100_000, seed=9)
-    result = simulate(inst, first_stage, scen, mode=REDUCED, keep_outcomes=True)
+    result = simulate(inst, first_stage, scen, keep_outcomes=True)[REDUCED]
     rate = result.violation_rate[(0, 0)]
     assert rate == pytest.approx(0.5, abs=0.01)
     flagged = sum((0, 0) in o.min_demand_violations for o in result.outcomes)
@@ -208,7 +208,7 @@ def test_violation_rate_degenerate_is_zero_or_one():
         allocation={(0, 0, 0): 1.0},
     )
     scen = ScenarioSet.for_model(inst.choice_model, 500, seed=10)
-    result = simulate(inst, first_stage, scen, mode=REDUCED)
+    result = simulate(inst, first_stage, scen)[REDUCED]
     assert result.violation_rate[(0, 0)] in (0.0, 1.0)
 
 
@@ -231,7 +231,7 @@ def test_reallocation_counts_infeasible_scenarios():
         service_choices={(0, k): 0 for k in range(2)},
     )
     scen = ScenarioSet.for_model(inst.choice_model, 4_000, seed=11)
-    result = simulate(inst, first_stage, scen, mode=REALLOC)
+    result = simulate(inst, first_stage, scen, modes=(REALLOC,))[REALLOC]
     assert result.infeasible_scenarios == 1_992
     assert result.count == 4_000
     assert result.mean_profit == pytest.approx(-49.993994830995995, rel=1e-12)
@@ -245,7 +245,7 @@ def test_replay_of_the_desk_optimum_is_pinned(mode, mean, std_error):
     inst = generate(bench.DESK_PARAMS)
     solution = solve(inst, RhoTable.closed_form(inst))
     scen = ScenarioSet.for_model(inst.choice_model, 20_000, seed=9)
-    result = simulate(inst, solution, scen, mode=mode)
+    result = simulate(inst, solution, scen, modes=(mode,))[mode]
     assert result.count == 20_000
     assert result.infeasible_scenarios == 0
     assert result.mean_profit == pytest.approx(mean, rel=1e-12)
@@ -258,27 +258,52 @@ def test_gate_shortfall_rate_is_pinned(mode):
     inst = tiny_family_instance(15)
     solution = solve(inst, RhoTable.closed_form(inst))
     scen = ScenarioSet.for_model(inst.choice_model, 20_000, seed=3)
-    result = simulate(inst, solution, scen, mode=mode, keep_outcomes=True)
+    result = simulate(inst, solution, scen, modes=(mode,), keep_outcomes=True)[mode]
     assert result.infeasible_scenarios == 0
     assert result.violation_rate == {(1, 0): 0.6906}
     flagged = sum((1, 0) in o.min_demand_violations for o in result.outcomes)
     assert flagged == 13_812
 
 
-def test_merged_moments_keep_a_small_spread_at_a_large_mean():
-    # sum(x^2) - n*mean^2 over these values cancels to exactly 0
-    values = 1e6 + 1e-3 * np.random.default_rng(0).standard_normal(200_000)
-    moments = (0, 0.0, 0.0)
-    for start in range(0, values.size, 1 << 15):
-        moments = merge_moments(moments, chunk_moments(values[start:start + (1 << 15)]))
-    assert moments[0] == values.size
-    assert moments[1] == pytest.approx(values.mean(), rel=1e-15)
+def test_reduced_mean_is_the_plan_valued_at_sample_average_rho_on_the_desk():
+    # the sample-average identity behind the reduction: replaying a plan
+    # against the draws behind rho-hat gives its model value under rho-hat
+    inst = generate(bench.DESK_PARAMS)
+    solution = solve(inst, RhoTable.closed_form(inst))
+    scen = ScenarioSet.for_model(inst.choice_model, 200_000, seed=4)
+    mean = simulate(inst, solution, scen)[REDUCED].mean_profit
+    assert mean == pytest.approx(evaluate(inst, RhoTable.saa(inst, scen), solution),
+                                 rel=1e-12)
+
+
+def test_reduced_mean_is_the_plan_valued_at_sample_average_rho_on_tiny_seeds():
+    for seed in range(40):
+        inst = tiny_family_instance(seed)
+        solution = solve(inst, RhoTable.closed_form(inst))
+        scen = ScenarioSet.for_model(inst.choice_model, 70_000, seed=seed)
+        mean = simulate(inst, solution, scen)[REDUCED].mean_profit
+        assert mean == pytest.approx(
+            evaluate(inst, RhoTable.saa(inst, scen), solution), rel=1e-12), seed
+
+
+def test_weighted_moments_keep_a_small_spread_at_a_large_mean():
+    # sum(x^2) - n*mean^2 rounds at the scale of 1e17 here, while the
+    # squared deviations sum to about 0.2
+    rng = np.random.default_rng(0)
+    values = 1e6 + 1e-3 * rng.standard_normal(2_000)
+    counts = rng.integers(1, 200, size=values.size)
+    every = np.repeat(values, counts)
+    moments = weighted_moments(values, counts)
+    assert moments[0] == every.size
+    assert moments[1] == pytest.approx(every.mean(), rel=1e-15)
     assert standard_error(moments) == pytest.approx(
-        values.std(ddof=1) / values.size ** 0.5, rel=1e-6)
+        every.std(ddof=1) / every.size ** 0.5, rel=1e-6)
     assert standard_error(moments) == pytest.approx(2.2e-6, rel=0.05)
 
 
-def test_standard_error_of_empty_and_single_chunks():
-    assert np.isnan(standard_error(chunk_moments(np.zeros(0))))
-    assert standard_error(chunk_moments(np.array([3.0]))) == float("inf")
-    assert merge_moments((0, 0.0, 0.0), (0, 0.0, 0.0)) == (0, 0.0, 0.0)
+def test_standard_error_of_no_values_and_of_one_value():
+    none = weighted_moments(np.zeros(0), np.zeros(0, dtype=np.int64))
+    assert none == (0, 0.0, 0.0)
+    assert np.isnan(standard_error(none))
+    assert standard_error(weighted_moments(np.array([3.0]), np.array([1]))) == float("inf")
+    assert standard_error(weighted_moments(np.array([3.0]), np.array([5]))) == 0.0
