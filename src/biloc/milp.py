@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .choice import RhoTable
-from .instance import _integer, _number, _require_keys
+from .instance import _integer, _number, _of_type, _read, _tuple_of, read_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import Instance
@@ -115,20 +116,36 @@ class MilpModel:
         return [i for i, v in enumerate(self.variables) if v.kind == "binary"]
 
 
-#: Top-level fields of solution JSON -> required; the profit breakdown and the
-#: search counters default to zero when absent.
+#: Every status a solver gives its ``Solution``.
+_STATUSES = ("optimal", "infeasible", "time_limit", "trivial")
+
+
+def _status(value) -> str:
+    if value not in _STATUSES:
+        raise ValueError(f"expected one of {', '.join(_STATUSES)}, "
+                         f"got {reprlib.repr(value)}")
+    return value
+
+
+#: Top-level fields of solution JSON and their converters.
 _SOLUTION_FIELDS = {
-    "status": True, "objective": True, "open_facilities": True,
-    "price_choices": True, "service_choices": True, "allocation": True,
-    "revenue": False, "assignment_cost": False, "fixed_cost": False,
-    "offer_summary": False, "nodes": False, "seconds": False, "gap": False,
+    "status": _status, "objective": _number, "open_facilities": _tuple_of(_integer),
+    "price_choices": _of_type(list), "service_choices": _of_type(list),
+    "allocation": _of_type(list), "revenue": _number, "assignment_cost": _number,
+    "fixed_cost": _number, "offer_summary": _of_type(list), "nodes": _integer,
+    "seconds": _number, "gap": _number,
 }
-#: Fields of each entry of the solution's list-valued fields (all required).
+#: The profit breakdown and the search counters, which default to zero when
+#: absent.
+_SOLUTION_OPTIONAL = ("revenue", "assignment_cost", "fixed_cost", "offer_summary",
+                      "nodes", "seconds", "gap")
+#: Fields of each entry of the decision lists and their converters (all
+#: required); ``offer_summary`` entries are read as ``OfferLine`` records.
 _SOLUTION_ENTRY_FIELDS = {
-    "price_choices": ("shipper", "service", "price_index"),
-    "service_choices": ("shipper", "category", "service"),
-    "allocation": ("facility", "customer", "service", "fraction"),
-    "offer_summary": ("shipper", "category", "service", "price_index", "price", "rho"),
+    "price_choices": dict.fromkeys(("shipper", "service", "price_index"), _integer),
+    "service_choices": dict.fromkeys(("shipper", "category", "service"), _integer),
+    "allocation": {**dict.fromkeys(("facility", "customer", "service"), _integer),
+                   "fraction": _number},
 }
 
 
@@ -209,42 +226,35 @@ class Solution:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Solution":
-        _require_keys(data, _SOLUTION_FIELDS, "solution", SolutionFormatError)
-        for name, fields in _SOLUTION_ENTRY_FIELDS.items():
-            for idx, entry in enumerate(data.get(name, ())):
-                _require_keys(entry, dict.fromkeys(fields, True), f"{name}[{idx}]",
-                              SolutionFormatError)
+        """Solution from its JSON form; raises ``SolutionFormatError`` naming
+        the unknown, missing or malformed field."""
+        top = _read(data, "solution", _SOLUTION_FIELDS, _SOLUTION_OPTIONAL,
+                    error=SolutionFormatError)
+
+        def entries(name: str) -> list[dict]:
+            return [_read(obj, f"{name}[{idx}]", _SOLUTION_ENTRY_FIELDS[name],
+                          error=SolutionFormatError)
+                    for idx, obj in enumerate(top[name])]
+
         return cls(
-            status=data["status"],
-            objective=_number(data["objective"]),
-            open_facilities=tuple(_integer(i) for i in data["open_facilities"]),
-            price_choices={
-                (_integer(o["shipper"]), _integer(o["service"])):
-                    _integer(o["price_index"])
-                for o in data["price_choices"]
-            },
-            service_choices={
-                (_integer(o["shipper"]), _integer(o["category"])):
-                    _integer(o["service"])
-                for o in data["service_choices"]
-            },
-            allocation={
-                (_integer(o["facility"]), _integer(o["customer"]),
-                 _integer(o["service"])): _number(o["fraction"])
-                for o in data["allocation"]
-            },
-            revenue=_number(data.get("revenue", 0.0)),
-            assignment_cost=_number(data.get("assignment_cost", 0.0)),
-            fixed_cost=_number(data.get("fixed_cost", 0.0)),
+            status=top["status"],
+            objective=top["objective"],
+            open_facilities=top["open_facilities"],
+            price_choices={(o["shipper"], o["service"]): o["price_index"]
+                           for o in entries("price_choices")},
+            service_choices={(o["shipper"], o["category"]): o["service"]
+                             for o in entries("service_choices")},
+            allocation={(o["facility"], o["customer"], o["service"]): o["fraction"]
+                        for o in entries("allocation")},
+            revenue=top.get("revenue", 0.0),
+            assignment_cost=top.get("assignment_cost", 0.0),
+            fixed_cost=top.get("fixed_cost", 0.0),
             offer_summary=tuple(
-                OfferLine(_integer(o["shipper"]), _integer(o["category"]),
-                          _integer(o["service"]), _integer(o["price_index"]),
-                          _number(o["price"]), _number(o["rho"]))
-                for o in data.get("offer_summary", [])
-            ),
-            nodes=_integer(data.get("nodes", 0)),
-            seconds=_number(data.get("seconds", 0.0)),
-            gap=_number(data.get("gap", 0.0)),
+                read_record(obj, f"offer_summary[{idx}]", OfferLine, SolutionFormatError)
+                for idx, obj in enumerate(top.get("offer_summary", ()))),
+            nodes=top.get("nodes", 0),
+            seconds=top.get("seconds", 0.0),
+            gap=top.get("gap", 0.0),
         )
 
     def save(self, path: str | Path) -> None:
@@ -257,9 +267,7 @@ class Solution:
         text = Path(path).read_text(encoding="utf-8")
         try:
             return cls.from_json_dict(json.loads(text))
-        except SolutionFormatError:
-            raise
-        except (TypeError, ValueError) as exc:  # also invalid JSON
+        except ValueError as exc:  # a format error, or invalid JSON
             raise SolutionFormatError(f"{path}: {exc}") from None
 
 

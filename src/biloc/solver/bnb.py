@@ -6,23 +6,27 @@ Two engines, each its own best-first search:
   acceptance-probability table.  It branches on category commitments: each
   child either binds one shipper-category to a concrete (service, ladder
   position) offer (which also pins that shipper-service price slot) or sends
-  it to the outside option.  One routine derives a node's allowed offers
-  and checks it: conflicting prices on a slot, or a pinned price whose
-  minimum-demand gate the allowed offers cannot reach, make it infeasible.
-  At a fully decided node that gate check is the exact committed-demand
-  test.  Node bounds come from a relaxation that drops price coupling
-  across categories, the remaining gate slack and per-facility capacity:
-  for every candidate facility subset, each undecided category takes its
-  best still-allowed offer priced against per-customer cheapest serving
-  cost, and an exact 0/1 knapsack, solved for all facility subsets at
-  once, caps total gamma-scaled demand by the subset's aggregate capacity;
-  when too many categories are undecided to enumerate their subsets, the
-  fractional knapsack takes its place.  The bound only ever over-estimates
-  and shrinks monotonically along any branch.  A node is derived once,
-  when made; its heap entry carries that per-subset bound and its allowed
-  offers, which give its children.  Fully decided nodes are evaluated
-  exactly by transporting facility subsets in the order of that bound, so
-  facility decisions never need their own tree levels.
+  it to the outside option.  A node's allowed offers rule out conflicting
+  prices on a slot, and a pinned price whose minimum-demand gate the
+  allowed offers cannot reach makes it infeasible; at a fully decided node
+  that gate check is the exact committed-demand test.  Node bounds come
+  from a relaxation that drops price coupling across categories, the
+  remaining gate slack and per-facility capacity: for every candidate
+  facility subset, each undecided category takes its best still-allowed
+  offer priced against per-customer cheapest serving cost, and an exact
+  0/1 knapsack, solved for all facility subsets at once, caps total
+  gamma-scaled demand by the subset's aggregate capacity; when too many
+  categories are undecided to enumerate their subsets, the fractional
+  knapsack takes its place.  The bound only ever over-estimates and
+  shrinks monotonically along any branch.  One routine derives nodes in
+  batches: all children of a branched node at once, as arrays with a
+  leading node axis, and the root and the warm start's leaf alone.  Each
+  node comes out bit for bit as if derived by itself, and is derived once,
+  when made; its heap entry carries its own copy of the per-subset bound
+  and of its allowed offers, which give its children.  Fully decided
+  nodes are evaluated exactly by transporting facility subsets in the
+  order of that bound, so facility decisions never need their own tree
+  levels.
 
 * The *relaxation* engine (``solve_milp``) works on any model, such as a
   parsed LP file: it solves the continuous relaxation per node with the dense
@@ -100,7 +104,7 @@ class _StructuredData:
 
     Offers are padded (category, offer) arrays: row c lists every (service,
     ladder position) category c could take, valid entries first.
-    ``val[mask, c, o]`` is the capacity-blind value of offer o for category c
+    ``val[c, o, mask]`` is the capacity-blind value of offer o for category c
     when the open facilities are exactly the bits of ``mask``:
     probability-weighted revenue minus probability-weighted cheapest serving
     cost.  Padding entries carry -BIG so vectorized maxima ignore them.
@@ -113,7 +117,12 @@ class _StructuredData:
         self.slots = [(n, m) for n in range(inst.n_shippers)
                       for m in inst.shipper_services(n)]
         slot_index = {sm: s for s, sm in enumerate(self.slots)}
-        self.slot_min_demand = [inst.ladder(n, m).min_demands for n, m in self.slots]
+        # minimum demand per (slot, ladder position), padded with zeros
+        gates = [inst.ladder(n, m).min_demands for n, m in self.slots]
+        self.slot_level = np.zeros((len(gates), max(map(len, gates), default=1)))
+        for s, levels in enumerate(gates):
+            self.slot_level[s, :len(levels)] = levels
+        self.gated = bool((self.slot_level > 0.0).any())  # a gate can be missed
 
         self.cats = [(n, k) for n in range(inst.n_shippers)
                      for k in range(inst.categories_per_shipper[n])]
@@ -157,12 +166,15 @@ class _StructuredData:
                    for mask in range(self.n_masks)]
         self.mask_capacity = np.array([caps[sel].sum() for sel in members])
         self.mask_fixed_cost = np.array([fixed[sel].sum() for sel in members])
+        self.mask_limit = capacity_limit(self.mask_capacity)
 
         # cheapest serving cost per (facility mask, category, service), plus
         # the overflow machinery: per mask, which facility each customer's
         # cheapest assignment uses, the load that lands there, and the lowest
         # probability-weighted regret rate (second cheapest minus cheapest,
-        # per unit of scaled load) anyone at that facility would pay to move
+        # per unit of scaled load) anyone at that facility would pay to move.
+        # ``loads_at[c, m, i, mask]`` has one more service, M, that loads
+        # nothing: the service of a category without a committed offer
         J = inst.n_customers
         cheap = np.full((self.n_masks, C, M), _BIG)
         cat_members = [inst.customers_by_category[nk] for nk in self.cats]
@@ -173,7 +185,7 @@ class _StructuredData:
         # a category without customers costs nothing to serve, from any mask
         cheap[:, [c for c, js in enumerate(cat_members) if not js], :] = 0.0
 
-        self.loads_at = np.zeros((self.n_masks, C, M, I))
+        self.loads_at = np.zeros((C, M + 1, I, self.n_masks))
         raw_rate_min = np.full((self.n_masks, C, M, I), np.inf)
         for mask in range(1, self.n_masks):
             rows = [i for i in range(I) if mask & (1 << i)]
@@ -192,12 +204,12 @@ class _StructuredData:
                 js = list(js)
                 cheap[mask, c, :] = min_cost[js, :].sum(axis=0)
                 at = (np.arange(M), arg_fac[js])  # (service, facility) per member
-                np.add.at(self.loads_at[mask, c], at, scaled_load[js])
+                np.add.at(self.loads_at[c, :, :, mask], at, scaled_load[js])
                 np.minimum.at(raw_rate_min[mask, c], at, regret_rate[js])
         rows = np.arange(C)[:, None]
         val = self.off_rev[None, :, :] - self.off_rho[None, :, :] * cheap[:, rows, self.off_m]
         val[:, ~self.off_valid] = -_BIG
-        self.val = val
+        self.val = np.ascontiguousarray(val.transpose(1, 2, 0))  # (C, O, masks)
 
         # node-independent move rate: min over every offerable (category,
         # service) pair of (lowest acceptance probability on that ladder) x
@@ -207,58 +219,67 @@ class _StructuredData:
         rho_safe = np.where(np.isfinite(min_rho), min_rho, 0.0)[None, :, :, None]
         raw_safe = np.where(finite_raw, raw_rate_min, 0.0)
         weighted = np.where(offerable & finite_raw, raw_safe * rho_safe, np.inf)
-        self.overflow_rate = np.minimum(
+        self.overflow_rate = np.minimum(  # (I, masks)
             weighted.reshape(self.n_masks, C * M, I).min(axis=1), _BIG
-        )
+        ).T.copy()
         self.facility_limit = capacity_limit(caps)
 
-    def overflow_correction(self, state: tuple) -> np.ndarray:
-        """Per-mask lower bound on extra transport cost the committed offers
-        must pay beyond everyone-at-their-cheapest, from load past each
-        facility's capacity limit."""
-        committed = [(c, o) for c, o in enumerate(state) if o >= 0]
-        if not committed:
-            return np.zeros(self.n_masks)
-        loads = sum(self.loads_at[:, c, self.off_m[c, o]] for c, o in committed)
-        overflow = np.maximum(loads - self.facility_limit[None, :], 0.0)
+    def overflow_correction(self, states: np.ndarray) -> np.ndarray:
+        """(nodes, masks) lower bound on extra transport cost each node's
+        committed offers must pay beyond everyone-at-their-cheapest, from
+        load past each facility's capacity limit; ``states`` is (nodes, C).
+        Loads add up in category order and the cost in facility order."""
+        cats = np.arange(len(self.cats))
+        services = np.where(states >= 0, self.off_m[cats, np.maximum(states, 0)],
+                            self.inst.n_services)  # the service that loads nothing
+        loads = self.loads_at[cats, services].sum(axis=1)  # (nodes, I, masks)
+        overflow = np.maximum(loads - self.facility_limit[:, None], 0.0)
         return np.minimum((overflow * self.overflow_rate).sum(axis=1), _BIG)
 
 
-def _node_offers(data: _StructuredData, state) -> tuple[np.ndarray, list] | None:
-    """(allowed offers, pinned price slots whose gate is unreachable) of a
-    node; None on a price conflict between its commitments.
+def _node_offers(data: _StructuredData, states: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(allowed offers, price conflict, missed gates) of the nodes whose
+    commitments are the rows of ``states``, a (K, C) array.
 
-    Committed offers pin their slots' prices.  A committed category allows
-    only its offer, one sent to the outside option none, and an undecided
-    one every offer whose slot is unpinned or pinned at the offer's price.
-    A category holds at most one allowed offer on a pinned slot, so a single
-    bincount gives the demand each slot can still reach; at a fully decided
-    node that is exactly its committed demand.
+    Committed offers pin their slots' prices; a node that pins one slot at
+    two prices conflicts.  A committed category allows only its offer, one
+    sent to the outside option none, and an undecided one every offer whose
+    slot is unpinned or pinned at the offer's price.  A category holds at
+    most one allowed offer on a pinned slot, so one bincount, its slots
+    offset by node, gives the demand each node's slots can still reach; a
+    pinned slot misses its gate when that falls short of the pinned price's
+    minimum demand; only a positive gate can be missed, so without one no
+    demand is counted.  At a fully decided node that is exactly the
+    committed-demand test.  Returns (K, C, O), (K,) and (K, S) arrays.
     """
-    pins: dict[int, int] = {}
-    for c, o in enumerate(state):
-        if o >= 0:
-            slot, p = int(data.off_slot[c, o]), int(data.off_p[c, o])
-            if pins.setdefault(slot, p) != p:
-                return None
-    pinned = np.full(len(data.slots), _UNDECIDED)
-    pinned[list(pins)] = list(pins.values())
-    pinned_price = pinned[data.off_slot]
+    n_nodes = len(states)
+    n_slots = len(data.slots)
+    node, cat = np.nonzero(states >= 0)
+    offer = states[node, cat]
+    slot, price = data.off_slot[cat, offer], data.off_p[cat, offer]
+    pinned = np.full((n_nodes, n_slots), _UNDECIDED)
+    pinned[node, slot] = price
+    conflict = np.zeros(n_nodes, dtype=bool)
+    conflict[node[pinned[node, slot] != price]] = True
+
+    pinned_price = pinned[:, data.off_slot]  # (K, C, O)
     allowed = data.off_valid & ((pinned_price == _UNDECIDED)
                                 | (pinned_price == data.off_p))
-    for c, o in enumerate(state):
-        if o != _UNDECIDED:
-            allowed[c] = False
-            if o >= 0:
-                allowed[c, o] = True
-    levels = {slot: data.slot_min_demand[slot][p] for slot, p in pins.items()}
-    if all(level <= 0.0 for level in levels.values()):
-        return allowed, []  # only a positive gate can be missed
-    reach = np.bincount(data.off_slot.ravel(),
-                        weights=(allowed * data.cat_demand[:, None]).ravel(),
-                        minlength=len(data.slots))
-    return allowed, [slot for slot, level in levels.items()
-                     if reach[slot] < level - 1e-9]
+    allowed &= (states == _UNDECIDED)[:, :, None]
+    allowed[node, cat, offer] = True
+
+    if not data.gated:
+        return allowed, conflict, np.zeros(pinned.shape, dtype=bool)
+    level = np.where(pinned >= 0,
+                     data.slot_level[np.arange(n_slots), np.maximum(pinned, 0)],
+                     0.0)
+    reach = np.bincount(
+        (data.off_slot + n_slots * np.arange(n_nodes)[:, None, None]).ravel(),
+        weights=(allowed * data.cat_demand[:, None]).ravel(),
+        minlength=n_nodes * n_slots,
+    ).reshape(n_nodes, n_slots)
+    return allowed, conflict, reach < level - 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -272,58 +293,94 @@ def _subsets(n: int) -> np.ndarray:
 
 def _knapsack(values: np.ndarray, weights: np.ndarray, room: np.ndarray
               ) -> np.ndarray:
-    """Per mask, the most value a set of items fits into the mask's room.
+    """Per node and mask, the most value a set of items fits into the room.
 
-    ``values`` is (masks, items) and non-negative, ``weights`` (items,) and
-    ``room`` (masks,).  Up to ``_EXACT_KNAPSACK_CELLS`` (mask, subset) pairs
-    every subset of items is valued at once, an exact 0/1 knapsack;
-    beyond that the items are taken greedily by value per weight with the
-    last one split, the fractional bound.
+    ``values`` is (nodes, masks, items) and non-negative, ``weights``
+    (items,) and ``room`` (nodes, masks).  When one node holds at most
+    ``_EXACT_KNAPSACK_CELLS`` (mask, subset) pairs, every subset of items is
+    valued at once, an exact 0/1 knapsack, over slices of nodes holding at
+    most that many pairs together; beyond that the items are taken greedily
+    by value per weight with the last one split, the fractional bound.
     """
-    n_masks, n_items = values.shape
-    if n_masks << n_items <= _EXACT_KNAPSACK_CELLS:
+    n_nodes, n_masks, n_items = values.shape
+    values = values.reshape(n_nodes * n_masks, n_items)
+    room = room.reshape(n_nodes * n_masks)
+    cells = n_masks << n_items
+    if cells <= _EXACT_KNAPSACK_CELLS:
         subsets = _subsets(n_items)
-        fits = (subsets @ weights)[None, :] <= room[:, None]
-        return np.where(fits, values @ subsets.T, 0.0).max(axis=1)
+        sizes = subsets @ weights
+        best = np.empty(len(room))
+        step = _EXACT_KNAPSACK_CELLS // cells * n_masks  # rows per slice
+        for lo in range(0, len(room), step):
+            part = slice(lo, lo + step)
+            valued = values[part] @ subsets.T
+            valued *= sizes[None, :] <= room[part, None]  # drop what overfills
+            best[part] = valued.max(axis=1)
+        return best.reshape(n_nodes, n_masks)
     order = np.argsort(-values / weights, axis=1, kind="stable")
     value = np.take_along_axis(values, order, axis=1)
     weight = weights[order]
     before = np.cumsum(weight, axis=1) - weight
     take = np.clip((room[:, None] - before) / weight, 0.0, 1.0)
-    return (value * take).sum(axis=1)
+    return (value * take).sum(axis=1).reshape(n_nodes, n_masks)
 
 
-def _mask_bounds(data: _StructuredData, state: tuple
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """(bound per facility mask, allowed offers) of a node.
+def _derive(data: _StructuredData, states: list[tuple]
+            ) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """(bound per facility mask, allowed offers) of each node in ``states``,
+    all derived together: the children of a branched node, or one node.
 
-    Committed categories add their best allowed value less the overflow
+    Committed categories add their offers' values less the overflow
     correction; the undecided ones share the room their least allowed
     weights leave, valued by a 0/1 knapsack (by its fractional relaxation
     when they are too many to enumerate).  Every mask reads -BIG, and the
     allowed offers are None, at an infeasible node (a price conflict or an
     unreachable gate); masks the committed load overfills read -BIG too.
+
+    A node's numbers do not depend on the batch it is derived in: each sum
+    runs over that node's terms alone and in one order, by category (a
+    category without an offer adding zero), by facility, or by offer for
+    the gate's demand.  Nodes whose knapsacks hold the same items share one
+    matrix product over their stacked rows.  The returned arrays are
+    copies, owned by the caller.
     """
-    bounds = np.full(data.n_masks, -_BIG)
-    node = _node_offers(data, state)
-    if node is None or node[1]:
-        return bounds, None
-    allowed = node[0]
-    committed = np.array([o >= 0 for o in state])
-    undecided = np.array([o == _UNDECIDED for o in state])
+    table = np.array(states, dtype=int).reshape(len(states), len(data.cats))
+    allowed, conflict, missed = _node_offers(data, table)
+    feasible = ~(conflict | missed.any(axis=1))
 
-    best = np.where(allowed[None, :, :], data.val, -_BIG).max(axis=2)  # (nMask, C)
-    weight = np.where(allowed, data.off_weight, np.inf).min(axis=1)     # (C,)
+    cats = np.arange(len(data.cats))
+    committed = table >= 0
+    offers = np.maximum(table, 0)  # a committed category's offer
+    room = data.mask_limit - np.where(
+        committed, data.off_weight[cats, offers], 0.0).sum(axis=1)[:, None]
+    value = (np.where(committed[:, :, None], data.val[cats, offers], 0.0)
+             .sum(axis=1) - data.overflow_correction(table))
 
-    room = capacity_limit(data.mask_capacity) - weight[committed].sum()
-    fits = room >= 0.0
-    value = best[:, committed].sum(axis=1) - data.overflow_correction(state)
-    opt = undecided & (best > 0.0).any(axis=0)
-    if opt.any():
-        value = value + _knapsack(np.maximum(best[:, opt], 0.0), weight[opt],
-                                  room)
-    bounds[fits] = (value - data.mask_fixed_cost)[fits]
-    return bounds, allowed
+    # each undecided category's best allowed value per mask and least
+    # allowed weight; those that earn something at some mask are the
+    # knapsack's items, and nodes with the same items share one knapsack
+    undecided = table == _UNDECIDED
+    cols = np.flatnonzero(undecided.any(axis=0))
+    if cols.size:
+        open_offers = allowed[:, cols]
+        candidates = data.val[cols]  # (U, O, masks)
+        best = np.max(np.broadcast_to(candidates, (len(states), *candidates.shape)),
+                      axis=2, where=open_offers[..., None], initial=-_BIG)
+        weight = np.where(open_offers, data.off_weight[cols], np.inf).min(axis=2)
+        opt = undecided[:, cols] & (best > 0.0).any(axis=2)
+        items_key = np.where(opt, weight, -1.0)
+        groups: dict[bytes, list[int]] = {}
+        for k in np.flatnonzero(opt.any(axis=1)).tolist():
+            groups.setdefault(items_key[k].tobytes(), []).append(k)
+        for rows in groups.values():
+            items = np.flatnonzero(opt[rows[0]])
+            value[rows] += _knapsack(
+                np.maximum(best[rows][:, items], 0.0).transpose(0, 2, 1),
+                weight[rows[0], items], room[rows])
+    bounds = np.where(feasible[:, None] & (room >= 0.0),
+                      value - data.mask_fixed_cost, -_BIG)
+    return [(bounds[k].copy(), allowed[k].copy() if feasible[k] else None)
+            for k in range(len(states))]
 
 
 def _leaf_value(data: _StructuredData, state: tuple, mask_bound: np.ndarray,
@@ -363,19 +420,21 @@ def _warm_start(data: _StructuredData, deadline: float | None):
     dropping one slot's offers leaves every other slot's committed demand
     unchanged, so one pass repairs every gate.
     """
-    value = data.val[data.n_masks - 1]  # (C, O)
+    value = data.val[:, :, -1]  # (C, O), every facility open
     state = [_UNDECIDED] * len(data.cats)
     for c in range(len(data.cats)):
-        row = np.where(_node_offers(data, state)[0][c], value[c], -_BIG)
+        allowed = _node_offers(data, np.array([state]))[0][0]
+        row = np.where(allowed[c], value[c], -_BIG)
         o = int(np.argmax(row))
         state[c] = o if row[o] > 0.0 else _NONE
 
-    _allowed, unmet = _node_offers(data, state)
+    _allowed, _conflict, missed = _node_offers(data, np.array([state]))
     for c, o in enumerate(state):
-        if o >= 0 and data.off_slot[c, o] in unmet:
+        if o >= 0 and missed[0, data.off_slot[c, o]]:
             state[c] = _NONE
     state = tuple(state)
-    return _leaf_value(data, state, _mask_bounds(data, state)[0], 0.0, deadline)
+    [(bounds, _allowed)] = _derive(data, [state])
+    return _leaf_value(data, state, bounds, 0.0, deadline)
 
 
 def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
@@ -399,7 +458,7 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
     incumbent = 0.0 if payload is None else payload[0]
 
     root = (_UNDECIDED,) * len(data.cats)
-    root_bounds, root_allowed = _mask_bounds(data, root)
+    [(root_bounds, root_allowed)] = _derive(data, [root])
     root_bound = float(root_bounds.max())
     if diagnostics is not None:
         diagnostics.root_bound = root_bound
@@ -444,13 +503,16 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
         # the incumbent (never negative), so they are never pushed.
         first_shipper = data.cats[undecided[0]][0]
         same = [c for c in undecided if data.cats[c][0] == first_shipper]
-        best = np.where(allowed, data.val[np.argmax(mask_bound)], -_BIG).max(axis=1)
+        best = np.where(allowed, data.val[:, :, np.argmax(mask_bound)],
+                        -_BIG).max(axis=1)
         cat = max(same, key=lambda c: best[c])
+        children = []
         for choice in [*np.flatnonzero(allowed[cat]).tolist(), _NONE]:
             child = list(state)
             child[cat] = choice
-            child_state = tuple(child)
-            child_bounds, child_allowed = _mask_bounds(data, child_state)
+            children.append(tuple(child))
+        for child_state, (child_bounds, child_allowed) in zip(
+                children, _derive(data, children)):
             child_bound = min(float(child_bounds.max()), bound)  # bound inheritance
             if diagnostics is not None:
                 diagnostics.bound_pairs.append((bound, child_bound))

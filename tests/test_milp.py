@@ -1,5 +1,7 @@
 """Model construction, LP text round trips, preprocessing bound, evaluation."""
 
+import json
+
 import pytest
 
 from biloc import (
@@ -378,3 +380,26 @@ def test_solution_json_reports_missing_field(tiny_instance, tiny_rho):
     with pytest.raises(SolutionFormatError,
                        match=r"missing field 'price_index' in price_choices\[0\]"):
         Solution.from_json_dict(data)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(objective="abc"),
+     "solution.objective: expected int or float, got str 'abc'"),
+    (lambda d: d.update(status=7),
+     "solution.status: expected one of optimal, infeasible, time_limit, trivial, got 7"),
+    (lambda d: d.update(status="solved"), "solution.status: expected one of"),
+    (lambda d: d["allocation"][0].update(fraction=True),
+     r"allocation\[0\].fraction: expected int or float, got bool True"),
+    (lambda d: d["offer_summary"][0].update(price_index=1.5),
+     r"offer_summary\[0\].price_index: expected int, got float 1.5"),
+], ids=["objective", "status-number", "status-unknown", "fraction", "offer-summary"])
+def test_solution_load_names_the_malformed_field(tiny_instance, tiny_rho, tmp_path,
+                                                 edit, message):
+    data = solve(tiny_instance, tiny_rho).to_json_dict()
+    edit(data)
+    with pytest.raises(SolutionFormatError, match=message):
+        Solution.from_json_dict(data)
+    path = tmp_path / "sol.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SolutionFormatError, match=f"sol.json: {message}"):
+        Solution.load(path)

@@ -24,10 +24,11 @@ from biloc import (
 from biloc.instance import ServiceLevel
 from biloc.solver import OracleSizeError, SearchDiagnostics, SolverError
 from biloc.solver.bnb import (
+    _BIG,
     _EXACT_KNAPSACK_CELLS,
     _NONE,
     _UNDECIDED,
-    _mask_bounds,
+    _derive,
     _node_offers,
     _prune_tol,
     _StructuredData,
@@ -113,45 +114,119 @@ def test_bound_monotonicity_and_root_bound(engine):
     assert pairs > 0
 
 
+def _bounds_cover_leaves(inst, rho) -> int:
+    """Checks that at every node of ``inst``, decided or not, each facility
+    mask's bound covers the exact value of every leaf beneath it served from
+    that mask; returns the number of (node, mask) pairs with such a leaf.
+
+    Leaves rank and prune facility subsets by the per-mask bound, and
+    children are pruned by its maximum.  Every state is derived in one
+    batch, so the check also runs through batches mixing depths."""
+    data = _StructuredData(inst, rho)
+    choices = [[*range(int(data.off_valid[c].sum())), _NONE]
+               for c in range(len(data.cats))]
+    full = list(product(*choices))
+    leaves = {}  # fully decided state -> exact value per mask
+    for state, (_bounds, allowed) in zip(full, _derive(data, full)):
+        if allowed is None:
+            continue  # a price conflict or a missed gate: not a leaf
+        offers = {data.cats[c]: (int(data.off_m[c, o]), int(data.off_p[c, o]))
+                  for c, o in enumerate(state) if o >= 0}
+        exact = np.full(data.n_masks, -np.inf)
+        for mask in range(data.n_masks):
+            subset = [i for i in range(inst.n_facilities) if mask >> i & 1]
+            status, profit, _flows = evaluate_offers(inst, rho, offers, subset)
+            if status == "optimal":
+                exact[mask] = profit
+        leaves[state] = exact
+    nodes = list(product(*[[*row, _UNDECIDED] for row in choices]))
+    checked = 0
+    for state, (bounds, _allowed) in zip(nodes, _derive(data, nodes)):
+        beneath = [leaves[leaf] for leaf in product(*[
+            row if o == _UNDECIDED else [o] for row, o in zip(choices, state)
+        ]) if leaf in leaves]
+        if not beneath:
+            continue
+        exact = np.max(beneath, axis=0)
+        tol = [_prune_tol(value) for value in exact]
+        assert np.all(exact <= bounds + tol), state
+        checked += int(np.isfinite(exact).sum())
+    return checked
+
+
 def test_every_mask_bound_covers_the_leaves_beneath():
-    # leaves rank and prune facility subsets by the per-mask bound, and
-    # children are pruned by its maximum, so at every node each mask's
-    # bound must cover the exact value of every leaf beneath served from it
     started = time.perf_counter()
     checked = 0
     for seed in range(40):
         inst = tiny_family_instance(seed)
-        rho = RhoTable.closed_form(inst)
-        data = _StructuredData(inst, rho)
-        choices = [[*range(int(data.off_valid[c].sum())), _NONE]
-                   for c in range(len(data.cats))]
-        leaves = {}  # fully decided state -> exact value per mask
-        for state in product(*choices):
-            node = _node_offers(data, state)
-            if node is None or node[1]:
-                continue  # a price conflict or a missed gate: not a leaf
-            offers = {data.cats[c]: (int(data.off_m[c, o]), int(data.off_p[c, o]))
-                      for c, o in enumerate(state) if o >= 0}
-            exact = np.full(data.n_masks, -np.inf)
-            for mask in range(data.n_masks):
-                subset = [i for i in range(inst.n_facilities) if mask >> i & 1]
-                status, profit, _flows = evaluate_offers(inst, rho, offers, subset)
-                if status == "optimal":
-                    exact[mask] = profit
-            leaves[state] = exact
-        for state in product(*[[*row, _UNDECIDED] for row in choices]):
-            beneath = [leaves[leaf] for leaf in product(*[
-                row if o == _UNDECIDED else [o] for row, o in zip(choices, state)
-            ]) if leaf in leaves]
-            if not beneath:
-                continue
-            exact = np.max(beneath, axis=0)
-            bounds, _arg = _mask_bounds(data, state)
-            tol = [_prune_tol(value) for value in exact]
-            assert np.all(exact <= bounds + tol), (seed, state)
-            checked += int(np.isfinite(exact).sum())
+        checked += _bounds_cover_leaves(inst, RhoTable.closed_form(inst))
     assert checked >= 3500  # 3,815 (node, facility subset) pairs
     assert time.perf_counter() - started < 5.0
+
+
+def _edge_base(seed, **overrides):
+    """One shipper with three categories: small enough to enumerate every
+    node and leaf, with price coupling across categories."""
+    return generate(tiny_params(seed=seed, n_shippers=1, categories_per_shipper=3,
+                                n_customers=6, **overrides))
+
+
+def _zero_capacity(seed):
+    inst = _edge_base(seed)
+    first, *rest = inst.facilities
+    return replace(inst, facilities=(replace(first, capacity=0.0), *rest))
+
+
+def _single_price(seed):
+    inst = _edge_base(seed)
+    return replace(inst, price_ladders=tuple(
+        replace(ladder, prices=ladder.prices[-1:], min_demands=ladder.min_demands[-1:])
+        for ladder in inst.price_ladders))
+
+
+def _gates_block_every_offer(seed):
+    inst = _edge_base(seed)
+    total = sum(c.demand for c in inst.customers)
+    return replace(inst, price_ladders=tuple(
+        replace(ladder, min_demands=(total + 1.0,) * len(ladder.prices))
+        for ladder in inst.price_ladders))
+
+
+def _load_at_capacity(seed):
+    # unit gammas, and every facility exactly as large as one category's
+    # demand, so a category served whole fills a facility to the unit
+    inst = _edge_base(seed)
+    demands = [inst.category_demand(0, k) for k in range(3)]
+    return replace(
+        inst,
+        service_levels=tuple(replace(s, gamma=1.0) for s in inst.service_levels),
+        facilities=tuple(replace(f, capacity=demands[i % 3])
+                         for i, f in enumerate(inst.facilities)))
+
+
+EDGE_CASES = {
+    "zero-capacity facility": _zero_capacity,
+    "alpha = 0": lambda seed: _edge_base(seed, alpha=0.0),
+    "single-price ladders": _single_price,
+    "gates block every offer": _gates_block_every_offer,
+    "load exactly at capacity": _load_at_capacity,
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_bounds_and_optimum_on_edge_cases(case):
+    # bound validity at every node, and the search's optimum equal to
+    # complete enumeration's, on degenerate inputs
+    started = time.perf_counter()
+    checked = 0
+    for seed in range(6):
+        inst = EDGE_CASES[case](seed)
+        rho = RhoTable.closed_form(inst)
+        checked += _bounds_cover_leaves(inst, rho)
+        assert solve(inst, rho).objective == pytest.approx(
+            enumerate_oracle(inst, rho).objective, rel=1e-12), seed
+    assert checked > 0
+    assert time.perf_counter() - started < 1.0
 
 
 def test_fractional_knapsack_bound_with_many_categories():
@@ -374,27 +449,103 @@ def test_search_is_frozen_on_the_tiny_family():
     assert nodes == 274
 
 
+def _desk_sweep():
+    base = generate(bench.DESK_PARAMS)
+    return [base.with_choice_model(base.choice_model.with_alpha(alpha))
+            for alpha in bench.default_alpha_grid()]
+
+
+def _full_scale():
+    return generate(replace(bench.DESK_PARAMS, n_facilities=7, n_customers=140))
+
+
 def test_each_search_node_is_derived_once(monkeypatch):
-    # the root, the warm start's leaf and every child of a branched node are
-    # derived once, when made; popped nodes and leaves reuse what their push
-    # carried, and no child conflicts with a price its parent pinned
+    # the warm start's leaf and the root are derived alone, then the children
+    # of each branched node in one batch; every node is derived once, when
+    # made: popped nodes and leaves reuse what their push carried, and no
+    # child conflicts with a price its parent pinned
     from biloc.solver import bnb
 
-    derived = []
-    real = bnb._mask_bounds
+    batches = []  # sizes of the derived batches, per solve
+    leaf_calls = []  # leaves valued, per solve: the warm start's and popped ones
+    real_derive, real_leaf = bnb._derive, bnb._leaf_value
 
-    def counting(data, state):
-        assert _node_offers(data, state) is not None, state
-        derived.append(state)
-        return real(data, state)
+    def derive(data, states):
+        table = np.array(states).reshape(len(states), len(data.cats))
+        assert not _node_offers(data, table)[1].any(), states
+        batches[-1].append(len(states))
+        return real_derive(data, states)
 
-    monkeypatch.setattr(bnb, "_mask_bounds", counting)
-    base = generate(bench.DESK_PARAMS)
-    for alpha in bench.default_alpha_grid():
-        inst = base.with_choice_model(base.choice_model.with_alpha(alpha))
+    def leaf_value(*args, **kwargs):
+        leaf_calls[-1] += 1
+        return real_leaf(*args, **kwargs)
+
+    monkeypatch.setattr(bnb, "_derive", derive)
+    monkeypatch.setattr(bnb, "_leaf_value", leaf_value)
+
+    def derived(instances):
+        batches.clear()
+        leaf_calls.clear()
+        for inst in instances:
+            batches.append([])
+            leaf_calls.append(0)
+            solution = solve(inst, RhoTable.closed_form(inst))
+            if solution.status == "trivial":
+                assert batches[-1] == [] and leaf_calls[-1] == 0
+                continue
+            branched = solution.nodes - (leaf_calls[-1] - 1)
+            assert batches[-1][:2] == [1, 1]
+            assert len(batches[-1]) == 2 + branched
+        return sum(map(sum, batches))
+
+    assert derived(_desk_sweep()) == 636  # 772 when derived twice
+    assert derived([_full_scale()]) == 1162  # 1,639 when derived twice
+
+
+def _bits(derived):
+    bounds, allowed = derived
+    return bounds.tobytes(), None if allowed is None else allowed.tobytes()
+
+
+def test_batched_derivation_equals_single_derivation(monkeypatch):
+    # each node of a batch reads bit for bit what it reads derived alone,
+    # for every branched node's children on the desk sweep, at full scale,
+    # on tiny-family seeds and on a node bound by the fractional knapsack
+    from biloc.solver import bnb
+
+    batches = []
+    real = bnb._derive
+
+    def derive(data, states):
+        derived = real(data, states)
+        if len(states) > 1:
+            batches.append((data, states, derived))
+        return derived
+
+    monkeypatch.setattr(bnb, "_derive", derive)
+    fractional = generate(tiny_params(
+        seed=0, ratio=0.3, n_facilities=1, n_customers=17, n_shippers=1,
+        categories_per_shipper=17, n_services=1, alpha=-0.02))
+    instances = [*_desk_sweep(), _full_scale(),
+                 *(tiny_family_instance(seed) for seed in range(40)), fractional]
+    for inst in instances:
         solve(inst, RhoTable.closed_form(inst))
-    assert len(derived) == 636  # 772 when derived twice
-    derived.clear()
-    inst = generate(replace(bench.DESK_PARAMS, n_facilities=7, n_customers=140))
-    solve(inst, RhoTable.closed_form(inst))
-    assert len(derived) == 1162  # 1,639 when derived twice
+    children = 0
+    for data, states, derived in batches:
+        for state, got in zip(states, derived):
+            assert _bits(got) == _bits(real(data, [state])[0]), state
+            children += 1
+    assert children == 1971
+
+    # a batch whose children miss a gate: they read -BIG and allow nothing
+    inst = _gates_block_every_offer(0)
+    data = _StructuredData(inst, RhoTable.closed_form(inst))
+    undecided = (_UNDECIDED,) * len(data.cats)
+    states = [(o, *undecided[1:]) for o in range(int(data.off_valid[0].sum()))]
+    states.append((_NONE, *undecided[1:]))
+    derived = real(data, states)
+    for state, got in zip(states, derived):
+        assert _bits(got) == _bits(real(data, [state])[0]), state
+    for bounds, allowed in derived[:-1]:
+        assert allowed is None and np.all(bounds == -_BIG)
+    assert derived[-1][1] is not None and derived[-1][0].max() > -_BIG
