@@ -142,14 +142,14 @@ def _point_label(point) -> str:
     return repr(float(point))
 
 
-def _sweep_instances(spec: SweepSpec, point, replication: int
+def _sweep_instances(spec: SweepSpec, point, replication: int, bases: dict
                      ) -> tuple[Instance, int]:
     seed = spec.base.seed + replication
     if spec.kind in ("alpha", "beta"):
-        if spec.instance_path is not None:
-            inst = load(spec.instance_path)
-        else:
-            inst = generate(replace(spec.base, seed=seed))
+        if replication not in bases:
+            bases[replication] = (generate(replace(spec.base, seed=seed))
+                                  if spec.instance_path is None else load(spec.instance_path))
+        inst = bases[replication]
         model = inst.choice_model
         if spec.kind == "alpha":
             inst = inst.with_choice_model(model.with_alpha(float(point)))
@@ -170,11 +170,12 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     reason is logged as a warning, and the sweep continues.  Writes CSV to
     spec.out_path when set."""
     rows: list[dict] = []
+    bases: dict[int, Instance] = {}  # per replication, for alpha and beta points
     for point in spec.points:
         for replication in range(spec.replications):
             started = time.perf_counter()
             try:
-                inst, seed = _sweep_instances(spec, point, replication)
+                inst, seed = _sweep_instances(spec, point, replication, bases)
                 solution = _solve_point(inst, spec.budget)
                 rows.append(_row(spec, point, replication, seed, solution,
                                  time.perf_counter() - started))

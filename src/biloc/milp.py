@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .choice import RhoTable
 from .instance import _integer, _number, _of_type, _read, _tuple_of, read_record
 
@@ -674,18 +676,21 @@ def profit_upper_bound(inst: "Instance", rho: RhoTable) -> float:
     without any search; a positive bound certifies nothing, since it ignores
     capacity and minimum-demand gates.
     """
-    min_cost = inst.costs.min(axis=0)  # (J, M)
+    # per category and service, its members' cheapest costs added one by one
+    groups = inst.customers_by_category
+    width = max(map(len, groups.values())) + 1
+    members = [[*js] + [inst.n_customers] * (width - len(js))  # J costs 0
+               for js in groups.values()]
+    min_cost = np.vstack([inst.costs.min(axis=0), np.zeros(inst.n_services)])
+    serve_costs = np.add.accumulate(min_cost[members], axis=1)[:, -1].tolist()
     total = 0.0
-    for n in range(inst.n_shippers):
-        for k in range(inst.categories_per_shipper[n]):
-            d_k = inst.category_demand(n, k)
-            members = inst.customers_by_category[(n, k)]
-            best = 0.0
-            for m in inst.services_by_category[n][k]:
-                serve_cost = float(sum(min_cost[j, m] for j in members))
-                for p, q in enumerate(inst.ladder(n, m).prices):
-                    best = max(best, rho.get(n, k, m, p) * (d_k * q - serve_cost))
-            total += best
+    for (n, k), serve_cost in zip(groups, serve_costs):
+        d_k = inst.category_demand(n, k)
+        best = 0.0
+        for m in inst.services_by_category[n][k]:
+            for p, q in enumerate(inst.ladder(n, m).prices):
+                best = max(best, rho.get(n, k, m, p) * (d_k * q - serve_cost[m]))
+        total += best
     return total - min(f.fixed_cost for f in inst.facilities)
 
 

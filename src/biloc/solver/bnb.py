@@ -108,6 +108,11 @@ class _StructuredData:
     when the open facilities are exactly the bits of ``mask``:
     probability-weighted revenue minus probability-weighted cheapest serving
     cost.  Padding entries carry -BIG so vectorized maxima ignore them.
+
+    Masks 2^i to 2^(i+1) - 1 are masks 0 to 2^i - 1 plus facility i, so
+    every mask's cheapest and second-cheapest costs and first cheapest
+    facility come from one step per facility, with no loop over masks; sums
+    add their terms in a loop's order, so each table is the same to the bit.
     """
 
     def __init__(self, inst: "Instance", rho: RhoTable):
@@ -130,43 +135,51 @@ class _StructuredData:
         C = len(self.cats)
         M = inst.n_services
 
-        O = max((sum(len(inst.ladder(n, m).prices)
-                     for m in inst.services_by_category[n][k])
-                 for n, k in self.cats), default=1)
-        self.off_valid = np.zeros((C, O), dtype=bool)
-        self.off_slot = np.full((C, O), 0, dtype=int)
-        self.off_m = np.zeros((C, O), dtype=int)
-        self.off_p = np.full((C, O), -1, dtype=int)
-        self.off_rho = np.zeros((C, O))
-        self.off_rev = np.zeros((C, O))
-        self.off_weight = np.full((C, O), np.inf)
+        # (slot, service, ladder position, acceptance, price) of each offer;
+        # padding has position -1
+        offers = [[(slot_index[(n, m)], m, p, rho.get(n, k, m, p), q)
+                   for m in inst.services_by_category[n][k]
+                   for p, q in enumerate(inst.ladder(n, m).prices)]
+                  for n, k in self.cats]
+        O = max(map(len, offers), default=1)
+        slot, service, position, self.off_rho, price = np.array(
+            [row + [(0, 0, -1, 0.0, 0.0)] * (O - len(row)) for row in offers],
+            dtype=float).reshape(C * O, 5).T.copy().reshape(5, C, O)
+        self.off_slot, self.off_m, self.off_p = (c.astype(int) for c in (slot, service, position))
+        self.off_valid = self.off_p >= 0
+        self.off_rev = self.off_rho * self.cat_demand[:, None] * price
+        gamma = np.array([s.gamma for s in inst.service_levels])
+        self.off_weight = np.where(self.off_valid,
+                                   gamma[self.off_m] * self.cat_demand[:, None], np.inf)
         min_rho = np.full((C, M), np.inf)  # lowest acceptance per service ladder
-        for c, (n, k) in enumerate(self.cats):
-            d_k = inst.category_demand(n, k)
-            o = 0
-            for m in inst.services_by_category[n][k]:
-                ladder = inst.ladder(n, m)
-                for p, q in enumerate(ladder.prices):
-                    r = rho.get(n, k, m, p)
-                    self.off_valid[c, o] = True
-                    self.off_slot[c, o] = slot_index[(n, m)]
-                    self.off_m[c, o] = m
-                    self.off_p[c, o] = p
-                    self.off_rho[c, o] = r
-                    self.off_rev[c, o] = r * d_k * q
-                    self.off_weight[c, o] = inst.service_levels[m].gamma * d_k
-                    min_rho[c, m] = min(min_rho[c, m], r)
-                    o += 1
+        np.minimum.at(min_rho, (np.arange(C)[:, None], self.off_m),
+                      np.where(self.off_valid, self.off_rho, np.inf))
 
         I = inst.n_facilities
         self.n_masks = 1 << I
-        caps = np.array([f.capacity for f in inst.facilities])
-        fixed = np.array([f.fixed_cost for f in inst.facilities])
-        members = [np.array([(1 << i) & mask != 0 for i in range(I)])
-                   for mask in range(self.n_masks)]
-        self.mask_capacity = np.array([caps[sel].sum() for sel in members])
-        self.mask_fixed_cost = np.array([fixed[sel].sum() for sel in members])
+        per_facility = np.array([[f.capacity, f.fixed_cost] for f in inst.facilities]).T
+        member = (np.arange(self.n_masks)[:, None] >> np.arange(I)) & 1 == 1
+        sums = np.zeros((2, self.n_masks))
+        for size in range(1, I + 1):  # summed as per_facility[:, members].sum(axis=1)
+            same = np.flatnonzero(member.sum(axis=1) == size)  # one run per mask
+            runs = np.nonzero(member[same])[1].reshape(-1, size)
+            sums[:, same] = np.take(per_facility, runs, axis=1).sum(axis=2)
+        self.mask_capacity, self.mask_fixed_cost = sums
         self.mask_limit = capacity_limit(self.mask_capacity)
+
+        # per (mask, customer, service): the cheapest serving cost, the first
+        # facility attaining it and the second-cheapest cost (inf with one
+        # facility open); mask 0 opens nothing and is left out below
+        cost = np.empty((self.n_masks, *inst.costs.shape[1:]))
+        second = np.empty_like(cost)
+        cost[0] = second[0] = np.inf
+        at = np.zeros(cost.shape, dtype=np.int8)
+        for i, row in enumerate(inst.costs):
+            old, new = slice(0, 1 << i), slice(1 << i, 2 << i)
+            np.minimum(second[old], np.maximum(cost[old], row), out=second[new])
+            at[new] = at[old]
+            at[new][row < cost[old]] = i
+            np.minimum(cost[old], row, out=cost[new])
 
         # cheapest serving cost per (facility mask, category, service), plus
         # the overflow machinery: per mask, which facility each customer's
@@ -175,37 +188,26 @@ class _StructuredData:
         # per unit of scaled load) anyone at that facility would pay to move.
         # ``loads_at[c, m, i, mask]`` has one more service, M, that loads
         # nothing: the service of a category without a committed offer
-        J = inst.n_customers
-        cheap = np.full((self.n_masks, C, M), _BIG)
-        cat_members = [inst.customers_by_category[nk] for nk in self.cats]
-        gamma = np.array([s.gamma for s in inst.service_levels])
-        demand = np.array([c.demand for c in inst.customers])
-        scaled_load = gamma[None, :] * demand[:, None]  # (J, M)
-
-        # a category without customers costs nothing to serve, from any mask
-        cheap[:, [c for c, js in enumerate(cat_members) if not js], :] = 0.0
-
+        cheap = np.zeros((self.n_masks, C, M))  # no customers cost nothing
+        for c, nk in enumerate(self.cats):  # a contiguous copy sums as a loop did
+            cheap[1:, c] = np.take(cost[1:], inst.customers_by_category[nk], axis=1).sum(axis=1)
+        cat_of = np.array([self.cats.index((c.shipper, c.category)) for c in inst.customers])
+        cheap[0, np.bincount(cat_of, minlength=C) > 0] = _BIG  # mask 0 serves no one
+        scaled_load = gamma * np.array([c.demand for c in inst.customers])[:, None]  # (J, M)
+        regret_rate = second[1:]
+        regret_rate -= cost[1:]
+        regret_rate /= scaled_load
+        del cost  # spent (mask, customer, service) arrays are freed at once
+        bins = (cat_of[:, None] * M + np.arange(M)) * I + at[1:]  # flat (c, m, i, mask)
+        bins *= self.n_masks
+        bins += np.arange(1, self.n_masks)[:, None, None]
+        raw_rate_min = np.full((C, M, I, self.n_masks), np.inf)
+        np.minimum.at(raw_rate_min.reshape(-1), bins.ravel(), regret_rate.ravel())
+        del second, regret_rate, at
         self.loads_at = np.zeros((C, M + 1, I, self.n_masks))
-        raw_rate_min = np.full((self.n_masks, C, M, I), np.inf)
-        for mask in range(1, self.n_masks):
-            rows = [i for i in range(I) if mask & (1 << i)]
-            sub = inst.costs[rows]  # (F', J, M)
-            min_cost = sub.min(axis=0)
-            arg_local = sub.argmin(axis=0)  # (J, M)
-            arg_fac = np.array(rows)[arg_local]
-            if len(rows) >= 2:
-                second = np.partition(sub, 1, axis=0)[1]
-            else:
-                second = np.full((J, M), np.inf)
-            regret_rate = (second - min_cost) / scaled_load  # (J, M)
-            for c, js in enumerate(cat_members):
-                if not js:
-                    continue
-                js = list(js)
-                cheap[mask, c, :] = min_cost[js, :].sum(axis=0)
-                at = (np.arange(M), arg_fac[js])  # (service, facility) per member
-                np.add.at(self.loads_at[c, :, :, mask], at, scaled_load[js])
-                np.minimum.at(raw_rate_min[mask, c], at, regret_rate[js])
+        self.loads_at[:, :M] = np.bincount(  # loads add up in customer order
+            bins.ravel(), weights=np.broadcast_to(scaled_load, bins.shape).ravel(),
+            minlength=raw_rate_min.size).reshape(raw_rate_min.shape)
         rows = np.arange(C)[:, None]
         val = self.off_rev[None, :, :] - self.off_rho[None, :, :] * cheap[:, rows, self.off_m]
         val[:, ~self.off_valid] = -_BIG
@@ -214,15 +216,12 @@ class _StructuredData:
         # node-independent move rate: min over every offerable (category,
         # service) pair of (lowest acceptance probability on that ladder) x
         # (raw regret rate); pairs that cannot be offered contribute nothing
-        offerable = np.isfinite(min_rho)[None, :, :, None]
-        finite_raw = np.isfinite(raw_rate_min)
-        rho_safe = np.where(np.isfinite(min_rho), min_rho, 0.0)[None, :, :, None]
-        raw_safe = np.where(finite_raw, raw_rate_min, 0.0)
-        weighted = np.where(offerable & finite_raw, raw_safe * rho_safe, np.inf)
+        finite = np.isfinite(raw_rate_min) & np.isfinite(min_rho)[:, :, None, None]
+        rho_safe = np.where(np.isfinite(min_rho), min_rho, 0.0)[:, :, None, None]
+        weighted = np.where(finite, np.where(finite, raw_rate_min, 0.0) * rho_safe, np.inf)
         self.overflow_rate = np.minimum(  # (I, masks)
-            weighted.reshape(self.n_masks, C * M, I).min(axis=1), _BIG
-        ).T.copy()
-        self.facility_limit = capacity_limit(caps)
+            weighted.reshape(C * M, I, self.n_masks).min(axis=0), _BIG)
+        self.facility_limit = capacity_limit(per_facility[0])
 
     def overflow_correction(self, states: np.ndarray) -> np.ndarray:
         """(nodes, masks) lower bound on extra transport cost each node's
@@ -410,31 +409,25 @@ def _leaf_value(data: _StructuredData, state: tuple, mask_bound: np.ndarray,
     return best
 
 
-def _warm_start(data: _StructuredData, deadline: float | None):
-    """Incumbent that seeds pruning, valued like a leaf; None when it earns
-    nothing.
-
-    A dive: category by category, each takes its most valuable allowed
-    offer with every facility open if that value is positive, else none.
-    Slots whose committed demand then misses the gate lose their offers;
-    dropping one slot's offers leaves every other slot's committed demand
-    unchanged, so one pass repairs every gate.
-    """
+def _dive(data: _StructuredData) -> tuple:
+    """The warm start's leaf: each category takes its most valuable allowed
+    offer with every facility open if that value is positive, else none,
+    round r deciding the r-th category of every shipper (shippers share no
+    price slot).  Slots whose committed demand then misses the gate lose
+    their offers, which moves no other slot's, so one pass repairs all."""
     value = data.val[:, :, -1]  # (C, O), every facility open
-    state = [_UNDECIDED] * len(data.cats)
-    for c in range(len(data.cats)):
-        allowed = _node_offers(data, np.array([state]))[0][0]
-        row = np.where(allowed[c], value[c], -_BIG)
-        o = int(np.argmax(row))
-        state[c] = o if row[o] > 0.0 else _NONE
+    rank = np.array([k for _n, k in data.cats], dtype=int)
+    state = np.full(len(data.cats), _UNDECIDED)
+    for r in range(int(rank.max(initial=-1)) + 1):
+        cats = np.flatnonzero(rank == r)
+        rows = np.where(_node_offers(data, state[None])[0][0, cats], value[cats], -_BIG)
+        best = rows.argmax(axis=1)
+        state[cats] = np.where(rows[np.arange(len(cats)), best] > 0.0, best, _NONE)
 
-    _allowed, _conflict, missed = _node_offers(data, np.array([state]))
-    for c, o in enumerate(state):
-        if o >= 0 and missed[0, data.off_slot[c, o]]:
-            state[c] = _NONE
-    state = tuple(state)
-    [(bounds, _allowed)] = _derive(data, [state])
-    return _leaf_value(data, state, bounds, 0.0, deadline)
+    missed = _node_offers(data, state[None])[2][0]
+    committed = np.flatnonzero(state >= 0)
+    state[committed[missed[data.off_slot[committed, state[committed]]]]] = _NONE
+    return tuple(state.tolist())
 
 
 def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
@@ -454,7 +447,10 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
                         seconds=time.perf_counter() - start, gap=0.0)
 
     data = _StructuredData(inst, rho)
-    payload = _warm_start(data, deadline)
+    # the dive's leaf, valued like any leaf, seeds pruning
+    warm = _dive(data)
+    [(warm_bounds, _allowed)] = _derive(data, [warm])
+    payload = _leaf_value(data, warm, warm_bounds, 0.0, deadline)
     incumbent = 0.0 if payload is None else payload[0]
 
     root = (_UNDECIDED,) * len(data.cats)
@@ -464,10 +460,8 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
         diagnostics.root_bound = root_bound
 
     # heap entries: (-bound, -depth, tie, state, bound per mask, allowed offers)
-    heap: list = []
     ticket = _counter()
-    heapq.heappush(heap, (-root_bound, 0, next(ticket), root, root_bounds,
-                          root_allowed))
+    heap = [(-root_bound, 0, next(ticket), root, root_bounds, root_allowed)]
     nodes = 0
     open_bound = None  # bound of the node left unfinished when the budget ran out
 

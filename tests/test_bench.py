@@ -1,5 +1,8 @@
 """Sweep harness, CSV artifacts, and the worked example."""
 
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 from biloc import bench
@@ -31,6 +34,26 @@ def test_csv_deterministic_up_to_timing(tmp_path):
     bench.run_sweep(bench.SweepSpec(**spec, out_path=str(a)))
     bench.run_sweep(bench.SweepSpec(**spec, out_path=str(b)))
     assert _strip_seconds(a) == _strip_seconds(b)
+
+
+def test_alpha_and_beta_points_share_their_replication_base(monkeypatch):
+    # each replication's base instance is generated once, and every row is
+    # the one a freshly generated instance gives, up to the timing
+    made = []
+    real = bench.generate
+    monkeypatch.setattr(bench, "generate", lambda params: made.append(params.seed) or real(params))
+    for kind, points in (("alpha", (-0.3, -0.1, 0.0)), ("beta", (0.5, 2.0))):
+        made.clear()
+        spec = bench.SweepSpec(kind=kind, points=points, base=MICRO, replications=2)
+        rows = bench.run_sweep(spec)
+        assert made == [MICRO.seed, MICRO.seed + 1]
+        for row, (point, replication) in zip(rows, product(points, range(2)), strict=True):
+            inst = real(replace(MICRO, seed=MICRO.seed + replication))
+            model = inst.choice_model
+            model = model.with_alpha(point) if kind == "alpha" else model.with_beta(point)
+            solution = bench._solve_point(inst.with_choice_model(model), None)
+            fresh = bench._row(spec, point, replication, MICRO.seed + replication, solution, 0.0)
+            assert {**row, "seconds": None} == {**fresh, "seconds": None}
 
 
 def test_csv_schema_and_columns(tmp_path):

@@ -15,6 +15,7 @@ from biloc import (
     acceptance_probability,
     alpha_for_target_rho,
     alpha_sweep_values,
+    bench,
     deterministic_utility,
     generate,
     offer_utility,
@@ -275,6 +276,19 @@ def test_rho_table_constant_validates():
 def test_choice_model_rejects_zero_beta():
     with pytest.raises(ValueError):
         ChoiceModel.uniform_spec(1, (1,), 1, beta=0.0)
+
+
+def test_closed_form_table_equals_rho_closed_form_bit_for_bit():
+    # the search's goldens rest on these exact values: numpy's exp differs
+    # from math.exp in the last bit on some arguments, so a vectorized table
+    # would move them
+    desk = generate(bench.DESK_PARAMS)
+    for alpha in bench.default_alpha_grid():
+        inst = desk.with_choice_model(desk.choice_model.with_alpha(alpha))
+        table = RhoTable.closed_form(inst)
+        assert list(table.values) == list(inst.offer_keys())
+        for key, value in table.items():
+            assert value.hex() == rho_closed_form(inst, *key).hex(), (alpha, key)
 
 
 def test_rho_table_saa_equals_rho_saa_on_desk_instance():

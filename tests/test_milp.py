@@ -7,6 +7,7 @@ import pytest
 from biloc import (
     RhoTable,
     Solution,
+    bench,
     build,
     certifies_trivial,
     enumerate_oracle,
@@ -27,7 +28,8 @@ from biloc.milp import (
     check_solution,
 )
 
-from conftest import external_milp_optimum, single_offer_instance, tiny_params
+from conftest import (external_milp_optimum, single_offer_instance, tiny_family_instance,
+                      tiny_params)
 
 
 def expected_counts(inst):
@@ -187,6 +189,40 @@ def test_upper_bound_certification_is_sound():
         assert max(bound, 0.0) >= optimum - 1e-9
         if certifies_trivial(bound):
             assert optimum == 0.0
+
+
+def _bound_by_customer_sums(inst, rho):
+    """The capacity-blind bound with every serving cost summed customer by
+    customer in plain Python."""
+    min_cost = inst.costs.min(axis=0)
+    total = 0.0
+    for n in range(inst.n_shippers):
+        for k in range(inst.categories_per_shipper[n]):
+            d_k = inst.category_demand(n, k)
+            members = inst.customers_by_category[(n, k)]
+            best = 0.0
+            for m in inst.services_by_category[n][k]:
+                serve_cost = float(sum(min_cost[j, m] for j in members))
+                for p, q in enumerate(inst.ladder(n, m).prices):
+                    best = max(best, rho.get(n, k, m, p) * (d_k * q - serve_cost))
+            total += best
+    return total - min(f.fixed_cost for f in inst.facilities)
+
+
+def test_upper_bound_equals_the_customer_by_customer_sums():
+    # bit for bit, so no point's trivial verdict can move: the tiny family,
+    # the desk alpha grid, and one service with twelve customers per
+    # category, where numpy's pairwise sum would regroup the additions
+    desk = generate(bench.DESK_PARAMS)
+    instances = [*(tiny_family_instance(seed) for seed in range(200)),
+                 *(desk.with_choice_model(desk.choice_model.with_alpha(alpha))
+                   for alpha in bench.default_alpha_grid()),
+                 *(generate(tiny_params(seed=seed, n_services=1, n_customers=24,
+                                        n_shippers=1, categories_per_shipper=2))
+                   for seed in range(10))]
+    for inst in instances:
+        rho = RhoTable.closed_form(inst)
+        assert profit_upper_bound(inst, rho).hex() == _bound_by_customer_sums(inst, rho).hex()
 
 
 def test_evaluate_all_zero_solution(tiny_instance, tiny_rho):

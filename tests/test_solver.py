@@ -29,11 +29,13 @@ from biloc.solver.bnb import (
     _NONE,
     _UNDECIDED,
     _derive,
+    _dive,
     _node_offers,
     _prune_tol,
     _StructuredData,
 )
 from biloc.solver.serving import evaluate_offers, transport_offers
+from biloc.solver.transportation import capacity_limit
 
 from conftest import single_offer_instance, tiny_family_instance, tiny_params
 
@@ -293,7 +295,7 @@ def test_time_limit_returns_incumbent_and_gap():
 
 def test_budget_holds_through_warm_start_and_leaves():
     # here the warm start alone ranks and transports 135 facility subsets of
-    # 1,024, about 2.2 s on a 2-vCPU guest after 0.5 s of precompute, and the
+    # 1,024, about 2.2 s on a 2-vCPU guest after 0.05 s of precompute, and the
     # full solve takes longer than 20 s: the budget runs out inside a single
     # leaf evaluation, so only the deadline check in its subset loop stops it
     inst = generate(tiny_params(seed=4, n_facilities=10, n_customers=400,
@@ -549,3 +551,145 @@ def test_batched_derivation_equals_single_derivation(monkeypatch):
     for bounds, allowed in derived[:-1]:
         assert allowed is None and np.all(bounds == -_BIG)
     assert derived[-1][1] is not None and derived[-1][0].max() > -_BIG
+
+
+# -- structured set-up ---------------------------------------------------------
+
+def _set_up_by_loops(inst, rho) -> dict:
+    """Every array of ``_StructuredData``, built offer by offer and facility
+    mask by mask with plain loops: the reference its whole-array set-up must
+    equal bit for bit."""
+    slots = [(n, m) for n in range(inst.n_shippers) for m in inst.shipper_services(n)]
+    cats = [(n, k) for n in range(inst.n_shippers) for k in range(inst.categories_per_shipper[n])]
+    gates = [inst.ladder(n, m).min_demands for n, m in slots]
+    C, M, I, masks = len(cats), inst.n_services, inst.n_facilities, 1 << inst.n_facilities
+    O = max((sum(len(inst.ladder(n, m).prices) for m in inst.services_by_category[n][k])
+             for n, k in cats), default=1)
+    t = {"slot_level": np.zeros((len(gates), max(map(len, gates), default=1))),
+         "cat_demand": np.array([inst.category_demand(n, k) for n, k in cats]),
+         "off_valid": np.zeros((C, O), dtype=bool), "off_slot": np.zeros((C, O), dtype=int),
+         "off_m": np.zeros((C, O), dtype=int), "off_p": np.full((C, O), -1),
+         "off_rho": np.zeros((C, O)), "off_rev": np.zeros((C, O)),
+         "off_weight": np.full((C, O), np.inf), "loads_at": np.zeros((C, M + 1, I, masks))}
+    for s, levels in enumerate(gates):
+        t["slot_level"][s, :len(levels)] = levels
+    min_rho = np.full((C, M), np.inf)
+    for c, (n, k) in enumerate(cats):
+        d_k, o = inst.category_demand(n, k), 0
+        for m in inst.services_by_category[n][k]:
+            for p, q in enumerate(inst.ladder(n, m).prices):
+                r = rho.get(n, k, m, p)
+                for name, value in (("off_valid", True), ("off_slot", slots.index((n, m))),
+                                    ("off_m", m), ("off_p", p), ("off_rho", r),
+                                    ("off_rev", r * d_k * q),
+                                    ("off_weight", inst.service_levels[m].gamma * d_k)):
+                    t[name][c, o] = value
+                min_rho[c, m], o = min(min_rho[c, m], r), o + 1
+    caps = np.array([f.capacity for f in inst.facilities])
+    fixed = np.array([f.fixed_cost for f in inst.facilities])
+    member = [np.array([mask >> i & 1 == 1 for i in range(I)]) for mask in range(masks)]
+    t["mask_capacity"] = np.array([caps[sel].sum() for sel in member])
+    t["mask_fixed_cost"] = np.array([fixed[sel].sum() for sel in member])
+    t["mask_limit"], t["facility_limit"] = capacity_limit(t["mask_capacity"]), capacity_limit(caps)
+    scaled = np.array([[s.gamma * c.demand for s in inst.service_levels] for c in inst.customers])
+    cheap = np.full((masks, C, M), _BIG)
+    raw = np.full((masks, C, M, I), np.inf)
+    for mask in range(masks):
+        rows = np.flatnonzero(member[mask])
+        sub = inst.costs[rows]
+        for c, nk in enumerate(cats):
+            js = list(inst.customers_by_category[nk])
+            if not js:
+                cheap[mask, c] = 0.0
+            elif mask:
+                cheap[mask, c] = sub.min(axis=0)[js].sum(axis=0)
+                at = (np.arange(M), rows[sub.argmin(axis=0)][js])
+                np.add.at(t["loads_at"][c, :, :, mask], at, scaled[js])
+                second = np.partition(sub, 1, axis=0)[1] if len(rows) > 1 else np.inf
+                np.minimum.at(raw[mask, c], at, ((second - sub.min(axis=0)) / scaled)[js])
+    val = t["off_rev"] - t["off_rho"] * cheap[:, np.arange(C)[:, None], t["off_m"]]
+    val[:, ~t["off_valid"]] = -_BIG
+    t["val"] = val.transpose(1, 2, 0)
+    t["overflow_rate"] = np.full((I, masks), np.inf)
+    for mask, c, m, i in product(range(masks), range(C), range(M), range(I)):
+        if np.isfinite(min_rho[c, m]) and np.isfinite(raw[mask, c, m, i]):
+            rate = raw[mask, c, m, i] * min_rho[c, m]
+            t["overflow_rate"][i, mask] = min(t["overflow_rate"][i, mask], rate)
+    t["overflow_rate"] = np.minimum(t["overflow_rate"], _BIG)
+    return t
+
+
+def _customerless_category(seed):
+    # the customers of the third category move to the second
+    inst = _edge_base(seed)
+    return replace(inst, customers=tuple(replace(c, category=min(c.category, 1))
+                                         for c in inst.customers))
+
+
+def _tied_facilities(seed):
+    # facility 1 costs what facility 0 costs: the first of them is cheapest
+    inst = _edge_base(seed)
+    costs = inst.costs.copy()
+    costs[1] = costs[0]
+    return replace(inst, costs=costs)
+
+
+def test_set_up_equals_the_per_mask_loops():
+    # every array attribute, bytes, dtype and shape, on the tiny family, the
+    # desk sweep, full scale and degenerate inputs.  One service with twelve
+    # customers per category sums them pairwise (more services add them one
+    # by one), and so do masks of eight or more facilities
+    started = time.perf_counter()
+    instances = [*(tiny_family_instance(seed) for seed in range(40)), *_desk_sweep(),
+                 _full_scale(), generate(tiny_params(seed=3, n_facilities=1, n_customers=8)),
+                 _customerless_category(0), _zero_capacity(0), _tied_facilities(0),
+                 generate(tiny_params(seed=2, n_services=1, n_customers=24,
+                                      n_shippers=1, categories_per_shipper=2)),
+                 generate(tiny_params(seed=1, n_facilities=9, n_customers=6))]
+    assert not _customerless_category(0).customers_by_category[(0, 2)]
+    for inst in instances:
+        rho = RhoTable.closed_form(inst)
+        data = _StructuredData(inst, rho)
+        expected = _set_up_by_loops(inst, rho)
+        arrays = {name: value for name, value in vars(data).items()
+                  if isinstance(value, np.ndarray)}
+        assert arrays.keys() == expected.keys()
+        for name, value in arrays.items():
+            want = expected[name]
+            assert (value.dtype, value.shape) == (want.dtype, want.shape), name
+            assert value.tobytes() == want.tobytes(), name
+    assert time.perf_counter() - started < 2.0
+
+
+def _dive_by_category(data):
+    """The warm start's dive deciding one category per derivation."""
+    value = data.val[:, :, -1]
+    state = [_UNDECIDED] * len(data.cats)
+    for c in range(len(data.cats)):
+        row = np.where(_node_offers(data, np.array([state]))[0][0, c], value[c], -_BIG)
+        o = int(np.argmax(row))
+        state[c] = o if row[o] > 0.0 else _NONE
+    missed = _node_offers(data, np.array([state]))[2][0]
+    return tuple(_NONE if o >= 0 and missed[data.off_slot[c, o]] else o
+                 for c, o in enumerate(state))
+
+
+def test_dive_in_rounds_equals_dive_by_category():
+    # deciding the r-th category of every shipper at once changes no dive:
+    # tiny family, one to four shippers, and full scale, at six alphas
+    bases = [*(tiny_family_instance(seed) for seed in range(60)), _full_scale(),
+             *(generate(tiny_params(seed=seed, n_shippers=1 + seed % 4, n_facilities=2 + seed % 3,
+                                    categories_per_shipper=3, n_services=3, n_customers=18,
+                                    n_prices=3))
+               for seed in range(12))]
+    dives = committed = 0
+    for base in bases:
+        for alpha in (-0.4, -0.2, -0.1, -0.05, -0.02, 0.0):
+            inst = base.with_choice_model(base.choice_model.with_alpha(alpha))
+            data = _StructuredData(inst, RhoTable.closed_form(inst))
+            state = _dive(data)
+            assert state == _dive_by_category(data)
+            dives += 1
+            committed += any(o >= 0 for o in state)
+    assert dives == 438
+    assert committed >= 400
