@@ -27,7 +27,8 @@ OPT_OUT = None
 # (probability 2^-53) exact zero cannot produce an infinite noise value.
 _UNIFORM_FLOOR = 1e-300
 
-_STREAM_CHUNK = 1 << 16
+#: Draws per chunk of every noise stream; being drawn in sequence, no value depends on it.
+SCENARIO_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,9 @@ def accept_rule(u_offer: float, u_optout: float) -> bool:
 
     Exact ties are rejected.  Under continuous noise a tie has probability
     zero, but floats can produce one, so the rule must be deterministic; the
-    reject side is the conservative choice for the provider.
-    """
-    return u_offer - u_optout > 0.0
+    reject side is the conservative choice for the provider.  With gradual
+    underflow this is exactly the sign of ``u_offer - u_optout``."""
+    return u_offer > u_optout
 
 
 def deterministic_utility(
@@ -186,11 +187,8 @@ class ScenarioSet:
         return cls(count=count, seed=seed, beta=model.beta,
                    deterministic=model.deterministic)
 
-    def matches(self, model: ChoiceModel) -> bool:
-        return self.beta == model.beta and self.deterministic == model.deterministic
-
     def require_match(self, model: ChoiceModel) -> None:
-        if not self.matches(model):
+        if (self.beta, self.deterministic) != (model.beta, model.deterministic):
             raise ValueError(
                 "scenario set was drawn with (beta={}, deterministic={}) but the "
                 "model has (beta={}, deterministic={})".format(
@@ -206,25 +204,20 @@ class ScenarioSet:
         key = np.array([self.seed, packed], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def epsilon_chunks(
-        self, n: int, k: int, m: int | None, chunk: int = _STREAM_CHUNK
-    ) -> Iterator[np.ndarray]:
-        """Yield the noise draws for (n, k, m) in scenario order."""
-        if self.deterministic:
-            remaining = self.count
-            while remaining > 0:
-                take = min(chunk, remaining)
+    def epsilon_chunks(self, n: int, k: int, m: int | None) -> Iterator[np.ndarray]:
+        """Yield the noise draws for (n, k, m) in scenario order, each chunk of
+        ``SCENARIO_CHUNK`` a fresh array that the caller may overwrite."""
+        gen = None if self.deterministic else self._stream(n, k, m)
+        for start in range(0, self.count, SCENARIO_CHUNK):
+            take = min(SCENARIO_CHUNK, self.count - start)
+            if gen is None:
                 yield np.zeros(take)
-                remaining -= take
-            return
-        gen = self._stream(n, k, m)
-        remaining = self.count
-        while remaining > 0:
-            take = min(chunk, remaining)
+                continue
             u = gen.random(take)
             np.clip(u, _UNIFORM_FLOOR, None, out=u)
-            yield -self.beta * np.log(-np.log(u))
-            remaining -= take
+            np.log(np.negative(np.log(u, out=u), out=u), out=u)
+            u *= -self.beta
+            yield u
 
     def epsilon(self, n: int, k: int, m: int | None) -> np.ndarray:
         """All draws for (n, k, m) as one array (small scenario sets only)."""
@@ -257,11 +250,14 @@ def _saa_category(
     }
     hits = {(m, p): 0 for m, ps in positions.items() for p in ps}
     offer_streams = {m: scenarios.epsilon_chunks(n, k, m) for m in positions}
-    for eps_0 in scenarios.epsilon_chunks(n, k, OPT_OUT):
+    for u0 in scenarios.epsilon_chunks(n, k, OPT_OUT):
+        u0 += v0  # the outside option's utility, once per chunk
+        u = np.empty_like(u0)
         for m, stream in offer_streams.items():
             eps_m = next(stream)
             for p, v in utilities[m]:
-                hits[(m, p)] += int(np.count_nonzero(accept_rule(v + eps_m, v0 + eps_0)))
+                np.add(eps_m, v, out=u)
+                hits[(m, p)] += int(np.count_nonzero(accept_rule(u, u0)))
     return {key: count / scenarios.count for key, count in hits.items()}
 
 
@@ -317,11 +313,14 @@ class RhoTable:
 
     @classmethod
     def closed_form(cls, inst: "Instance") -> "RhoTable":
-        values = {
-            (n, k, m, p): rho_closed_form(inst, n, k, m, p)
+        """``rho_closed_form`` for every key, with the same arithmetic."""
+        model = inst.choice_model
+        return cls({
+            (n, k, m, p): acceptance_probability(
+                model.alpha * inst.ladder(n, m).prices[p] + model.preference(n, k, m),
+                model.optout(n, k), model.beta, model.deterministic)
             for n, k, m, p in inst.offer_keys()
-        }
-        return cls(values)
+        })
 
     @classmethod
     def saa(cls, inst: "Instance", scenarios: ScenarioSet) -> "RhoTable":

@@ -10,6 +10,7 @@ example).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -48,9 +49,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _rho_rows(inst, saa_count: int | None, seed: int) -> list[str]:
     lines = ["shipper,category,service,price_index,price,rho_closed_form,rho_saa"]
     closed = RhoTable.closed_form(inst)
-    saa = None
-    if saa_count:
-        saa = RhoTable.saa(inst, ScenarioSet.for_model(inst.choice_model, saa_count, seed))
+    saa = _rho_table(inst, "saa", saa_count, seed) if saa_count else None
     for (n, k, m, p), value in closed.items():
         estimate = repr(saa.get(n, k, m, p)) if saa is not None else ""
         price = inst.ladder(n, m).prices[p]
@@ -173,6 +172,7 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biloc",

@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .choice import OPT_OUT, RhoTable, ScenarioSet, accept_rule, deterministic_utility
+from .choice import (OPT_OUT, SCENARIO_CHUNK, RhoTable, ScenarioSet, accept_rule,
+                     deterministic_utility)
 from .milp import Solution, first_stage_violations
 from .solver.serving import offers_from_solution, transport_offers
 
@@ -33,8 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 REDUCED = "reduced-consistent"
 REALLOC = "per-scenario-reallocation"
-
-_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -173,13 +172,13 @@ def _pattern_table(inst: "Instance", scenarios: ScenarioSet, offer_list: list,
     column.  Every noise stream is drawn once, one chunk at a time."""
     # per offer: its utility and noise, and those of its category's outside option
     rows = [(deterministic_utility(inst, n, k, m, p),
-             scenarios.epsilon_chunks(n, k, m, _CHUNK),
+             scenarios.epsilon_chunks(n, k, m),
              deterministic_utility(inst, n, k, OPT_OUT),
-             scenarios.epsilon_chunks(n, k, OPT_OUT, _CHUNK))
+             scenarios.epsilon_chunks(n, k, OPT_OUT))
             for (n, k), (m, p) in offer_list]
     chunks, chunk_counts, ids = [], [], []
-    for offset in range(0, scenarios.count, _CHUNK):
-        take = min(_CHUNK, scenarios.count - offset)
+    for offset in range(0, scenarios.count, SCENARIO_CHUNK):
+        take = min(SCENARIO_CHUNK, scenarios.count - offset)
         accept = np.empty((len(offer_list), take), dtype=bool)
         for idx, (v, offer_stream, v0, optout_stream) in enumerate(rows):
             accept[idx] = accept_rule(v + next(offer_stream), v0 + next(optout_stream))
@@ -201,13 +200,15 @@ def _acceptance_patterns(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_offers, take = accept.shape
     if n_offers == 0:
         return np.zeros((0, 1), dtype=bool), np.zeros(take, dtype=np.intp)
-    order = np.lexsort(accept)
-    ordered = accept[:, order]
+    # bit i of byte row b is offer 8b+i: these keys sort like the bool rows
+    packed = np.packbits(accept, axis=0, bitorder="little")
+    order = np.lexsort(packed)
+    ordered = packed[:, order]
     starts = np.ones(take, dtype=bool)
     np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
     index = np.empty(take, dtype=np.intp)
     index[order] = np.cumsum(starts) - 1
-    return ordered[:, starts], index
+    return accept[:, order[starts]], index
 
 
 def weighted_moments(values: np.ndarray, counts: np.ndarray

@@ -1,5 +1,6 @@
 """Utilities, acceptance probabilities, noise streams, grid helpers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -22,8 +23,9 @@ from biloc import (
     rho_closed_form,
     rho_saa,
 )
+from biloc.choice import SCENARIO_CHUNK
 
-from conftest import tiny_params
+from conftest import tiny_family_instance, tiny_params
 
 PUBLISHED_ALPHA_GRID = [-0.45289, -0.4076, -0.36231, -0.31702, -0.27173,
                         -0.22644, -0.18115, -0.13587, -0.09058, -0.04529, 0.0]
@@ -94,6 +96,21 @@ def test_accept_rule_cases():
     assert accept_rule(2.0, 3.0) is False
     # exact tie rejects: measure-zero in theory, reachable with floats
     assert accept_rule(3.0, 3.0) is False
+
+
+def test_accept_rule_is_the_sign_of_the_difference_at_the_edges():
+    # one comparison decides as the difference's sign did: signed zeros,
+    # subnormal differences, ties, infinities and nan
+    sub = 5e-324
+    edge = [0.0, -0.0, sub, -sub, 2 * sub, 3 * sub, np.finfo(float).tiny, 1.0, 1.0,
+            math.inf, -math.inf, math.nan, 1.7976931348623157e308,
+            -1.7976931348623157e308]
+    for a, b in itertools.product(edge, repeat=2):
+        assert accept_rule(a, b) is (a - b > 0.0), (a, b)
+    u_offer, u_optout = np.meshgrid(edge, edge)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = u_offer - u_optout > 0.0
+    assert np.array_equal(accept_rule(u_offer, u_optout), expected)
 
 
 def test_degenerate_flag_gives_indicator(tiny_instance):
@@ -173,10 +190,27 @@ def test_scenario_draws_reproducible():
 
 
 def test_scenario_chunks_concatenate_to_full_stream():
-    scen = ScenarioSet(count=300, seed=9, beta=2.0)
-    whole = scen.epsilon(1, 0, 0)
-    chunked = np.concatenate(list(scen.epsilon_chunks(1, 0, 0, chunk=64)))
-    assert np.array_equal(whole, chunked)
+    # draws are consumed in sequence: a shorter set is a prefix of a longer
+    # one, across chunk boundaries
+    count = 2 * SCENARIO_CHUNK + 7
+    chunks = list(ScenarioSet(count=count, seed=9, beta=2.0).epsilon_chunks(1, 0, 0))
+    assert [chunk.size for chunk in chunks] == [SCENARIO_CHUNK, SCENARIO_CHUNK, 7]
+    shorter = ScenarioSet(count=SCENARIO_CHUNK + 3, seed=9, beta=2.0).epsilon(1, 0, 0)
+    assert np.array_equal(np.concatenate(chunks)[:shorter.size], shorter)
+
+
+def test_scenario_chunks_are_fresh_arrays_of_the_gumbel_transform():
+    # callers overwrite chunks in place, so no two may share memory
+    count = 3 * SCENARIO_CHUNK + 100
+    scen = ScenarioSet(count=count, seed=9, beta=2.0)
+    for drawn in (scen, ScenarioSet(count=count, seed=9, beta=2.0, deterministic=True)):
+        chunks = list(drawn.epsilon_chunks(1, 0, 0))
+        assert len(chunks) == 4
+        for a, b in itertools.combinations(chunks, 2):
+            assert not np.shares_memory(a, b)
+    u = scen._stream(1, 0, 0).random(count)
+    expected = -2.0 * np.log(-np.log(np.clip(u, 1e-300, None)))
+    assert scen.epsilon(1, 0, 0).tobytes() == expected.tobytes()
 
 
 def test_scenario_draws_match_gumbel_moments():
@@ -283,12 +317,20 @@ def test_closed_form_table_equals_rho_closed_form_bit_for_bit():
     # from math.exp in the last bit on some arguments, so a vectorized table
     # would move them
     desk = generate(bench.DESK_PARAMS)
-    for alpha in bench.default_alpha_grid():
-        inst = desk.with_choice_model(desk.choice_model.with_alpha(alpha))
+    instances = [desk.with_choice_model(desk.choice_model.with_alpha(alpha)
+                                        .with_deterministic(flag))
+                 for alpha in bench.default_alpha_grid() for flag in (False, True)]
+    instances += [tiny_family_instance(seed) for seed in range(40)]
+    seen = set()
+    for inst in instances:
         table = RhoTable.closed_form(inst)
         assert list(table.values) == list(inst.offer_keys())
         for key, value in table.items():
-            assert value.hex() == rho_closed_form(inst, *key).hex(), (alpha, key)
+            assert value.hex() == rho_closed_form(inst, *key).hex(), (inst.choice_model,
+                                                                       key)
+            if inst.choice_model.deterministic:
+                seen.add(value)
+    assert seen == {0.0, 1.0}
 
 
 def test_rho_table_saa_equals_rho_saa_on_desk_instance():
@@ -301,3 +343,25 @@ def test_rho_table_saa_equals_rho_saa_on_desk_instance():
     assert list(table.values) == list(inst.offer_keys())
     for (n, k, m, p), value in table.items():
         assert value == rho_saa(inst, n, k, m, p, scen)
+
+
+def _saa_by_subtraction(inst, scen):
+    """Sample-average probability of every key from whole streams, with the
+    accept rule written as the sign of the utility difference."""
+    model = inst.choice_model
+    values = {}
+    for n, k, m, p in inst.offer_keys():
+        u_offer = deterministic_utility(inst, n, k, m, p) + scen.epsilon(n, k, m)
+        u_optout = model.optout(n, k) + scen.epsilon(n, k, OPT_OUT)
+        values[(n, k, m, p)] = np.count_nonzero(u_offer - u_optout > 0.0) / scen.count
+    return values
+
+
+@pytest.mark.parametrize("count", [1, 16_383, 16_384, 16_385, 40_000])
+def test_saa_table_equals_a_whole_stream_count(count):
+    desk = generate(bench.DESK_PARAMS)
+    instances = [desk, desk.with_choice_model(desk.choice_model.with_deterministic(True))]
+    instances += [tiny_family_instance(seed) for seed in range(10)]
+    for inst in instances:
+        scen = ScenarioSet.for_model(inst.choice_model, count, seed=count % 7)
+        assert RhoTable.saa(inst, scen).values == _saa_by_subtraction(inst, scen)

@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from biloc import RhoTable, ScenarioSet, Solution, bench, generate, load, save, solve
-from biloc.cli import main
+from biloc import RhoTable, ScenarioSet, Solution, bench, generate, load, oracle, save, solve
+from biloc.cli import build_parser, main
 
 
 @pytest.fixture
@@ -93,6 +93,31 @@ def test_simulate_both_modes_draws_each_stream_once(tmp_path, monkeypatch):
     # six offers, each with its own stream and its category's opt-out stream
     assert sum(opened.values()) == 12
     assert set(opened.values()) == {1}
+
+
+def test_commands_in_one_process_share_the_parser_but_not_options(inst_path, tmp_path):
+    assert build_parser() is build_parser()
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", str(inst_path), "--out", str(sol_path)]) == 0
+    sampled, closed = tmp_path / "sampled.csv", tmp_path / "closed.csv"
+    assert main(["rho", str(inst_path), "--saa", "50", "--seed", "4",
+                 "-o", str(sampled)]) == 0
+    assert main(["rho", str(inst_path), "-o", str(closed)]) == 0
+    assert main(["simulate", str(inst_path), str(sol_path), "--scenarios", "50",
+                 "--out", str(tmp_path / "sim.csv")]) == 0
+    sampled_rows = [line.split(",") for line in sampled.read_text().splitlines()[1:]]
+    closed_rows = [line.split(",") for line in closed.read_text().splitlines()[1:]]
+    assert all(row[6] for row in sampled_rows)
+    assert [row[:6] for row in closed_rows] == [row[:6] for row in sampled_rows]
+    assert all(row[6] == "" for row in closed_rows)
+    # simulate ran with its own defaults: both modes and seed 0
+    inst = load(inst_path)
+    expected = oracle.simulate(inst, Solution.load(sol_path),
+                               ScenarioSet.for_model(inst.choice_model, 50, 0),
+                               modes=(oracle.REDUCED, oracle.REALLOC))
+    lines = (tmp_path / "sim.csv").read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:3]] == [
+        [mode, "50", repr(result.mean_profit)] for mode, result in expected.items()]
 
 
 def test_sweep_with_config(inst_path, tmp_path):

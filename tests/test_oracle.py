@@ -14,12 +14,14 @@ from biloc import (
     bench,
     generate,
     offer_utility,
+    oracle,
     simulate,
     solve,
 )
 
+from biloc.choice import SCENARIO_CHUNK
 from biloc.milp import evaluate
-from biloc.oracle import standard_error, weighted_moments
+from biloc.oracle import _acceptance_patterns, standard_error, weighted_moments
 from biloc.solver.serving import offers_from_solution, transport_offers
 
 from conftest import single_offer_instance, tiny_family_instance, tiny_params
@@ -107,10 +109,11 @@ def test_rejecting_categories_contribute_exactly_zero():
 @pytest.mark.parametrize("mode", [REDUCED, REALLOC])
 def test_outcomes_match_a_scenario_by_scenario_replay(mode):
     # simulate values each acceptance pattern once; rebuild sampled scenarios
-    # one at a time from their draws, across the chunk boundary at 32768
+    # one at a time from their draws, across the chunk boundaries
     inst = tiny_family_instance(50)  # 4 offers, a gate missed about half the time
     solution = solve(inst, RhoTable.closed_form(inst))
     scen = ScenarioSet.for_model(inst.choice_model, 40_000, seed=6)
+    assert scen.count > 2 * SCENARIO_CHUNK
     result = simulate(inst, solution, scen, modes=(mode,), keep_outcomes=True)[mode]
     offers = offers_from_solution(inst, solution)
     model = inst.choice_model
@@ -263,6 +266,44 @@ def test_gate_shortfall_rate_is_pinned(mode):
     assert result.violation_rate == {(1, 0): 0.6906}
     flagged = sum((1, 0) in o.min_demand_violations for o in result.outcomes)
     assert flagged == 13_812
+
+
+def _acceptance_patterns_of_bool_rows(accept):
+    """Reference pattern table: the columns sorted by lexsorting the bool rows."""
+    n_offers, take = accept.shape
+    if n_offers == 0:
+        return np.zeros((0, 1), dtype=bool), np.zeros(take, dtype=np.intp)
+    order = np.lexsort(accept)
+    ordered = accept[:, order]
+    starts = np.ones(take, dtype=bool)
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
+    index = np.empty(take, dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    return ordered[:, starts], index
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n_offers", [0, 1, 7, 8, 9, 16, 17, 70])
+def test_packed_pattern_table_equals_the_bool_row_table(n_offers, rate):
+    rng = np.random.default_rng(n_offers)
+    accept = rng.random((n_offers, 3_000)) < rate
+    table, index = _acceptance_patterns(accept)
+    expected_table, expected_index = _acceptance_patterns_of_bool_rows(accept)
+    assert table.dtype == bool
+    assert np.array_equal(table, expected_table)
+    assert np.array_equal(index, expected_index)
+    assert np.array_equal(np.bincount(index), np.bincount(expected_index))
+    assert np.array_equal(table[:, index], accept)
+
+
+def test_outcomes_do_not_depend_on_how_patterns_are_sorted(monkeypatch):
+    inst = tiny_family_instance(15)
+    solution = solve(inst, RhoTable.closed_form(inst))
+    scen = ScenarioSet.for_model(inst.choice_model, 20_000, seed=3)
+    packed = simulate(inst, solution, scen, modes=(REDUCED, REALLOC), keep_outcomes=True)
+    monkeypatch.setattr(oracle, "_acceptance_patterns", _acceptance_patterns_of_bool_rows)
+    rows = simulate(inst, solution, scen, modes=(REDUCED, REALLOC), keep_outcomes=True)
+    assert packed == rows
 
 
 def test_reduced_mean_is_the_plan_valued_at_sample_average_rho_on_the_desk():
