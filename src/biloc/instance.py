@@ -147,11 +147,29 @@ class Instance:
                 groups[key].append(cust.id)
         return {key: tuple(js) for key, js in groups.items()}
 
+    @cached_property
+    def _category_demands(self) -> dict[tuple[int, int], float]:
+        return {
+            key: float(sum(self.customers[j].demand for j in js))
+            for key, js in self.customers_by_category.items()
+        }
+
     def category_demand(self, n: int, k: int) -> float:
         """d_k: total demand of the category, always the sum over its customers."""
-        return float(
-            sum(self.customers[j].demand for j in self.customers_by_category[(n, k)])
-        )
+        return self._category_demands[(n, k)]
+
+    @cached_property
+    def category_members(self) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+        """Per category: its customer ids and their demands, as read-only
+        arrays in ``customers_by_category`` order."""
+        members = {}
+        for key, js in self.customers_by_category.items():
+            ids = np.array(js, dtype=int)
+            demands = np.array([self.customers[j].demand for j in js], dtype=float)
+            ids.setflags(write=False)
+            demands.setflags(write=False)
+            members[key] = (ids, demands)
+        return members
 
     @cached_property
     def total_demand(self) -> float:

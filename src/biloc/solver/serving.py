@@ -60,30 +60,28 @@ def serving_problem(inst: "Instance", offers: dict, open_facilities,
     """Transportation inputs for the given offers and open facilities.
 
     Returns (served customer ids, their services, cost matrix, loads,
-    capacities).  Costs are probability-weighted when ``rho`` is given (the
-    deterministic reduction) and raw otherwise (per-scenario realization).
-    ``accepted`` optionally restricts to a subset of the offered categories.
+    capacities), the first two as integer arrays.  Costs are
+    probability-weighted when ``rho`` is given (the deterministic reduction)
+    and raw otherwise (per-scenario realization).  ``accepted`` optionally
+    restricts to a subset of the offered categories.
     """
     open_facilities = list(open_facilities)
-    served: list[int] = []
-    services: list[int] = []
-    weight: list[float] = []
-    for (n, k), (m, p) in sorted(offers.items()):
-        if accepted is not None and (n, k) not in accepted:
-            continue
-        factor = rho.get(n, k, m, p) if rho is not None else 1.0
-        for j in inst.customers_by_category[(n, k)]:
-            served.append(j)
-            services.append(m)
-            weight.append(factor)
     caps = np.array([inst.facilities[i].capacity for i in open_facilities])
-    if not served:
-        return [], [], np.zeros((len(open_facilities), 0)), np.zeros(0), caps
-    gamma = np.array([inst.service_levels[m].gamma for m in services])
-    demand = np.array([inst.customers[j].demand for j in served])
-    loads = gamma * demand
+    chosen = [(nk, mp) for nk, mp in sorted(offers.items())
+              if accepted is None or nk in accepted]
+    members = [inst.category_members[nk] for nk, _mp in chosen]
+    counts = [len(ids) for ids, _demands in members]
+    if not sum(counts):
+        empty = np.zeros(0, dtype=int)
+        return empty, empty, np.zeros((len(open_facilities), 0)), np.zeros(0), caps
+    served = np.concatenate([ids for ids, _demands in members])
+    services = np.repeat([m for _nk, (m, _p) in chosen], counts)
+    loads = np.concatenate([inst.service_levels[m].gamma * demands
+                            for (_nk, (m, _p)), (_ids, demands) in zip(chosen, members)])
+    weight = np.repeat([rho.get(n, k, m, p) if rho is not None else 1.0
+                        for (n, k), (m, p) in chosen], counts)
     rows = np.array(open_facilities, dtype=int)[:, None]
-    cost = np.array(weight)[None, :] * inst.costs[rows, served, services]
+    cost = weight[None, :] * inst.costs[rows, served, services]
     return served, services, cost, loads, caps
 
 
@@ -104,10 +102,11 @@ def transport_offers(inst: "Instance", offers: dict, open_facilities,
     )
     result = solve_transportation(cost, loads, caps)
     flows: dict = {}
-    if result.status == "optimal" and result.w is not None and served:
-        open_list = list(open_facilities)
-        for row, col in zip(*np.nonzero(result.w > 1e-12)):
-            flows[(open_list[row], served[col], services[col])] = float(result.w[row, col])
+    if result.status == "optimal" and result.w is not None and len(served):
+        rows, cols = np.nonzero(result.w > 1e-12)
+        keys = zip(np.array(list(open_facilities), dtype=int)[rows].tolist(),
+                   served[cols].tolist(), services[cols].tolist())
+        flows = dict(zip(keys, result.w[rows, cols].tolist()))
     return result, flows
 
 

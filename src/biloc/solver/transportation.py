@@ -17,6 +17,17 @@ arc a -> b moves load of one customer j held at a over to b, at cost
 (cost[b, j] - cost[a, j]) / load[j] per unit, up to the x[a, j] held.
 Augmenting along shortest paths keeps the residual network free of negative
 cycles, so the flow is optimal once no facility is overloaded.
+
+Each augmentation costs little.  The exchange costs of every (a, b, j) are
+built once per call, +inf on the diagonal and where a holds none of j, and
+each arc keeps its first cheapest customer and that customer's cost.  An
+augmentation changes holdings only at the customers on its path, so only
+where a facility starts or stops holding one of them is an entry rewritten
+and an arc read again.  Bellman-Ford (Jacobi sweeps from every overloaded
+facility at once), the choice of the target and the path walk run on plain
+lists of F entries.  Ties go to the first index everywhere, so every path
+and amount is the one a full rebuild of the graph per augmentation finds,
+and the results are equal to it bit for bit.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ class TransportResult:
     status: str  # "optimal" | "infeasible"
     cost: float
     w: np.ndarray | None  # (n_facilities, n_customers) fractions
+    augmentations: int = 0  # shortest-path moves after the greedy start
 
 
 def solve_transportation(cost: np.ndarray, loads: np.ndarray,
@@ -75,49 +87,110 @@ def solve_transportation(cost: np.ndarray, loads: np.ndarray,
     x[choice, columns] = loads
     used = x.sum(axis=1)
     held = loads > 0.0
-    unit = np.divide(cost, loads, out=np.zeros((F, C)), where=held)
-    path_tol = _PATH_TOL * float(np.abs(unit).max())
-
-    while True:
-        over = np.flatnonzero(used > limit)
-        if over.size == 0:
-            break
-        room = capacities - used
-        # exchange graph: best customer and unit cost of every arc a -> b
-        swap = np.where(x[:, None, :] > 0.0, unit[None, :, :] - unit[:, None, :], np.inf)
-        via = swap.argmin(axis=2)
-        arc = np.take_along_axis(swap, via[:, :, None], axis=2)[:, :, 0]
-        np.fill_diagonal(arc, np.inf)
-
-        # Bellman-Ford from every overloaded facility at once
-        dist = np.full(F, np.inf)
-        dist[over] = 0.0
-        pred = np.full(F, -1)
-        for _ in range(F - 1):
-            through = dist[:, None] + arc
-            source = through.argmin(axis=0)
-            best = through[source, np.arange(F)]
-            better = best < dist - path_tol
-            if not better.any():
-                break
-            dist[better] = best[better]
-            pred[better] = source[better]
-
-        slack = np.flatnonzero(room > 0.0)
-        target = int(slack[np.argmin(dist[slack])])
-        path = [target]
-        while pred[path[-1]] >= 0:
-            path.append(int(pred[path[-1]]))
-        path.reverse()
-        hops = [(a, b, via[a, b]) for a, b in zip(path, path[1:])]
-        amount = min(-room[path[0]], room[target], *(x[a, j] for a, _b, j in hops))
-        for a, b, j in hops:
-            x[a, j] -= amount
-            x[b, j] += amount
-        used[path[0]] -= amount
-        used[target] += amount
+    augmentations = 0
+    if (used > limit).any():
+        augmentations = _augment(x, used.tolist(), limit.tolist(),
+                                 capacities.tolist(), cost, loads, held)
 
     w = np.divide(x, loads, out=np.zeros((F, C)), where=held)
     w[choice[~held], columns[~held]] = 1.0
     # per-customer sums first: a greedy plan costs exactly its chosen entries
-    return TransportResult("optimal", float((cost * w).sum(axis=0).sum()), w)
+    return TransportResult("optimal", float((cost * w).sum(axis=0).sum()), w,
+                           augmentations)
+
+
+def _augment(x: np.ndarray, used: list, limit: list, capacities: list,
+             cost: np.ndarray, loads: np.ndarray, held: np.ndarray) -> int:
+    """Move load out of overloaded facilities along shortest paths until
+    none is overloaded; updates the flow ``x`` in place and returns the
+    number of augmentations."""
+    F, C = x.shape
+    unit = np.divide(cost, loads, out=np.zeros((F, C)), where=held)
+    path_tol = _PATH_TOL * float(np.abs(unit).max())
+    # exchange costs over (a, b, customer): the unit cost of moving that
+    # customer's load from a to b, +inf on the diagonal and where a holds
+    # none of it
+    step = unit[None, :, :] - unit[:, None, :]
+    step[np.arange(F), np.arange(F)] = np.inf
+    swap = np.where(x[:, None, :] > 0.0, step, np.inf)
+    # every arc a -> b: its first cheapest customer and that customer's cost
+    via = swap.argmin(axis=2)
+    arc = swap.reshape(F * F, C)[np.arange(F * F), via.ravel()].reshape(F, F).tolist()
+    via = via.tolist()
+    flow = x.tolist()  # x as lists while paths move load, written back at the end
+    inf = float("inf")
+    augmentations = 0
+
+    while True:
+        over = [a for a in range(F) if used[a] > limit[a]]
+        if not over:
+            x[...] = flow
+            return augmentations
+        room = [cap - load for cap, load in zip(capacities, used)]
+
+        # Bellman-Ford from every overloaded facility at once.  Each sweep
+        # reads only the previous sweep's distances, and scans only the
+        # tails those distances changed: a tail already scanned at its
+        # distance improves no head by more than path_tol, so it never
+        # wins a head that another tail improves
+        dist = [inf] * F
+        for a in over:
+            dist[a] = 0.0
+        pred = [-1] * F
+        tails = over
+        for _ in range(F - 1):
+            best = [inf] * F
+            source = [-1] * F
+            for a in tails:
+                reach = dist[a]
+                for b, cost_ab in enumerate(arc[a]):
+                    through = reach + cost_ab
+                    if through < best[b]:
+                        best[b] = through
+                        source[b] = a
+            tails = [b for b in range(F) if best[b] < dist[b] - path_tol]
+            if not tails:
+                break
+            for b in tails:
+                dist[b] = best[b]
+                pred[b] = source[b]
+
+        target = min((b for b in range(F) if room[b] > 0.0), key=dist.__getitem__)
+        path = [target]
+        while pred[path[-1]] >= 0:
+            path.append(pred[path[-1]])
+        path.reverse()
+        hops = [(a, b, via[a][b]) for a, b in zip(path, path[1:])]
+        amount = min(-room[path[0]], room[target], *(flow[a][j] for a, _b, j in hops))
+        if not amount > 0.0:
+            # an exchange graph out of step with the flow would loop forever
+            raise RuntimeError("shortest augmenting path moves no load")
+        held_before = {(f, j): flow[f][j] > 0.0 for a, b, j in hops for f in (a, b)}
+        for a, b, j in hops:
+            flow[a][j] -= amount
+            flow[b][j] += amount
+        used[path[0]] -= amount
+        used[target] += amount
+        augmentations += 1
+
+        # the exchange costs change only where a facility starts or stops
+        # holding a customer.  A new holding can only undercut an arc's
+        # best; a lost one sends the arcs it was best for to a rescan.
+        gained, stale = [], []
+        for (f, j), had in held_before.items():
+            if (flow[f][j] > 0.0) == had:
+                continue
+            if had:
+                swap[f, :, j] = inf
+                stale += [(f, b) for b in range(F) if via[f][b] == j]
+            else:
+                swap[f, :, j] = step[f, :, j]
+                gained.append((f, j))
+        for f, j in gained:
+            arc_f, via_f = arc[f], via[f]
+            for b, cost_fb in enumerate(step[f, :, j].tolist()):
+                if cost_fb < arc_f[b] or (cost_fb == arc_f[b] and j < via_f[b]):
+                    arc_f[b], via_f[b] = cost_fb, j
+        for f, b in stale:
+            j = int(swap[f, b].argmin())
+            arc[f][b], via[f][b] = float(swap[f, b, j]), j

@@ -80,6 +80,21 @@ def test_category_demand_is_sum_of_members(tiny_instance):
             assert tiny_instance.category_demand(n, k) == pytest.approx(expected)
 
 
+def test_category_demands_and_members_keep_customer_order():
+    # fractional demands, whose float sum depends on the order of adding:
+    # the cached totals add members in customer order, like the plain sum
+    inst = generate(tiny_params(seed=3, n_customers=12))
+    inst = replace(inst, customers=tuple(replace(c, demand=0.1 * (c.id + 1) + 1.0 / 3.0)
+                                         for c in inst.customers))
+    for key, js in inst.customers_by_category.items():
+        demands = [inst.customers[j].demand for j in js]
+        assert inst.category_demand(*key) == float(sum(demands))
+        ids, member_demands = inst.category_members[key]
+        assert ids.tolist() == list(js)
+        assert member_demands.tolist() == demands
+        assert not ids.flags.writeable and not member_demands.flags.writeable
+
+
 def test_validate_clean_on_generated_instances():
     rng = np.random.default_rng(1)
     for seed in range(12):

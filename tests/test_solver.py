@@ -22,7 +22,7 @@ from biloc import (
     solve_milp,
 )
 from biloc.instance import ServiceLevel
-from biloc.solver import OracleSizeError, SearchDiagnostics, SolverError
+from biloc.solver import OracleSizeError, SearchDiagnostics, SolverError, bnb
 from biloc.solver.bnb import (
     _BIG,
     _EXACT_KNAPSACK_CELLS,
@@ -206,12 +206,42 @@ def _load_at_capacity(seed):
                          for i, f in enumerate(inst.facilities)))
 
 
+def _customerless_category(seed):
+    # the customers of the third category move to the second
+    inst = _edge_base(seed)
+    return replace(inst, customers=tuple(replace(c, category=min(c.category, 1))
+                                         for c in inst.customers))
+
+
+def _tied_costs_and_offers(seed):
+    # every facility and service costs what facility 0 costs at service 0,
+    # rounded, so the kernel starts every customer at facility 0 and every
+    # exchange ties; with one gamma and one cost multiplier the offers of a
+    # category tie across services too
+    inst = _edge_base(seed)
+    costs = np.broadcast_to(np.round(inst.costs[:1, :, :1]), inst.costs.shape).copy()
+    return replace(inst, costs=costs, service_levels=tuple(
+        replace(s, gamma=1.0, cost_multiplier=1.0) for s in inst.service_levels))
+
+
+def _all_zero_gates(seed):
+    # the generator draws no gates; set them to zero anyway, so that this
+    # case stays gate-free whatever the generator does
+    inst = _edge_base(seed)
+    return replace(inst, price_ladders=tuple(
+        replace(ladder, min_demands=(0.0,) * len(ladder.prices))
+        for ladder in inst.price_ladders))
+
+
 EDGE_CASES = {
     "zero-capacity facility": _zero_capacity,
     "alpha = 0": lambda seed: _edge_base(seed, alpha=0.0),
     "single-price ladders": _single_price,
     "gates block every offer": _gates_block_every_offer,
     "load exactly at capacity": _load_at_capacity,
+    "tied costs and offer values": _tied_costs_and_offers,
+    "zero-demand category": _customerless_category,
+    "all-zero gates": _all_zero_gates,
 }
 
 
@@ -293,20 +323,50 @@ def test_time_limit_returns_incumbent_and_gap():
         assert solution.gap >= 0.0
 
 
-def test_budget_holds_through_warm_start_and_leaves():
+def test_budget_holds_through_warm_start_and_leaves(monkeypatch):
     # here the warm start alone ranks and transports 135 facility subsets of
-    # 1,024, about 2.2 s on a 2-vCPU guest after 0.05 s of precompute, and the
-    # full solve takes longer than 20 s: the budget runs out inside a single
+    # 1,024, about 0.8 s on a 2-vCPU guest after 0.05 s of precompute, and the
+    # full solve takes longer than 20 s: the budget runs out inside that one
     # leaf evaluation, so only the deadline check in its subset loop stops it
     inst = generate(tiny_params(seed=4, n_facilities=10, n_customers=400,
                                 categories_per_shipper=3, n_services=3,
                                 n_prices=5, ratio=1.7))
     rho = RhoTable.closed_form(inst)
+    budget = 0.5
+    past, leaf_value, evaluate_offers = bnb._past, bnb._leaf_value, bnb.evaluate_offers
+    in_leaf, subsets, stops = [], [], []
+
+    def watched_past(deadline):
+        late = past(deadline)
+        if late and not stops:
+            stops.append((bool(in_leaf), len(subsets)))
+        return late
+
+    def watched_leaf(*args):
+        in_leaf.append(True)
+        try:
+            return leaf_value(*args)
+        finally:
+            in_leaf.pop()
+
+    def counted_evaluate(*args):
+        subsets.append(args)
+        return evaluate_offers(*args)
+
+    monkeypatch.setattr(bnb, "_past", watched_past)
+    monkeypatch.setattr(bnb, "_leaf_value", watched_leaf)
+    monkeypatch.setattr(bnb, "evaluate_offers", counted_evaluate)
     started = time.perf_counter()
-    solution = solve(inst, rho, budget=1.0)
-    assert time.perf_counter() - started <= 1.5
+    solution = solve(inst, rho, budget=budget)
+    assert time.perf_counter() - started <= budget + 0.5
     assert solution.status == "time_limit"
     assert solution.gap > 0.0
+    assert solution.nodes == 0
+    # the first deadline check to fire is the warm-start leaf's, part way
+    # through its subset ranking
+    [(inside_leaf, transported)] = stops
+    assert inside_leaf
+    assert 0 < transported < 135
 
 
 def test_structured_engine_requires_source(tiny_instance, tiny_rho):
@@ -466,8 +526,6 @@ def test_each_search_node_is_derived_once(monkeypatch):
     # of each branched node in one batch; every node is derived once, when
     # made: popped nodes and leaves reuse what their push carried, and no
     # child conflicts with a price its parent pinned
-    from biloc.solver import bnb
-
     batches = []  # sizes of the derived batches, per solve
     leaf_calls = []  # leaves valued, per solve: the warm start's and popped ones
     real_derive, real_leaf = bnb._derive, bnb._leaf_value
@@ -513,8 +571,6 @@ def test_batched_derivation_equals_single_derivation(monkeypatch):
     # each node of a batch reads bit for bit what it reads derived alone,
     # for every branched node's children on the desk sweep, at full scale,
     # on tiny-family seeds and on a node bound by the fractional knapsack
-    from biloc.solver import bnb
-
     batches = []
     real = bnb._derive
 
@@ -617,13 +673,6 @@ def _set_up_by_loops(inst, rho) -> dict:
             t["overflow_rate"][i, mask] = min(t["overflow_rate"][i, mask], rate)
     t["overflow_rate"] = np.minimum(t["overflow_rate"], _BIG)
     return t
-
-
-def _customerless_category(seed):
-    # the customers of the third category move to the second
-    inst = _edge_base(seed)
-    return replace(inst, customers=tuple(replace(c, category=min(c.category, 1))
-                                         for c in inst.customers))
 
 
 def _tied_facilities(seed):

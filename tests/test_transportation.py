@@ -1,9 +1,13 @@
-"""Leaf transportation kernel: exactness against HiGHS and degenerate inputs."""
+"""Leaf transportation kernel: exactness against HiGHS, degenerate inputs,
+and equality bit for bit with the kernel that rebuilds its exchange graph."""
+
+import time
 
 import numpy as np
 import pytest
 
-from biloc.solver.transportation import _FEAS_TOL, solve_transportation
+from biloc.solver.transportation import (_FEAS_TOL, _PATH_TOL, TransportResult,
+                                         capacity_limit, solve_transportation)
 
 
 def _assert_feasible(result, loads, capacities):
@@ -29,9 +33,9 @@ def _highs(cost, loads, capacities):
                    b_eq=np.ones(C), bounds=(0, None), method="highs")
 
 
-def test_kernel_matches_highs_on_random_problems():
+def _random_problems():
+    """The 240 (cost, loads, capacities) of the HiGHS cross-check."""
     rng = np.random.default_rng(2023)
-    repaired = 0
     for trial in range(240):
         F, C = int(rng.integers(1, 8)), int(rng.integers(1, 60))
         cost = rng.uniform(0.0, 10.0, size=(F, C))
@@ -43,7 +47,13 @@ def test_kernel_matches_highs_on_random_problems():
         # slightly short and twice the load
         share = 1.0 if trial % 5 == 0 else rng.uniform(0.9, 2.0)
         capacities *= share * loads.sum() / capacities.sum()
+        yield cost, loads, capacities
 
+
+def test_kernel_matches_highs_on_random_problems():
+    repaired = 0
+    for cost, loads, capacities in _random_problems():
+        F = cost.shape[0]
         result = solve_transportation(cost, loads, capacities)
         reference = _highs(cost, loads, capacities)
         if reference.status == 2:
@@ -59,10 +69,39 @@ def test_kernel_matches_highs_on_random_problems():
     assert repaired >= 100
 
 
+def _problem(cost, loads, capacities):
+    return np.array(cost, dtype=float), np.array(loads, dtype=float), np.array(capacities,
+                                                                              dtype=float)
+
+
+#: Degenerate (cost, loads, capacities), each checked on its own below and
+#: all of them against the full rebuild.
+DEGENERATE = {
+    "load at capacity": _problem([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0], [9.0, 1.0, 9.0]],
+                                 [4.0, 3.0, 5.0], [5.0, 4.0, 3.0]),
+    # facility 0 overloaded by the greedy start
+    "zero-load customers": _problem([[1.0, 5.0, 1.0, 2.0], [2.0, 1.0, 3.0, 1.0]],
+                                    [4.0, 0.0, 4.0, 0.0], [5.0, 10.0]),
+    "tied costs": _problem(np.full((3, 5), 2.5), [3.0, 1.0, 2.0, 4.0, 1.0], [4.0, 4.0, 3.0]),
+    "single facility fits": _problem([[1.0, 2.0, 3.0]], [2.0, 0.0, 3.0], [5.0]),
+    "single facility short": _problem([[1.0, 2.0, 3.0]], [2.0, 0.0, 3.0], [4.0]),
+    "short by one millionth": _problem([[1.0, 3.0], [2.0, 1.0]], [3.0, 4.0],
+                                       [3.5, 3.5 - 1e-6]),
+    "exactly enough": _problem([[1.0, 3.0], [2.0, 1.0]], [3.0, 4.0], [3.5, 3.5]),
+    # total load exceeds total capacity by 5e-4, inside the 1e-3 tolerance of
+    # the total; the greedy start puts all of it on the small facility
+    "total overload inside tolerance": _problem([[1.0], [5.0]], [0.5 + 1e6 + 5e-4],
+                                                [0.5, 1e6]),
+    # the excess (1.5e-9) is inside the tolerance of the total, but the
+    # greedy start puts 2.5e-9 over facility 0, past its own 2e-9 tolerance,
+    # while facility 1 has room: the excess is shared out
+    "facility overload past its tolerance": _problem([[1.0, 2.0], [2.0, 1.0]],
+                                                     [1.0 + 2.5e-9, 1.0 - 1e-9], [1.0, 1.0]),
+}
+
+
 def test_kernel_load_exactly_equal_to_capacity():
-    cost = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0], [9.0, 1.0, 9.0]])
-    loads = np.array([4.0, 3.0, 5.0])
-    capacities = np.array([5.0, 4.0, 3.0])
+    cost, loads, capacities = DEGENERATE["load at capacity"]
     result = solve_transportation(cost, loads, capacities)
     assert result.status == "optimal"
     _assert_feasible(result, loads, capacities)
@@ -71,9 +110,7 @@ def test_kernel_load_exactly_equal_to_capacity():
 
 
 def test_kernel_zero_load_customers_stay_at_cheapest_facility():
-    cost = np.array([[1.0, 5.0, 1.0, 2.0], [2.0, 1.0, 3.0, 1.0]])
-    loads = np.array([4.0, 0.0, 4.0, 0.0])
-    capacities = np.array([5.0, 10.0])  # facility 0 overloaded by the greedy start
+    cost, loads, capacities = DEGENERATE["zero-load customers"]
     result = solve_transportation(cost, loads, capacities)
     assert result.status == "optimal"
     _assert_feasible(result, loads, capacities)
@@ -87,9 +124,7 @@ def test_kernel_zero_load_customers_stay_at_cheapest_facility():
 
 
 def test_kernel_tied_costs():
-    cost = np.full((3, 5), 2.5)
-    loads = np.array([3.0, 1.0, 2.0, 4.0, 1.0])
-    capacities = np.array([4.0, 4.0, 3.0])
+    cost, loads, capacities = DEGENERATE["tied costs"]
     result = solve_transportation(cost, loads, capacities)
     assert result.status == "optimal"
     _assert_feasible(result, loads, capacities)
@@ -97,42 +132,182 @@ def test_kernel_tied_costs():
 
 
 def test_kernel_single_facility():
-    loads = np.array([2.0, 0.0, 3.0])
-    fits = solve_transportation(np.array([[1.0, 2.0, 3.0]]), loads, np.array([5.0]))
+    fits = solve_transportation(*DEGENERATE["single facility fits"])
     assert fits.status == "optimal"
     assert fits.w == pytest.approx(np.ones((1, 3)))
     assert fits.cost == pytest.approx(6.0)
-    short = solve_transportation(np.array([[1.0, 2.0, 3.0]]), loads, np.array([4.0]))
+    short = solve_transportation(*DEGENERATE["single facility short"])
     assert short.status == "infeasible"
 
 
 def test_kernel_infeasible_by_one_millionth():
-    cost = np.array([[1.0, 3.0], [2.0, 1.0]])
-    loads = np.array([3.0, 4.0])
-    result = solve_transportation(cost, loads, np.array([3.5, 3.5 - 1e-6]))
+    result = solve_transportation(*DEGENERATE["short by one millionth"])
     assert result.status == "infeasible"
     assert result.w is None
-    feasible = solve_transportation(cost, loads, np.array([3.5, 3.5]))
+    cost, loads, capacities = DEGENERATE["exactly enough"]
+    feasible = solve_transportation(cost, loads, capacities)
     assert feasible.status == "optimal"
-    _assert_feasible(feasible, loads, np.array([3.5, 3.5]))
+    _assert_feasible(feasible, loads, capacities)
 
 
 def test_kernel_overload_inside_tolerance_stays_within_each_capacity():
-    # total load exceeds total capacity by 5e-4, inside the 1e-3 tolerance of
-    # the total; the greedy start puts all of it on the small facility
-    capacities = np.array([0.5, 1e6])
-    loads = np.array([capacities.sum() + 5e-4])
-    result = solve_transportation(np.array([[1.0], [5.0]]), loads, capacities)
+    cost, loads, capacities = DEGENERATE["total overload inside tolerance"]
+    result = solve_transportation(cost, loads, capacities)
     assert result.status == "optimal"
     _assert_feasible(result, loads, capacities)
     assert result.w[0, 0] * loads[0] == pytest.approx(0.5, abs=1e-9)
 
-    # the excess (1.5e-9) is inside the tolerance of the total, but the
-    # greedy start puts 2.5e-9 over facility 0, past its own 2e-9 tolerance,
-    # while facility 1 has room: the excess is shared out
-    capacities = np.array([1.0, 1.0])
-    loads = np.array([1.0 + 2.5e-9, 1.0 - 1e-9])
-    cost = np.array([[1.0, 2.0], [2.0, 1.0]])
+    cost, loads, capacities = DEGENERATE["facility overload past its tolerance"]
     result = solve_transportation(cost, loads, capacities)
     assert result.status == "optimal"
     _assert_feasible(result, loads, capacities)
+
+
+def test_kernel_counts_augmentations():
+    # the greedy start is optimal when no facility is overloaded
+    cost = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 1.0]])
+    fits = solve_transportation(cost, np.array([2.0, 2.0, 2.0]), np.array([2.0, 4.0]))
+    assert fits.augmentations == 0
+    # facility 0 is 3 over: one path moves 3 units of customer 0 to facility 1
+    assert solve_transportation(*DEGENERATE["zero-load customers"]).augmentations == 1
+    # every customer starts at facility 0, 7 over; every exchange costs 0,
+    # and each of four paths ends where the target fills or the customer it
+    # moves runs out: 3 units to facility 1, 1 to facility 1, 2 and 1 to
+    # facility 2
+    assert solve_transportation(*DEGENERATE["tied costs"]).augmentations == 4
+
+
+# -- the kernel that rebuilds its exchange graph -------------------------------
+
+def _transport_by_full_rebuild(cost, loads, capacities) -> TransportResult:
+    """The kernel as it was before it kept its exchange graph between
+    augmentations: every augmentation rebuilds the whole (F, F, C) exchange
+    graph and runs Bellman-Ford on arrays.  The reference the kernel must
+    equal bit for bit."""
+    cost = np.asarray(cost, dtype=float)
+    loads = np.asarray(loads, dtype=float)
+    capacities = np.asarray(capacities, dtype=float)
+    F, C = cost.shape if cost.ndim == 2 else (0, 0)
+
+    if C == 0:
+        return TransportResult("optimal", 0.0, np.zeros((F, 0)))
+    if F == 0:
+        return TransportResult("infeasible", float("inf"), None)
+    total_load = float(loads.sum())
+    total_cap = float(capacities.sum())
+    if total_load > capacity_limit(total_cap):
+        return TransportResult("infeasible", float("inf"), None)
+    # a facility is overloaded past its own tolerance on its own capacity
+    limit = capacity_limit(capacities)
+    if 0.0 < total_cap < total_load:
+        # an overload inside the tolerance is shared by all facilities in
+        # proportion to capacity; each scaled capacity stays within its limit
+        capacities = capacities * (total_load / total_cap)
+
+    # greedy start: every customer at its cheapest facility
+    choice = np.argmin(cost, axis=0)
+    columns = np.arange(C)
+    x = np.zeros((F, C))
+    x[choice, columns] = loads
+    used = x.sum(axis=1)
+    held = loads > 0.0
+    unit = np.divide(cost, loads, out=np.zeros((F, C)), where=held)
+    path_tol = _PATH_TOL * float(np.abs(unit).max())
+
+    while True:
+        over = np.flatnonzero(used > limit)
+        if over.size == 0:
+            break
+        room = capacities - used
+        # exchange graph: best customer and unit cost of every arc a -> b
+        swap = np.where(x[:, None, :] > 0.0, unit[None, :, :] - unit[:, None, :], np.inf)
+        via = swap.argmin(axis=2)
+        arc = np.take_along_axis(swap, via[:, :, None], axis=2)[:, :, 0]
+        np.fill_diagonal(arc, np.inf)
+
+        # Bellman-Ford from every overloaded facility at once
+        dist = np.full(F, np.inf)
+        dist[over] = 0.0
+        pred = np.full(F, -1)
+        for _ in range(F - 1):
+            through = dist[:, None] + arc
+            source = through.argmin(axis=0)
+            best = through[source, np.arange(F)]
+            better = best < dist - path_tol
+            if not better.any():
+                break
+            dist[better] = best[better]
+            pred[better] = source[better]
+
+        slack = np.flatnonzero(room > 0.0)
+        target = int(slack[np.argmin(dist[slack])])
+        path = [target]
+        while pred[path[-1]] >= 0:
+            path.append(int(pred[path[-1]]))
+        path.reverse()
+        hops = [(a, b, via[a, b]) for a, b in zip(path, path[1:])]
+        amount = min(-room[path[0]], room[target], *(x[a, j] for a, _b, j in hops))
+        for a, b, j in hops:
+            x[a, j] -= amount
+            x[b, j] += amount
+        used[path[0]] -= amount
+        used[target] += amount
+
+    w = np.divide(x, loads, out=np.zeros((F, C)), where=held)
+    w[choice[~held], columns[~held]] = 1.0
+    # per-customer sums first: a greedy plan costs exactly its chosen entries
+    return TransportResult("optimal", float((cost * w).sum(axis=0).sum()), w)
+
+
+def _tied_exchange_problems():
+    """Unit costs on a small integer grid with power-of-two loads, so that
+    many exchange arcs cost exactly the same across customers and
+    facilities, and capacities that overload the greedy start."""
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        F, C = int(rng.integers(2, 9)), int(rng.integers(2, 50))
+        unit = rng.integers(0, 4, size=(F, C)).astype(float)
+        if trial % 2:
+            unit = unit[:1] + rng.integers(0, 3, size=(F, 1))  # equal differences
+        loads = 2.0 ** rng.integers(-1, 3, size=C)
+        capacities = rng.integers(1, 4, size=F).astype(float)
+        capacities *= rng.uniform(1.0, 1.3) * loads.sum() / capacities.sum()
+        yield unit * loads, loads, capacities
+
+
+def _large_problems():
+    """10 facilities x 400 customers, near-tight capacity; one with rounded
+    costs for ties."""
+    rng = np.random.default_rng(400)
+    for trial in range(3):
+        cost = rng.uniform(0.0, 10.0, size=(10, 400))
+        if trial == 0:
+            cost = np.round(cost)
+        loads = rng.uniform(0.5, 5.0, size=400)
+        capacities = rng.uniform(0.1, 1.0, size=10)
+        capacities *= rng.uniform(1.0, 1.2) * loads.sum() / capacities.sum()
+        yield cost, loads, capacities
+
+
+def test_kernel_equals_the_full_rebuild_bit_for_bit():
+    # status, cost and every entry of w, on the HiGHS cross-check's problems,
+    # every degenerate case, tied exchange arcs and ten facilities
+    started = time.perf_counter()
+    augmented = {}
+    for family, problems in (("random", _random_problems()),
+                             ("degenerate", DEGENERATE.values()),
+                             ("tied", _tied_exchange_problems()),
+                             ("10x400", _large_problems())):
+        augmented[family] = 0
+        for cost, loads, capacities in problems:
+            result = solve_transportation(cost, loads, capacities)
+            expected = _transport_by_full_rebuild(cost, loads, capacities)
+            assert result.status == expected.status
+            assert result.cost.hex() == expected.cost.hex()
+            assert (result.w is None) == (expected.w is None)
+            if expected.w is not None:
+                assert result.w.tobytes() == expected.w.tobytes()
+            augmented[family] += result.augmentations > 0
+    # problems where the greedy start was repaired
+    assert augmented == {"random": 171, "degenerate": 6, "tied": 57, "10x400": 3}
+    assert time.perf_counter() - started < 5.0
