@@ -444,7 +444,7 @@ def validate(inst: Instance) -> list[str]:
             f"cost array shape {inst.costs.shape} does not match "
             f"({inst.n_facilities}, {inst.n_customers}, {n_services})"
         )
-    else:
+    elif (inst.costs < 0.0).any():  # only then look for listed services
         listed = inst.services_by_category
         for j, cust in enumerate(inst.customers):
             n, k = cust.shipper, cust.category

@@ -7,26 +7,26 @@ Two engines, each its own best-first search:
   child either binds one shipper-category to a concrete (service, ladder
   position) offer (which also pins that shipper-service price slot) or sends
   it to the outside option.  A node's allowed offers rule out conflicting
-  prices on a slot, and a pinned price whose minimum-demand gate the
-  allowed offers cannot reach makes it infeasible; at a fully decided node
-  that gate check is the exact committed-demand test.  Node bounds come
-  from a relaxation that drops price coupling across categories, the
-  remaining gate slack and per-facility capacity: for every candidate
-  facility subset, each undecided category takes its best still-allowed
-  offer priced against per-customer cheapest serving cost, and an exact
-  0/1 knapsack, solved for all facility subsets at once, caps total
-  gamma-scaled demand by the subset's aggregate capacity; when too many
-  categories are undecided to enumerate their subsets, the fractional
-  knapsack takes its place.  The bound only ever over-estimates and
-  shrinks monotonically along any branch.  One routine derives nodes in
-  batches: all children of a branched node at once, as arrays with a
-  leading node axis, and the root and the warm start's leaf alone.  Each
-  node comes out bit for bit as if derived by itself, and is derived once,
-  when made; its heap entry carries its own copy of the per-subset bound
-  and of its allowed offers, which give its children.  Fully decided
-  nodes are evaluated exactly by transporting facility subsets in the
-  order of that bound, so facility decisions never need their own tree
-  levels.
+  prices on a slot, and a pinned price whose minimum-demand gate the allowed
+  offers cannot reach makes it infeasible; at a fully decided node that gate
+  check is the exact committed-demand test.  Node bounds come from a
+  relaxation that drops price coupling across categories, the remaining gate
+  slack and per-facility capacity: for every candidate facility subset, each
+  undecided category takes its best still-allowed offer priced against
+  per-customer cheapest serving cost, and an exact 0/1 knapsack, solved for
+  all facility subsets at once, caps total gamma-scaled demand by the
+  subset's aggregate capacity; when too many categories are undecided to
+  enumerate their subsets, the fractional knapsack takes its place.  The
+  bound only ever over-estimates and shrinks monotonically along any branch,
+  so below the root the search carries only the subsets whose root bound
+  beats the warm start's leaf.  One routine derives nodes in batches: all
+  children of a branched node at once, as arrays with a leading node axis,
+  and the root and the warm start's leaf alone.  Each node comes out bit for
+  bit as if derived by itself, and is derived once, when made; its heap entry
+  carries its own copy of the per-subset bound and of its allowed offers,
+  which give its children.  Fully decided nodes are evaluated exactly by
+  transporting facility subsets in the order of that bound, so facility
+  decisions never need their own tree levels.
 
 * The *relaxation* engine (``solve_milp``) works on any model, such as a
   parsed LP file: it solves the continuous relaxation per node with the dense
@@ -40,6 +40,7 @@ remaining gap.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -83,6 +84,7 @@ class SearchDiagnostics:
     """Optional instrumentation collected during a solve."""
 
     root_bound: float = float("nan")
+    masks_kept: int = 0  # facility masks whose root bound beats the warm start
     bound_pairs: list = field(default_factory=list)   # (parent bound, child bound)
     leaf_checks: list = field(default_factory=list)   # (node bound, exact value)
 
@@ -157,6 +159,7 @@ class _StructuredData:
 
         I = inst.n_facilities
         self.n_masks = 1 << I
+        self.mask_ids = np.arange(self.n_masks)  # facility mask of each mask column
         per_facility = np.array([[f.capacity, f.fixed_cost] for f in inst.facilities]).T
         member = (np.arange(self.n_masks)[:, None] >> np.arange(I)) & 1 == 1
         sums = np.zeros((2, self.n_masks))
@@ -223,6 +226,14 @@ class _StructuredData:
             weighted.reshape(C * M, I, self.n_masks).min(axis=0), _BIG)
         self.facility_limit = capacity_limit(per_facility[0])
 
+    def keep_masks(self, kept: np.ndarray) -> "_StructuredData":
+        """A copy with only the mask columns ``kept``; ``n_masks`` stays the instance's."""
+        narrow = copy.copy(self)
+        for name in ("mask_ids", "mask_capacity", "mask_limit", "mask_fixed_cost",
+                     "val", "loads_at", "overflow_rate"):
+            setattr(narrow, name, np.take(getattr(self, name), kept, axis=-1))
+        return narrow
+
     def overflow_correction(self, states: np.ndarray) -> np.ndarray:
         """(nodes, masks) lower bound on extra transport cost each node's
         committed offers must pay beyond everyone-at-their-cheapest, from
@@ -231,9 +242,15 @@ class _StructuredData:
         cats = np.arange(len(self.cats))
         services = np.where(states >= 0, self.off_m[cats, np.maximum(states, 0)],
                             self.inst.n_services)  # the service that loads nothing
-        loads = self.loads_at[cats, services].sum(axis=1)  # (nodes, I, masks)
+        loads = _sum_in_order(self.loads_at[cats, services])  # (nodes, I, masks)
         overflow = np.maximum(loads - self.facility_limit[:, None], 0.0)
-        return np.minimum((overflow * self.overflow_rate).sum(axis=1), _BIG)
+        return np.minimum(_sum_in_order(overflow * self.overflow_rate), _BIG)
+
+
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=1)`` added in index order, as numpy adds it unless no
+    later axis is wider than one (one mask column), when it adds pairwise."""
+    return terms.cumsum(axis=1)[:, -1] + 0.0  # a sum of -0.0 reads 0.0
 
 
 def _node_offers(data: _StructuredData, states: np.ndarray
@@ -290,29 +307,30 @@ def _subsets(n: int) -> np.ndarray:
     return subsets
 
 
-def _knapsack(values: np.ndarray, weights: np.ndarray, room: np.ndarray
-              ) -> np.ndarray:
+def _knapsack(values: np.ndarray, weights: np.ndarray, room: np.ndarray,
+              exact: bool) -> np.ndarray:
     """Per node and mask, the most value a set of items fits into the room.
 
     ``values`` is (nodes, masks, items) and non-negative, ``weights``
-    (items,) and ``room`` (nodes, masks).  When one node holds at most
-    ``_EXACT_KNAPSACK_CELLS`` (mask, subset) pairs, every subset of items is
-    valued at once, an exact 0/1 knapsack, over slices of nodes holding at
-    most that many pairs together; beyond that the items are taken greedily
-    by value per weight with the last one split, the fractional bound.
+    (items,) and ``room`` (nodes, masks).  When ``exact``, every subset of
+    items is valued at once, an exact 0/1 knapsack, over slices of at most
+    ``_EXACT_KNAPSACK_CELLS`` (row, subset) pairs; the subsets holding item i
+    are those without it plus item i, so each subset sums its items in item
+    order, whatever the rows.  Otherwise the items are taken greedily by
+    value per weight with the last one split, the fractional bound.
     """
     n_nodes, n_masks, n_items = values.shape
     values = values.reshape(n_nodes * n_masks, n_items)
     room = room.reshape(n_nodes * n_masks)
-    cells = n_masks << n_items
-    if cells <= _EXACT_KNAPSACK_CELLS:
-        subsets = _subsets(n_items)
-        sizes = subsets @ weights
+    if exact:
+        sizes = _subsets(n_items) @ weights
         best = np.empty(len(room))
-        step = _EXACT_KNAPSACK_CELLS // cells * n_masks  # rows per slice
+        step = _EXACT_KNAPSACK_CELLS >> n_items  # rows per slice
         for lo in range(0, len(room), step):
             part = slice(lo, lo + step)
-            valued = values[part] @ subsets.T
+            valued = np.zeros((len(room[part]), 1 << n_items))
+            for i in range(n_items):
+                np.add(valued[:, :1 << i], values[part, i:i + 1], out=valued[:, 1 << i:2 << i])
             valued *= sizes[None, :] <= room[part, None]  # drop what overfills
             best[part] = valued.max(axis=1)
         return best.reshape(n_nodes, n_masks)
@@ -340,8 +358,8 @@ def _derive(data: _StructuredData, states: list[tuple]
     runs over that node's terms alone and in one order, by category (a
     category without an offer adding zero), by facility, or by offer for
     the gate's demand.  Nodes whose knapsacks hold the same items share one
-    matrix product over their stacked rows.  The returned arrays are
-    copies, owned by the caller.
+    knapsack over their stacked rows.  The returned arrays are copies,
+    owned by the caller.
     """
     table = np.array(states, dtype=int).reshape(len(states), len(data.cats))
     allowed, conflict, missed = _node_offers(data, table)
@@ -352,8 +370,8 @@ def _derive(data: _StructuredData, states: list[tuple]
     offers = np.maximum(table, 0)  # a committed category's offer
     room = data.mask_limit - np.where(
         committed, data.off_weight[cats, offers], 0.0).sum(axis=1)[:, None]
-    value = (np.where(committed[:, :, None], data.val[cats, offers], 0.0)
-             .sum(axis=1) - data.overflow_correction(table))
+    value = (_sum_in_order(np.where(committed[:, :, None], data.val[cats, offers], 0.0))
+             - data.overflow_correction(table))
 
     # each undecided category's best allowed value per mask and least
     # allowed weight; those that earn something at some mask are the
@@ -375,7 +393,8 @@ def _derive(data: _StructuredData, states: list[tuple]
             items = np.flatnonzero(opt[rows[0]])
             value[rows] += _knapsack(
                 np.maximum(best[rows][:, items], 0.0).transpose(0, 2, 1),
-                weight[rows[0], items], room[rows])
+                weight[rows[0], items], room[rows],
+                data.n_masks << len(items) <= _EXACT_KNAPSACK_CELLS)
     bounds = np.where(feasible[:, None] & (room >= 0.0),
                       value - data.mask_fixed_cost, -_BIG)
     return [(bounds[k].copy(), allowed[k].copy() if feasible[k] else None)
@@ -396,10 +415,11 @@ def _leaf_value(data: _StructuredData, state: tuple, mask_bound: np.ndarray,
               for c, o in enumerate(state) if o >= 0}
     best = None
     best_value = floor
-    for mask in np.argsort(-mask_bound):
-        if mask_bound[mask] <= best_value + 1e-12 or _past(deadline):
+    for column in np.argsort(-mask_bound, kind="stable"):  # ties: lower mask first
+        if mask_bound[column] <= best_value + 1e-12 or _past(deadline):
             break
-        subset = tuple(i for i in range(data.inst.n_facilities) if mask & (1 << i))
+        mask = int(data.mask_ids[column])
+        subset = tuple(i for i in range(data.inst.n_facilities) if mask >> i & 1)
         status, profit, flows = evaluate_offers(data.inst, data.rho, offers, subset)
         if status != "optimal":
             continue
@@ -456,8 +476,13 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
     root = (_UNDECIDED,) * len(data.cats)
     [(root_bounds, root_allowed)] = _derive(data, [root])
     root_bound = float(root_bounds.max())
+    # bounds only fall along a branch: masks that cannot beat the warm start go
+    kept = np.flatnonzero(root_bounds > incumbent + 1e-12)
+    data = data.keep_masks(kept)
+    root_bounds = root_bounds[kept]
     if diagnostics is not None:
         diagnostics.root_bound = root_bound
+        diagnostics.masks_kept = len(kept)
 
     # heap entries: (-bound, -depth, tie, state, bound per mask, allowed offers)
     ticket = _counter()

@@ -120,6 +120,27 @@ def test_validate_flags_negative_cost(tiny_instance):
     assert "c[0,1,0]" in problems[0]
 
 
+def test_validate_reports_negative_costs_on_listed_services_only(tiny_instance):
+    # customer 0 is in category (0, 0); with service 1 dropped from its list,
+    # a negative cost on service 1 is not its to pay and goes unreported
+    costs = tiny_instance.costs.copy()
+    costs[1, 2, 1] = -2.5
+    costs[0, 1, 0] = -1.0
+    costs[1, 0, 1] = -3.0
+    listed = replace(tiny_instance, costs=costs)
+    assert validate(listed) == ["cost c[1,0,1] must be >= 0 (got -3.0)",  # by customer
+                                "cost c[0,1,0] must be >= 0 (got -1.0)",
+                                "cost c[1,2,1] must be >= 0 (got -2.5)"]
+    services = tiny_instance.services_by_category
+    unlisted = replace(listed, services_by_category=(((0,), services[0][1]),
+                                                     services[1]))
+    assert validate(unlisted) == ["cost c[0,1,0] must be >= 0 (got -1.0)",
+                                  "cost c[1,2,1] must be >= 0 (got -2.5)"]
+    costs = tiny_instance.costs.copy()
+    costs[1, 0, 1] = -3.0
+    assert validate(replace(unlisted, costs=costs)) == []
+
+
 def test_validate_flags_bad_category(tiny_instance):
     customers = list(tiny_instance.customers)
     customers[0] = replace(customers[0], category=9)

@@ -22,6 +22,7 @@ from biloc import (
     solve_milp,
 )
 from biloc.instance import ServiceLevel
+from biloc.milp import OBJECTIVE_REL_TOL
 from biloc.solver import OracleSizeError, SearchDiagnostics, SolverError, bnb
 from biloc.solver.bnb import (
     _BIG,
@@ -37,7 +38,8 @@ from biloc.solver.bnb import (
 from biloc.solver.serving import evaluate_offers, transport_offers
 from biloc.solver.transportation import capacity_limit
 
-from conftest import single_offer_instance, tiny_family_instance, tiny_params
+from conftest import (external_milp_optimum, single_offer_instance, tiny_family_instance,
+                      tiny_params)
 
 
 def test_hand_arithmetic_case_all_routes():
@@ -259,6 +261,22 @@ def test_bounds_and_optimum_on_edge_cases(case):
             enumerate_oracle(inst, rho).objective, rel=1e-12), seed
     assert checked > 0
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_three_routes_agree_on_edge_cases(case):
+    # the relaxation engine, and an external branch-and-cut fed the exported
+    # LP file, find the structured search's optimum on degenerate inputs
+    inst = EDGE_CASES[case](0)
+    rho = RhoTable.closed_form(inst)
+    ours = solve(inst, rho).objective
+    model = build(inst, rho)
+    relaxed = solve_milp(model)
+    external = external_milp_optimum(parse_lp(export_lp(model)))
+    assert relaxed.status == "optimal" and external is not None
+    scale = max(1.0, abs(ours))
+    assert abs(relaxed.objective - ours) <= OBJECTIVE_REL_TOL * scale
+    assert abs(external - ours) <= OBJECTIVE_REL_TOL * scale
 
 
 def test_fractional_knapsack_bound_with_many_categories():
@@ -609,6 +627,146 @@ def test_batched_derivation_equals_single_derivation(monkeypatch):
     assert derived[-1][1] is not None and derived[-1][0].max() > -_BIG
 
 
+def _knapsack_by_matmul(values, weights, room):
+    """The exact knapsack valuing every subset with one matrix product over
+    slices of rows, exact while one node holds at most
+    ``_EXACT_KNAPSACK_CELLS`` (mask, subset) pairs: the reference the subset
+    sums by doubling must equal bit for bit."""
+    n_nodes, n_masks, n_items = values.shape
+    values = values.reshape(n_nodes * n_masks, n_items)
+    room = room.reshape(n_nodes * n_masks)
+    cells = n_masks << n_items
+    assert cells <= _EXACT_KNAPSACK_CELLS
+    subsets = ((np.arange(1 << n_items)[:, None] >> np.arange(n_items)) & 1).astype(float)
+    sizes = subsets @ weights
+    best = np.empty(len(room))
+    step = _EXACT_KNAPSACK_CELLS // cells * n_masks  # rows per slice
+    for lo in range(0, len(room), step):
+        part = slice(lo, lo + step)
+        valued = values[part] @ subsets.T
+        valued *= sizes[None, :] <= room[part, None]
+        best[part] = valued.max(axis=1)
+    return best.reshape(n_nodes, n_masks)
+
+
+def _many_categories(seed):
+    # one facility and twelve categories: the search keeps one mask, and a
+    # sum over nine or more categories with one mask column left is where
+    # numpy would add pairwise
+    return generate(tiny_params(seed=seed, n_facilities=1, n_customers=24, n_shippers=1,
+                                categories_per_shipper=12, n_prices=2, ratio=0.8))
+
+
+def test_search_derives_only_the_masks_kept_at_the_root(monkeypatch):
+    # after the warm start and the root, the search carries only the masks
+    # whose root bound beats the warm start.  Every node it derives reads on
+    # those masks bit for bit what a derivation over all masks reads, and no
+    # dropped mask reads above the warm start there.  The full derivations'
+    # exact knapsacks equal the matrix-product reference bit for bit, and so
+    # does each kept (node, mask) row valued alone
+    searched = []  # (instance, rho, [(data, states, derived)])
+    real_derive, real_knapsack = bnb._derive, bnb._knapsack
+
+    def derive(data, states):
+        derived = real_derive(data, states)
+        searched[-1][2].append((data, states, derived))
+        return derived
+
+    monkeypatch.setattr(bnb, "_derive", derive)
+    instances = [*_desk_sweep(), _full_scale(),
+                 *(tiny_family_instance(seed) for seed in range(40)),
+                 *(case(seed) for case in EDGE_CASES.values() for seed in range(6)),
+                 *(_many_categories(seed) for seed in range(3))]
+    for inst in instances:
+        rho = RhoTable.closed_form(inst)
+        searched.append((inst, rho, []))
+        solve(inst, rho)
+
+    knapsacks = []  # (values, weights, room, exact, result)
+
+    def knapsack(values, weights, room, exact):
+        best = real_knapsack(values, weights, room, exact)
+        knapsacks.append((values, weights, room, exact, best))
+        return best
+
+    monkeypatch.setattr(bnb, "_knapsack", knapsack)
+    nodes = narrowed = single_mask_sums = rows = 0
+    for inst, rho, derivations in searched:
+        if not derivations:
+            continue  # certified trivial
+        full = _StructuredData(inst, rho)
+        warm, root = _dive(full), (_UNDECIDED,) * len(full.cats)
+        [(warm_bounds, _), (root_bounds, _)] = [*real_derive(full, [warm]),
+                                                *real_derive(full, [root])]
+        leaf = bnb._leaf_value(full, warm, warm_bounds, 0.0)
+        cut = (0.0 if leaf is None else leaf[0]) + 1e-12
+        kept = np.flatnonzero(root_bounds > cut)
+        dropped = np.flatnonzero(root_bounds <= cut)
+        assert [states for _data, states, _derived in derivations[:2]] == [[warm], [root]]
+        knapsacks.clear()
+        for data, states, derived in derivations[2:]:
+            assert data.mask_ids.tobytes() == kept.tobytes()
+            for got, (want, want_allowed) in zip(derived, real_derive(full, states)):
+                assert _bits(got) == _bits((want[kept], want_allowed)), states
+                assert np.all(want[dropped] <= cut)
+                nodes += 1
+            narrowed += len(kept) < full.n_masks
+            single_mask_sums += len(kept) == 1 and len(full.cats) > 8
+        for values, weights, room, exact, best in knapsacks:
+            assert exact == (values.shape[1] << values.shape[2] <= _EXACT_KNAPSACK_CELLS)
+            if not exact:
+                continue  # the fractional bound is one code path either way
+            assert best.tobytes() == _knapsack_by_matmul(values, weights, room).tobytes()
+            for k, m in product(range(len(values)), kept.tolist()):
+                one = real_knapsack(values[k:k + 1, m:m + 1], weights,
+                                    room[k:k + 1, m:m + 1], exact)
+                assert one.tobytes() == best[k, m].tobytes()
+                rows += 1
+    assert (nodes, rows) == (2686, 3091)
+    assert narrowed > 0 and single_mask_sums > 0
+
+
+def test_masks_kept_at_the_root_are_reported():
+    # the desk sweep keeps at most two of its eight masks (none at a
+    # trivial point or where the warm start is the root's best), and full
+    # scale two of 128
+    kept = []
+    for inst in [*_desk_sweep(), _full_scale()]:
+        diag = SearchDiagnostics()
+        solve(inst, RhoTable.closed_form(inst), diagnostics=diag)
+        kept.append(diag.masks_kept)
+    assert kept == [0, 0, 0, 0, 2, 1, 1, 1, 1, 1, 0, 2]
+
+
+def test_leaf_ranks_tied_masks_by_id(monkeypatch):
+    # four masks tie above four others, which tie too: each tie is
+    # transported lowest mask first, here exactly the reverse of what the
+    # default sort makes of these bounds
+    inst = _desk_sweep()[7]
+    data = _StructuredData(inst, RhoTable.closed_form(inst))
+    state = _dive(data)
+    transported = []
+    real = bnb.evaluate_offers
+
+    def evaluate(inst, rho, offers, subset):
+        transported.append(subset)
+        return real(inst, rho, offers, subset)
+
+    monkeypatch.setattr(bnb, "evaluate_offers", evaluate)
+    mask_bound = np.array([1e9] * 4 + [2e9] * 4)  # above every leaf value
+    assert np.argsort(-mask_bound).tolist() != [4, 5, 6, 7, 0, 1, 2, 3]
+    best = bnb._leaf_value(data, state, mask_bound, 0.0)
+    masks = [sum(1 << i for i in subset) for subset in transported]
+    assert masks == [4, 5, 6, 7, 0, 1, 2, 3]
+    assert best is not None
+
+    # on kept masks, positions name their masks: the tie goes to mask 3
+    narrow = data.keep_masks(np.array([3, 5, 6]))
+    transported.clear()
+    bnb._leaf_value(narrow, state, np.array([2e9, 2e9, 1e9]), 0.0)
+    assert transported == [(0, 1), (0, 2), (1, 2)]
+
+
 # -- structured set-up ---------------------------------------------------------
 
 def _set_up_by_loops(inst, rho) -> dict:
@@ -644,6 +802,7 @@ def _set_up_by_loops(inst, rho) -> dict:
     caps = np.array([f.capacity for f in inst.facilities])
     fixed = np.array([f.fixed_cost for f in inst.facilities])
     member = [np.array([mask >> i & 1 == 1 for i in range(I)]) for mask in range(masks)]
+    t["mask_ids"] = np.array(range(masks))
     t["mask_capacity"] = np.array([caps[sel].sum() for sel in member])
     t["mask_fixed_cost"] = np.array([fixed[sel].sum() for sel in member])
     t["mask_limit"], t["facility_limit"] = capacity_limit(t["mask_capacity"]), capacity_limit(caps)
