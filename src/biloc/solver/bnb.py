@@ -26,7 +26,11 @@ Two engines, each its own best-first search:
   carries its own copy of the per-subset bound and of its allowed offers,
   which give its children.  Fully decided nodes are evaluated exactly by
   transporting facility subsets in the order of that bound, so facility
-  decisions never need their own tree levels.
+  decisions never need their own tree levels.  Each subset considered is
+  first screened by its transport-cost floor (the greedy start's cost plus
+  the cheapest regret of each overload, never above the exact cost): a
+  subset whose revenue less floor and fixed cost cannot beat the leaf's best
+  value is never transported.
 
 * The *relaxation* engine (``solve_milp``) works on any model, such as a
   parsed LP file: it solves the continuous relaxation per node with the dense
@@ -53,9 +57,10 @@ import numpy as np
 from ..choice import RhoTable
 from ..milp import (INTEGRALITY_TOL, MilpModel, Solution, certifies_trivial,
                     profit_upper_bound)
-from .serving import evaluate_offers, solution_from_offers
+from .serving import flow_map, offer_revenue, serving_problem, solution_from_offers
 from .simplex import solve_lp
-from .transportation import capacity_limit
+from .transportation import (capacity_limit, greedy_start, solve_transportation,
+                             transport_cost_floor)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..instance import Instance
@@ -85,6 +90,8 @@ class SearchDiagnostics:
 
     root_bound: float = float("nan")
     masks_kept: int = 0  # facility masks whose root bound beats the warm start
+    subsets_transported: int = 0  # leaf facility subsets solved exactly
+    subsets_screened: int = 0  # leaf facility subsets their cost floor ruled out
     bound_pairs: list = field(default_factory=list)   # (parent bound, child bound)
     leaf_checks: list = field(default_factory=list)   # (node bound, exact value)
 
@@ -402,30 +409,48 @@ def _derive(data: _StructuredData, states: list[tuple]
 
 
 def _leaf_value(data: _StructuredData, state: tuple, mask_bound: np.ndarray,
-                floor: float, deadline: float | None = None):
+                floor: float, deadline: float | None = None,
+                diagnostics: SearchDiagnostics | None = None):
     """Exact value of a fully decided node, or None when infeasible or unable
     to beat ``floor``.
 
     Facility subsets are ranked by ``mask_bound``, the node's bound per
-    facility mask, and only transported while it still beats the best value
-    seen, so most subsets are never solved exactly.  Past ``deadline`` the
-    ranking stops early and the best value found so far is returned.
+    facility mask, and only considered while it still beats the best value
+    seen, so most subsets are never looked at.  A considered subset is
+    transported only when revenue less its transport-cost floor and fixed
+    cost could still beat that value, and its flow map is built only when
+    it does.  Past ``deadline`` the ranking stops early and the best value
+    found so far is returned.
     """
+    inst = data.inst
     offers = {data.cats[c]: (int(data.off_m[c, o]), int(data.off_p[c, o]))
               for c, o in enumerate(state) if o >= 0}
+    revenue = offer_revenue(inst, data.rho, offers)
     best = None
     best_value = floor
+    transported = screened = 0
     for column in np.argsort(-mask_bound, kind="stable"):  # ties: lower mask first
         if mask_bound[column] <= best_value + 1e-12 or _past(deadline):
             break
         mask = int(data.mask_ids[column])
-        subset = tuple(i for i in range(data.inst.n_facilities) if mask >> i & 1)
-        status, profit, flows = evaluate_offers(data.inst, data.rho, offers, subset)
-        if status != "optimal":
+        subset = tuple(i for i in range(inst.n_facilities) if mask >> i & 1)
+        served, services, cost, loads, caps = serving_problem(inst, offers, subset, data.rho)
+        fixed = sum(inst.facilities[i].fixed_cost for i in subset)
+        start = greedy_start(cost, loads, caps)
+        # an infeasible subset's floor is +inf, so it is always screened
+        if (revenue - transport_cost_floor(cost, loads, caps, start) - fixed
+                + _prune_tol(best_value) <= best_value):
+            screened += 1
             continue
+        transported += 1
+        result = solve_transportation(cost, loads, caps, start)
+        profit = revenue - result.cost - fixed  # as ``evaluate_offers`` values it
         if profit > best_value:
             best_value = profit
-            best = (profit, offers, subset, flows)
+            best = (profit, offers, subset, flow_map(subset, served, services, result))
+    if diagnostics is not None:
+        diagnostics.subsets_transported += transported
+        diagnostics.subsets_screened += screened
     return best
 
 
@@ -470,7 +495,7 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
     # the dive's leaf, valued like any leaf, seeds pruning
     warm = _dive(data)
     [(warm_bounds, _allowed)] = _derive(data, [warm])
-    payload = _leaf_value(data, warm, warm_bounds, 0.0, deadline)
+    payload = _leaf_value(data, warm, warm_bounds, 0.0, deadline, diagnostics)
     incumbent = 0.0 if payload is None else payload[0]
 
     root = (_UNDECIDED,) * len(data.cats)
@@ -503,7 +528,7 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
 
         undecided = [c for c, o in enumerate(state) if o == _UNDECIDED]
         if not undecided:
-            leaf = _leaf_value(data, state, mask_bound, incumbent, deadline)
+            leaf = _leaf_value(data, state, mask_bound, incumbent, deadline, diagnostics)
             if leaf is not None:
                 if diagnostics is not None:
                     diagnostics.leaf_checks.append((bound, leaf[0]))

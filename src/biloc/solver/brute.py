@@ -3,11 +3,13 @@
 Enumerates every feasible first stage (facility set, price menu, service
 assignment), solves the continuous allocation for each, and returns the best.
 Deliberately dumb: it shares nothing with the branch-and-bound search beyond
-evaluating an offer map on a facility subset (``evaluate_offers``, over the
-transportation kernel) and building the reported ``Solution`` from the winning
-offer map (``solution_from_offers``).  Its enumeration, its minimum-demand gate
-and its choice of the optimum are its own, so agreement between the two is a
-meaningful check of the whole reduction.
+the transportation problem of an offer map on a facility subset
+(``serving_problem`` and the kernel, which it reaches through
+``evaluate_offers``), the offers' revenue and building the reported
+``Solution`` from the winning offer map (``solution_from_offers``).  Its
+enumeration, its minimum-demand gate and its choice of the optimum are its
+own, so agreement between the two is a meaningful check of the whole
+reduction.
 """
 
 from __future__ import annotations

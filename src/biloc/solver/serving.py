@@ -101,13 +101,20 @@ def transport_offers(inst: "Instance", offers: dict, open_facilities,
         inst, offers, open_facilities, rho, accepted
     )
     result = solve_transportation(cost, loads, caps)
-    flows: dict = {}
-    if result.status == "optimal" and result.w is not None and len(served):
-        rows, cols = np.nonzero(result.w > 1e-12)
-        keys = zip(np.array(list(open_facilities), dtype=int)[rows].tolist(),
-                   served[cols].tolist(), services[cols].tolist())
-        flows = dict(zip(keys, result.w[rows, cols].tolist()))
-    return result, flows
+    return result, flow_map(open_facilities, served, services, result)
+
+
+def flow_map(open_facilities, served: np.ndarray, services: np.ndarray,
+             result: TransportResult) -> dict:
+    """The flow map {(i, j, m): w} of a transportation result over the
+    ``serving_problem`` with these open facilities, served customers and
+    services; empty when infeasible."""
+    if result.status != "optimal" or result.w is None or not len(served):
+        return {}
+    rows, cols = np.nonzero(result.w > 1e-12)
+    keys = zip(np.array(list(open_facilities), dtype=int)[rows].tolist(),
+               served[cols].tolist(), services[cols].tolist())
+    return dict(zip(keys, result.w[rows, cols].tolist()))
 
 
 def evaluate_offers(inst: "Instance", rho: RhoTable, offers: dict,

@@ -28,6 +28,18 @@ facility at once), the choice of the target and the path walk run on plain
 lists of F entries.  Ties go to the first index everywhere, so every path
 and amount is the one a full rebuild of the graph per augmentation finds,
 and the results are equal to it bit for bit.
+
+``transport_cost_floor`` bounds the optimal cost from below without
+solving: the greedy start's cost, plus, for each facility the start loads
+past its capacity limit, the cheapest fractional removal of that excess
+from the customers it holds, taken in ascending order of per-unit regret
+(second-cheapest minus cheapest cost, per unit of load).  Every flow the
+kernel returns keeps each load within the limit, and moving a customer's
+load anywhere costs at least its regret, so the floor never exceeds the
+returned cost; it equals that cost when the greedy start is optimal.  This
+is the capacity relaxation with regret penalties of Ross & Soland (1975).
+The greedy start can be computed once and shared by the floor and the
+kernel (``greedy_start``).
 """
 
 from __future__ import annotations
@@ -56,10 +68,69 @@ class TransportResult:
     augmentations: int = 0  # shortest-path moves after the greedy start
 
 
-def solve_transportation(cost: np.ndarray, loads: np.ndarray,
-                         capacities: np.ndarray) -> TransportResult:
+def greedy_start(cost: np.ndarray, loads: np.ndarray,
+                 capacities: np.ndarray) -> tuple | None:
+    """The kernel's start for ``cost`` (F, C), ``loads`` (C,) and
+    ``capacities`` (F,), every customer at its first cheapest facility:
+    (that facility per customer, the (F, C) flow, the load per facility,
+    the capacity limit per facility).  None without customers, and where no
+    flow fits: customers but no facility, or more load than the total
+    capacity allows."""
+    F, C = cost.shape
+    if not C or not F or float(loads.sum()) > capacity_limit(float(capacities.sum())):
+        return None
+    choice = np.argmin(cost, axis=0)
+    x = np.zeros((F, C))
+    x[choice, np.arange(C)] = loads
+    # a facility is overloaded past its own tolerance on its own capacity
+    return choice, x, x.sum(axis=1), capacity_limit(capacities)
+
+
+def transport_cost_floor(cost: np.ndarray, loads: np.ndarray, capacities: np.ndarray,
+                         start: tuple | None = None) -> float:
+    """Lower bound on ``solve_transportation``'s cost for the same inputs:
+    +inf where it reports infeasible, its cost bit for bit where it makes no
+    augmentation.  ``start`` is the problem's ``greedy_start``, computed here
+    when not given."""
+    cost = np.asarray(cost, dtype=float)
+    loads = np.asarray(loads, dtype=float)
+    capacities = np.asarray(capacities, dtype=float)
+    if not loads.size:
+        return 0.0
+    if start is None:
+        start = greedy_start(cost, loads, capacities)
+        if start is None:
+            return float("inf")
+    choice, _x, used, limit = start
+    cheapest = cost[choice, np.arange(len(loads))]
+    floor = float(cheapest.sum())  # as the kernel sums a greedy plan
+    over = np.flatnonzero(used > limit)
+    if not over.size:
+        return floor
+    regret = np.partition(cost, 1, axis=0)[1] - cheapest
+    held = loads > 0.0
+    for a in over.tolist():
+        # the customers a holds give up load at their regret per unit, the
+        # cheapest first, until a is back within its limit
+        mine = np.flatnonzero((choice == a) & held)
+        rate = regret[mine] / loads[mine]
+        order = np.argsort(rate, kind="stable")
+        excess = float(used[a] - limit[a])
+        for unit, size in zip(rate[order].tolist(), loads[mine[order]].tolist()):
+            moved = min(size, excess)
+            floor += unit * moved
+            excess -= moved
+            if excess <= 0.0:
+                break
+    return floor
+
+
+def solve_transportation(cost: np.ndarray, loads: np.ndarray, capacities: np.ndarray,
+                         start: tuple | None = None) -> TransportResult:
     """cost: (F, C) per-unit-of-fraction cost; loads: (C,) scaled demands;
-    capacities: (F,).  Serves every customer or reports infeasibility."""
+    capacities: (F,).  Serves every customer or reports infeasibility.
+    ``start`` is the problem's ``greedy_start``, computed here when not
+    given; its flow is updated in place."""
     cost = np.asarray(cost, dtype=float)
     loads = np.asarray(loads, dtype=float)
     capacities = np.asarray(capacities, dtype=float)
@@ -67,28 +138,22 @@ def solve_transportation(cost: np.ndarray, loads: np.ndarray,
 
     if C == 0:
         return TransportResult("optimal", 0.0, np.zeros((F, 0)))
-    if F == 0:
-        return TransportResult("infeasible", float("inf"), None)
-    total_load = float(loads.sum())
-    total_cap = float(capacities.sum())
-    if total_load > capacity_limit(total_cap):
-        return TransportResult("infeasible", float("inf"), None)
-    # a facility is overloaded past its own tolerance on its own capacity
-    limit = capacity_limit(capacities)
-    if 0.0 < total_cap < total_load:
-        # an overload inside the tolerance is shared by all facilities in
-        # proportion to capacity; each scaled capacity stays within its limit
-        capacities = capacities * (total_load / total_cap)
-
-    # greedy start: every customer at its cheapest facility
-    choice = np.argmin(cost, axis=0)
+    if start is None:
+        start = greedy_start(cost, loads, capacities)
+        if start is None:
+            return TransportResult("infeasible", float("inf"), None)
+    choice, x, used, limit = start
     columns = np.arange(C)
-    x = np.zeros((F, C))
-    x[choice, columns] = loads
-    used = x.sum(axis=1)
     held = loads > 0.0
     augmentations = 0
     if (used > limit).any():
+        total_load = float(loads.sum())
+        total_cap = float(capacities.sum())
+        if 0.0 < total_cap < total_load:
+            # an overload inside the tolerance is shared by all facilities in
+            # proportion to capacity; each scaled capacity stays within its
+            # limit
+            capacities = capacities * (total_load / total_cap)
         augmentations = _augment(x, used.tolist(), limit.tolist(),
                                  capacities.tolist(), cost, loads, held)
 

@@ -1,5 +1,6 @@
 """Branch-and-bound engines, the enumeration oracle, and their agreement."""
 
+import json
 import time
 from dataclasses import replace
 from itertools import product
@@ -40,6 +41,7 @@ from biloc.solver.transportation import capacity_limit
 
 from conftest import (external_milp_optimum, single_offer_instance, tiny_family_instance,
                       tiny_params)
+from test_acceptance import BENCHMARK_PARAMS
 
 
 def test_hand_arithmetic_case_all_routes():
@@ -279,12 +281,16 @@ def test_three_routes_agree_on_edge_cases(case):
     assert abs(external - ours) <= OBJECTIVE_REL_TOL * scale
 
 
+def _seventeen_categories():
+    return generate(tiny_params(seed=0, ratio=0.3, n_facilities=1, n_customers=17,
+                                n_shippers=1, categories_per_shipper=17,
+                                n_services=1, alpha=-0.02))
+
+
 def test_fractional_knapsack_bound_with_many_categories():
     # 17 categories on one facility: the root enumerates more (mask, subset)
     # pairs than the exact knapsack allows, so its bound is fractional
-    inst = generate(tiny_params(seed=0, ratio=0.3, n_facilities=1, n_customers=17,
-                                n_shippers=1, categories_per_shipper=17,
-                                n_services=1, alpha=-0.02))
+    inst = _seventeen_categories()
     rho = RhoTable.closed_form(inst)
     n_cats = sum(inst.categories_per_shipper)
     assert (1 << inst.n_facilities) << n_cats > _EXACT_KNAPSACK_CELLS
@@ -341,17 +347,22 @@ def test_time_limit_returns_incumbent_and_gap():
         assert solution.gap >= 0.0
 
 
-def test_budget_holds_through_warm_start_and_leaves(monkeypatch):
-    # here the warm start alone ranks and transports 135 facility subsets of
-    # 1,024, about 0.8 s on a 2-vCPU guest after 0.05 s of precompute, and the
-    # full solve takes longer than 20 s: the budget runs out inside that one
-    # leaf evaluation, so only the deadline check in its subset loop stops it
-    inst = generate(tiny_params(seed=4, n_facilities=10, n_customers=400,
+def _slow_warm_leaf():
+    """10 x 400: the warm start alone ranks 140 facility subsets of 1,024 and
+    transports 67 of them, about 0.5 s on a 2-vCPU guest after 0.05 s of
+    precompute."""
+    return generate(tiny_params(seed=4, n_facilities=10, n_customers=400,
                                 categories_per_shipper=3, n_services=3,
-                                n_prices=5, ratio=1.7))
+                                n_prices=5, ratio=1.5))
+
+
+def test_budget_holds_through_warm_start_and_leaves(monkeypatch):
+    # the budget runs out inside the warm start's leaf evaluation, so only
+    # the deadline check in its subset loop stops it
+    inst = _slow_warm_leaf()
     rho = RhoTable.closed_form(inst)
-    budget = 0.5
-    past, leaf_value, evaluate_offers = bnb._past, bnb._leaf_value, bnb.evaluate_offers
+    budget = 0.25
+    past, leaf_value, serving_problem = bnb._past, bnb._leaf_value, bnb.serving_problem
     in_leaf, subsets, stops = [], [], []
 
     def watched_past(deadline):
@@ -367,13 +378,13 @@ def test_budget_holds_through_warm_start_and_leaves(monkeypatch):
         finally:
             in_leaf.pop()
 
-    def counted_evaluate(*args):
+    def counted_subset(*args):
         subsets.append(args)
-        return evaluate_offers(*args)
+        return serving_problem(*args)
 
     monkeypatch.setattr(bnb, "_past", watched_past)
     monkeypatch.setattr(bnb, "_leaf_value", watched_leaf)
-    monkeypatch.setattr(bnb, "evaluate_offers", counted_evaluate)
+    monkeypatch.setattr(bnb, "serving_problem", counted_subset)
     started = time.perf_counter()
     solution = solve(inst, rho, budget=budget)
     assert time.perf_counter() - started <= budget + 0.5
@@ -382,9 +393,9 @@ def test_budget_holds_through_warm_start_and_leaves(monkeypatch):
     assert solution.nodes == 0
     # the first deadline check to fire is the warm-start leaf's, part way
     # through its subset ranking
-    [(inside_leaf, transported)] = stops
+    [(inside_leaf, considered)] = stops
     assert inside_leaf
-    assert 0 < transported < 135
+    assert 0 < considered < 140
 
 
 def test_structured_engine_requires_source(tiny_instance, tiny_rho):
@@ -599,11 +610,8 @@ def test_batched_derivation_equals_single_derivation(monkeypatch):
         return derived
 
     monkeypatch.setattr(bnb, "_derive", derive)
-    fractional = generate(tiny_params(
-        seed=0, ratio=0.3, n_facilities=1, n_customers=17, n_shippers=1,
-        categories_per_shipper=17, n_services=1, alpha=-0.02))
     instances = [*_desk_sweep(), _full_scale(),
-                 *(tiny_family_instance(seed) for seed in range(40)), fractional]
+                 *(tiny_family_instance(seed) for seed in range(40)), _seventeen_categories()]
     for inst in instances:
         solve(inst, RhoTable.closed_form(inst))
     children = 0
@@ -740,31 +748,142 @@ def test_masks_kept_at_the_root_are_reported():
 
 def test_leaf_ranks_tied_masks_by_id(monkeypatch):
     # four masks tie above four others, which tie too: each tie is
-    # transported lowest mask first, here exactly the reverse of what the
-    # default sort makes of these bounds
+    # considered lowest mask first, here exactly the reverse of what the
+    # default sort makes of these bounds.  Every considered subset is
+    # observed, whether its cost floor screens it or it is transported
     inst = _desk_sweep()[7]
     data = _StructuredData(inst, RhoTable.closed_form(inst))
     state = _dive(data)
-    transported = []
-    real = bnb.evaluate_offers
+    considered = []
+    real = bnb.serving_problem
 
-    def evaluate(inst, rho, offers, subset):
-        transported.append(subset)
-        return real(inst, rho, offers, subset)
+    def observe(inst, offers, subset, rho):
+        considered.append(subset)
+        return real(inst, offers, subset, rho)
 
-    monkeypatch.setattr(bnb, "evaluate_offers", evaluate)
+    monkeypatch.setattr(bnb, "serving_problem", observe)
     mask_bound = np.array([1e9] * 4 + [2e9] * 4)  # above every leaf value
     assert np.argsort(-mask_bound).tolist() != [4, 5, 6, 7, 0, 1, 2, 3]
     best = bnb._leaf_value(data, state, mask_bound, 0.0)
-    masks = [sum(1 << i for i in subset) for subset in transported]
+    masks = [sum(1 << i for i in subset) for subset in considered]
     assert masks == [4, 5, 6, 7, 0, 1, 2, 3]
     assert best is not None
 
     # on kept masks, positions name their masks: the tie goes to mask 3
     narrow = data.keep_masks(np.array([3, 5, 6]))
-    transported.clear()
+    considered.clear()
     bnb._leaf_value(narrow, state, np.array([2e9, 2e9, 1e9]), 0.0)
-    assert transported == [(0, 1), (0, 2), (1, 2)]
+    assert considered == [(0, 1), (0, 2), (1, 2)]
+
+
+# -- leaf screening ------------------------------------------------------------
+
+def _leaf_value_by_evaluation(data, state, mask_bound, floor, deadline=None,
+                              diagnostics=None):
+    """``_leaf_value`` as it was before transport-cost floors: every ranked
+    subset is valued by ``evaluate_offers``, which transports it and builds
+    its flow map.  The reference the screened leaf must equal bit for bit."""
+    offers = {data.cats[c]: (int(data.off_m[c, o]), int(data.off_p[c, o]))
+              for c, o in enumerate(state) if o >= 0}
+    best = None
+    best_value = floor
+    for column in np.argsort(-mask_bound, kind="stable"):  # ties: lower mask first
+        if mask_bound[column] <= best_value + 1e-12 or bnb._past(deadline):
+            break
+        mask = int(data.mask_ids[column])
+        subset = tuple(i for i in range(data.inst.n_facilities) if mask >> i & 1)
+        status, profit, flows = evaluate_offers(data.inst, data.rho, offers, subset)
+        if status != "optimal":
+            continue
+        if profit > best_value:
+            best_value = profit
+            best = (profit, offers, subset, flows)
+    return best
+
+
+def _screening_instances():
+    """Named instances whose searches screen leaf subsets."""
+    return {**{f"desk {k}": inst for k, inst in enumerate(_desk_sweep())},
+            "7x140": _full_scale(), "17 categories": _seventeen_categories(),
+            **{f"tiny {seed}": tiny_family_instance(seed) for seed in range(200)},
+            **{f"{case} {seed}": EDGE_CASES[case](seed)
+               for case in EDGE_CASES for seed in range(6)}}
+
+
+def _solution_bytes(solution):
+    record = solution.to_json_dict()
+    del record["seconds"]
+    return json.dumps(record, sort_keys=True)
+
+
+def test_leaf_screening_equals_transporting_every_subset(monkeypatch):
+    # the screened leaf gives the solution, without its seconds, of the
+    # leaf that transports every ranked subset, bit for bit, and transports
+    # 3 subsets of 56 at full scale and 4 of 6,883 on the benchmark seed
+    instances = {**_screening_instances(), "seed 42": generate(BENCHMARK_PARAMS)}
+    screened = {}
+    counts = {}
+    for name, inst in instances.items():
+        diag = SearchDiagnostics()
+        screened[name] = _solution_bytes(solve(inst, RhoTable.closed_form(inst),
+                                               diagnostics=diag))
+        counts[name] = (diag.subsets_transported, diag.subsets_screened)
+    monkeypatch.setattr(bnb, "_leaf_value", _leaf_value_by_evaluation)
+    for name, inst in instances.items():
+        assert _solution_bytes(solve(inst, RhoTable.closed_form(inst))) == screened[name], name
+    assert json.loads(screened["seed 42"])["objective"] == 5127.190958194868
+    assert counts["7x140"] == (3, 53)
+    assert counts["seed 42"] == (4, 6879)
+    assert [counts[f"desk {k}"] for k in range(11)] == [
+        (0, 0), (0, 0), (0, 0), (0, 0), (2, 0), (2, 0), (2, 0), (2, 0), (1, 0), (1, 0), (1, 0)]
+
+
+def test_screened_subsets_cannot_beat_the_best_value(monkeypatch):
+    # every subset a leaf screens is worth, valued exactly, at most the best
+    # value of the leaf when it was screened: the leaf's floor or the best
+    # subset transported before it
+    leaves = []  # per leaf: its floor and its considered subsets in order
+    real_leaf, real_problem, real_transport = (bnb._leaf_value, bnb.serving_problem,
+                                               bnb.solve_transportation)
+
+    def leaf_value(data, state, mask_bound, floor, *args):
+        leaves.append((data, floor, []))
+        return real_leaf(data, state, mask_bound, floor, *args)
+
+    def serving_problem(inst, offers, subset, rho):
+        leaves[-1][2].append([offers, subset, False])
+        return real_problem(inst, offers, subset, rho)
+
+    def solve_transportation(*args):
+        leaves[-1][2][-1][2] = True
+        return real_transport(*args)
+
+    monkeypatch.setattr(bnb, "_leaf_value", leaf_value)
+    monkeypatch.setattr(bnb, "serving_problem", serving_problem)
+    monkeypatch.setattr(bnb, "solve_transportation", solve_transportation)
+    for inst in _screening_instances().values():
+        solve(inst, RhoTable.closed_form(inst))
+    # the warm-start leaf of a 10 x 400 instance, and a desk leaf that ranks
+    # every subset, the empty one too
+    desk = _desk_sweep()[7]
+    for inst, mask_bound in ((_slow_warm_leaf(), None),
+                             (desk, np.array([1e9] * 4 + [2e9] * 4))):
+        data = _StructuredData(inst, RhoTable.closed_form(inst))
+        state = _dive(data)
+        if mask_bound is None:
+            [(mask_bound, _allowed)] = _derive(data, [state])
+        bnb._leaf_value(data, state, mask_bound, 0.0)
+    checked = infeasible = 0
+    for data, best_value, subsets in leaves:
+        for offers, subset, transported in subsets:
+            _status, value, _flows = evaluate_offers(data.inst, data.rho, offers, subset)
+            if transported:
+                best_value = max(best_value, value)
+                continue
+            assert value <= best_value, subset
+            checked += 1
+            infeasible += value == float("-inf")
+    assert (checked, infeasible) == (141, 4)
 
 
 # -- structured set-up ---------------------------------------------------------

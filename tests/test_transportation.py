@@ -1,13 +1,16 @@
 """Leaf transportation kernel: exactness against HiGHS, degenerate inputs,
-and equality bit for bit with the kernel that rebuilds its exchange graph."""
+equality bit for bit with the kernel that rebuilds its exchange graph, and
+the transport-cost floor that screens leaf subsets."""
 
 import time
 
 import numpy as np
 import pytest
 
+from biloc.solver.bnb import _prune_tol
 from biloc.solver.transportation import (_FEAS_TOL, _PATH_TOL, TransportResult,
-                                         capacity_limit, solve_transportation)
+                                         capacity_limit, greedy_start, solve_transportation,
+                                         transport_cost_floor)
 
 
 def _assert_feasible(result, loads, capacities):
@@ -311,3 +314,96 @@ def test_kernel_equals_the_full_rebuild_bit_for_bit():
     # problems where the greedy start was repaired
     assert augmented == {"random": 171, "degenerate": 6, "tied": 57, "10x400": 3}
     assert time.perf_counter() - started < 5.0
+
+
+# -- the transport-cost floor --------------------------------------------------
+
+#: (cost, loads, capacities) where the floor's details decide its value.
+FLOOR_CASES = {
+    # customers 4 and 5 carry no load and sit at facility 0, which the greedy
+    # start overloads by 3; one of them ties its two costs
+    "zero-load customers at an overloaded facility": _problem(
+        [[1.0, 5.0, 1.0, 2.0, 0.0, 1.0], [2.0, 1.0, 3.0, 1.0, 4.0, 1.0]],
+        [4.0, 0.0, 4.0, 0.0, 0.0, 0.0], [5.0, 10.0]),
+    # total load 1.5e-9 over total capacity, inside its tolerance, so the
+    # kernel shares the excess out and leaves facility 0 above its capacity
+    # but within its limit; moving customer 0 costs 1000 per unit
+    "overload past the tolerance, dear to move": _problem(
+        [[1.0, 2.0], [1001.0, 1.0]], [1.0 + 2.5e-9, 1.0 - 1e-9], [1.0, 1.0]),
+}
+
+
+def _floor_problems():
+    """Every problem family of the kernel's tests, and the floor's own cases."""
+    yield from _random_problems()
+    yield from DEGENERATE.values()
+    yield from _tied_exchange_problems()
+    yield from _large_problems()
+    yield from FLOOR_CASES.values()
+
+
+def test_floor_never_exceeds_the_kernel_cost():
+    # +inf exactly where the kernel reports infeasible, the kernel's cost bit
+    # for bit where the greedy start is optimal, and otherwise never above
+    # it beyond rounding; a shared greedy start changes no bit of either
+    counts = {"infeasible": 0, "greedy": 0, "augmented": 0, "tight": 0}
+    for cost, loads, capacities in _floor_problems():
+        floor = transport_cost_floor(cost, loads, capacities)
+        result = solve_transportation(cost, loads, capacities)
+        start = greedy_start(cost, loads, capacities)
+        assert transport_cost_floor(cost, loads, capacities, start).hex() == floor.hex()
+        shared = solve_transportation(cost, loads, capacities, start)
+        assert (shared.status, shared.cost.hex()) == (result.status, result.cost.hex())
+        if result.status == "infeasible":
+            assert start is None and floor == float("inf")
+            counts["infeasible"] += 1
+        elif result.augmentations == 0:
+            assert floor.hex() == result.cost.hex()
+            counts["greedy"] += 1
+        else:
+            assert shared.w.tobytes() == result.w.tobytes()
+            assert floor <= result.cost + _prune_tol(result.cost)
+            counts["augmented"] += 1
+            counts["tight"] += floor == result.cost
+    assert counts == {"infeasible": 17, "greedy": 58, "augmented": 239, "tight": 21}
+
+
+def test_floor_removes_the_cheapest_regret_first():
+    # facility 0 holds customers 0 and 2 (4 units each) and is 3 past its
+    # limit; customer 0 moves at 1/4 per unit, customer 2 at 2/4, and the
+    # zero-load customers held there move nothing
+    for name in ("zero-load customers", "zero-load customers at an overloaded facility"):
+        cost, loads, capacities = {**DEGENERATE, **FLOOR_CASES}[name]
+        greedy = float(cost.min(axis=0).sum())
+        excess = 8.0 - capacity_limit(5.0)
+        floor = transport_cost_floor(cost, loads, capacities)
+        assert floor == pytest.approx(greedy + 0.25 * excess, rel=1e-15), name
+        assert floor <= solve_transportation(cost, loads, capacities).cost
+
+
+def test_floor_measures_the_excess_past_the_capacity_limit():
+    # facility 0 is 0.5e-9 past its limit, and the kernel moves the 1.75e-9
+    # it holds above its share of the tolerance: the floor charges only what
+    # lies past the limit, 1000 per unit
+    cost, loads, capacities = FLOOR_CASES["overload past the tolerance, dear to move"]
+    result = solve_transportation(cost, loads, capacities)
+    floor = transport_cost_floor(cost, loads, capacities)
+    assert result.status == "optimal" and result.augmentations == 1
+    excess = loads[0] - capacity_limit(1.0)
+    assert floor == pytest.approx(2.0 + 1000.0 / loads[0] * excess, rel=1e-15)
+    assert floor < result.cost
+
+
+def test_floor_with_one_facility_and_without_customers():
+    for name in ("single facility fits", "single facility short"):
+        cost, loads, capacities = DEGENERATE[name]
+        result = solve_transportation(cost, loads, capacities)
+        assert transport_cost_floor(cost, loads, capacities) == result.cost, name
+    assert transport_cost_floor(*DEGENERATE["single facility fits"]) == 6.0
+    assert transport_cost_floor(*DEGENERATE["single facility short"]) == float("inf")
+    # no customer costs nothing, also with no facility; customers without a
+    # facility cannot be served
+    assert transport_cost_floor(np.zeros((2, 0)), np.zeros(0), np.ones(2)) == 0.0
+    assert transport_cost_floor(np.zeros((0, 0)), np.zeros(0), np.zeros(0)) == 0.0
+    assert transport_cost_floor(np.zeros((0, 2)), np.ones(2), np.zeros(0)) == float("inf")
+    assert greedy_start(np.zeros((0, 2)), np.ones(2), np.zeros(0)) is None
