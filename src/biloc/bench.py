@@ -114,26 +114,17 @@ def _solve_point(inst: Instance, budget: float | None) -> milp.Solution:
 
 def _row(spec: SweepSpec, point, replication: int, seed: int,
          solution: milp.Solution | None, seconds: float) -> dict:
-    if solution is None:
-        return {
-            "kind": spec.kind, "point": _point_label(point),
-            "replication": replication, "seed": seed, "status": "error",
-            "objective": "", "revenue": "", "cost": "", "fixed_cost": "",
-            "nodes": "", "seconds": repr(round(seconds, 6)), "trivial": 0,
-            "gap": "",
-        }
-    return {
-        "kind": spec.kind, "point": _point_label(point),
-        "replication": replication, "seed": seed, "status": solution.status,
-        "objective": repr(solution.objective),
-        "revenue": repr(solution.revenue),
-        "cost": repr(solution.assignment_cost),
-        "fixed_cost": repr(solution.fixed_cost),
-        "nodes": solution.nodes,
-        "seconds": repr(round(seconds, 6)),
-        "trivial": 1 if solution.status == "trivial" else 0,
-        "gap": repr(solution.gap),
-    }
+    """The CSV row of one (point, replication); an error row, when
+    ``solution`` is None, leaves the solve's fields empty."""
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(kind=spec.kind, point=_point_label(point), replication=replication,
+               seed=seed, status="error", seconds=repr(round(seconds, 6)), trivial=0)
+    if solution is not None:
+        row.update(status=solution.status, objective=repr(solution.objective),
+                   revenue=repr(solution.revenue), cost=repr(solution.assignment_cost),
+                   fixed_cost=repr(solution.fixed_cost), nodes=solution.nodes,
+                   trivial=int(solution.status == "trivial"), gap=repr(solution.gap))
+    return row
 
 
 def _point_label(point) -> str:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -141,13 +142,13 @@ _SOLUTION_FIELDS = {
 #: absent.
 _SOLUTION_OPTIONAL = ("revenue", "assignment_cost", "fixed_cost", "offer_summary",
                       "nodes", "seconds", "gap")
-#: Fields of each entry of the decision lists and their converters (all
-#: required); ``offer_summary`` entries are read as ``OfferLine`` records.
-_SOLUTION_ENTRY_FIELDS = {
-    "price_choices": dict.fromkeys(("shipper", "service", "price_index"), _integer),
-    "service_choices": dict.fromkeys(("shipper", "category", "service"), _integer),
-    "allocation": {**dict.fromkeys(("facility", "customer", "service"), _integer),
-                   "fraction": _number},
+#: The decision lists of solution JSON, each a map in ``Solution``: the key
+#: fields of its entries (integers), then their value field and its converter.
+#: ``offer_summary`` entries are read as ``OfferLine`` records.
+_SOLUTION_DECISIONS = {
+    "price_choices": (("shipper", "service"), "price_index", _integer),
+    "service_choices": (("shipper", "category"), "service", _integer),
+    "allocation": (("facility", "customer", "service"), "fraction", _number),
 }
 
 
@@ -167,6 +168,13 @@ class Solution:
 
     The model's product variables ``pi`` and ``nu`` are not stored: at
     integral points they equal y*z and w*y.
+
+    Its JSON form has one key per field, in field order, each read through
+    its converter in ``_SOLUTION_FIELDS``; the three decision maps are lists
+    of entries laid out by ``_SOLUTION_DECISIONS``, which both the writer
+    and the reader follow.  A new scalar field needs its converter entry
+    (and an optional entry, if older files lack it) but no edit to either
+    method.
     """
 
     status: str  # "optimal" | "infeasible" | "time_limit" | "trivial"
@@ -197,34 +205,13 @@ class Solution:
         return 1.0 if self.service_choices.get((n, k)) == m else 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "objective": self.objective,
-            "open_facilities": list(self.open_facilities),
-            "price_choices": [
-                {"shipper": n, "service": m, "price_index": p}
-                for (n, m), p in sorted(self.price_choices.items())
-            ],
-            "service_choices": [
-                {"shipper": n, "category": k, "service": m}
-                for (n, k), m in sorted(self.service_choices.items())
-            ],
-            "allocation": [
-                {"facility": i, "customer": j, "service": m, "fraction": w}
-                for (i, j, m), w in sorted(self.allocation.items())
-            ],
-            "revenue": self.revenue,
-            "assignment_cost": self.assignment_cost,
-            "fixed_cost": self.fixed_cost,
-            "offer_summary": [
-                {"shipper": o.shipper, "category": o.category, "service": o.service,
-                 "price_index": o.price_index, "price": o.price, "rho": o.rho}
-                for o in self.offer_summary
-            ],
-            "nodes": self.nodes,
-            "seconds": self.seconds,
-            "gap": self.gap,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, (keys, value, _convert) in _SOLUTION_DECISIONS.items():
+            names = (*keys, value)
+            data[name] = [dict(zip(names, key + (v,))) for key, v in sorted(data[name].items())]
+        data["open_facilities"] = list(self.open_facilities)
+        data["offer_summary"] = [asdict(o) for o in self.offer_summary]
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Solution":
@@ -232,32 +219,16 @@ class Solution:
         the unknown, missing or malformed field."""
         top = _read(data, "solution", _SOLUTION_FIELDS, _SOLUTION_OPTIONAL,
                     error=SolutionFormatError)
-
-        def entries(name: str) -> list[dict]:
-            return [_read(obj, f"{name}[{idx}]", _SOLUTION_ENTRY_FIELDS[name],
-                          error=SolutionFormatError)
-                    for idx, obj in enumerate(top[name])]
-
-        return cls(
-            status=top["status"],
-            objective=top["objective"],
-            open_facilities=top["open_facilities"],
-            price_choices={(o["shipper"], o["service"]): o["price_index"]
-                           for o in entries("price_choices")},
-            service_choices={(o["shipper"], o["category"]): o["service"]
-                             for o in entries("service_choices")},
-            allocation={(o["facility"], o["customer"], o["service"]): o["fraction"]
-                        for o in entries("allocation")},
-            revenue=top.get("revenue", 0.0),
-            assignment_cost=top.get("assignment_cost", 0.0),
-            fixed_cost=top.get("fixed_cost", 0.0),
-            offer_summary=tuple(
-                read_record(obj, f"offer_summary[{idx}]", OfferLine, SolutionFormatError)
-                for idx, obj in enumerate(top.get("offer_summary", ()))),
-            nodes=top.get("nodes", 0),
-            seconds=top.get("seconds", 0.0),
-            gap=top.get("gap", 0.0),
-        )
+        for name, (keys, value, convert) in _SOLUTION_DECISIONS.items():
+            entry = {**dict.fromkeys(keys, _integer), value: convert}
+            key_of = itemgetter(*keys)
+            top[name] = {key_of(o): o[value] for o in (
+                _read(obj, f"{name}[{idx}]", entry, error=SolutionFormatError)
+                for idx, obj in enumerate(top[name]))}
+        top["offer_summary"] = tuple(
+            read_record(obj, f"offer_summary[{idx}]", OfferLine, SolutionFormatError)
+            for idx, obj in enumerate(top.get("offer_summary", ())))
+        return cls(**top)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -534,11 +505,11 @@ _TAG_PATTERNS = {
 def _tag_from_name(name: str) -> tuple:
     parts = name.split("_")
     head = parts[0]
-    fields = _TAG_PATTERNS.get(head)
-    if fields is not None and len(parts) == len(fields) + 1:
+    prefixes = _TAG_PATTERNS.get(head)
+    if prefixes is not None and len(parts) == len(prefixes) + 1:
         try:
             values = []
-            for expected, part in zip(fields, parts[1:]):
+            for expected, part in zip(prefixes, parts[1:]):
                 if not part.startswith(expected):
                     raise ValueError
                 values.append(int(part[len(expected):]))

@@ -92,7 +92,7 @@ class SearchDiagnostics:
     masks_kept: int = 0  # facility masks whose root bound beats the warm start
     subsets_transported: int = 0  # leaf facility subsets solved exactly
     subsets_screened: int = 0  # leaf facility subsets their cost floor ruled out
-    bound_pairs: list = field(default_factory=list)   # (parent bound, child bound)
+    bound_pairs: list = field(default_factory=list)   # (parent bound, child's own bound)
     leaf_checks: list = field(default_factory=list)   # (node bound, exact value)
 
 
@@ -494,12 +494,11 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
     data = _StructuredData(inst, rho)
     # the dive's leaf, valued like any leaf, seeds pruning
     warm = _dive(data)
-    [(warm_bounds, _allowed)] = _derive(data, [warm])
+    root = (_UNDECIDED,) * len(data.cats)
+    [(warm_bounds, _allowed), (root_bounds, root_allowed)] = _derive(data, [warm, root])
     payload = _leaf_value(data, warm, warm_bounds, 0.0, deadline, diagnostics)
     incumbent = 0.0 if payload is None else payload[0]
 
-    root = (_UNDECIDED,) * len(data.cats)
-    [(root_bounds, root_allowed)] = _derive(data, [root])
     root_bound = float(root_bounds.max())
     # bounds only fall along a branch: masks that cannot beat the warm start go
     kept = np.flatnonzero(root_bounds > incumbent + 1e-12)
@@ -557,9 +556,10 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
             children.append(tuple(child))
         for child_state, (child_bounds, child_allowed) in zip(
                 children, _derive(data, children)):
-            child_bound = min(float(child_bounds.max()), bound)  # bound inheritance
+            child_max = float(child_bounds.max())
             if diagnostics is not None:
-                diagnostics.bound_pairs.append((bound, child_bound))
+                diagnostics.bound_pairs.append((bound, child_max))
+            child_bound = min(child_max, bound)  # bound inheritance
             if child_bound > incumbent + _prune_tol(incumbent):
                 heapq.heappush(heap, (-child_bound, -(depth + 1), next(ticket),
                                       child_state, child_bounds, child_allowed))

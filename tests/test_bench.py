@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from biloc import bench
+from biloc import Solution, bench
 from biloc.instance import GeneratorParams
 
 MICRO = GeneratorParams(
@@ -64,6 +64,35 @@ def test_csv_schema_and_columns(tmp_path):
     assert lines[0] == f"# {bench.CSV_SCHEMA}"
     assert lines[1] == ",".join(bench.CSV_COLUMNS)
     assert len(lines) == 2 + len(rows)
+
+
+def test_sweep_rows_and_csv_text_are_pinned(tmp_path):
+    # a solved row and an error row differ only in the fields the solve fills
+    spec = bench.SweepSpec(kind="alpha", points=(-0.1,), base=MICRO)
+    solution = Solution(status="time_limit", objective=11.5, revenue=20.25,
+                        assignment_cost=5.0, fixed_cost=3.75, nodes=12, seconds=9.0,
+                        gap=0.125)
+    solved = bench._row(spec, -0.1, 1, 6, solution, 0.12345678)
+    error = bench._row(spec, -0.1, 2, 7, None, 2.5)
+    assert solved == {
+        "kind": "alpha", "point": "-0.1", "replication": 1, "seed": 6,
+        "status": "time_limit", "objective": "11.5", "revenue": "20.25",
+        "cost": "5.0", "fixed_cost": "3.75", "nodes": 12, "seconds": "0.123457",
+        "trivial": 0, "gap": "0.125"}
+    assert error == {
+        "kind": "alpha", "point": "-0.1", "replication": 2, "seed": 7,
+        "status": "error", "objective": "", "revenue": "", "cost": "",
+        "fixed_cost": "", "nodes": "", "seconds": "2.5", "trivial": 0, "gap": ""}
+    assert bench._row(spec, -0.1, 0, 5, Solution(status="trivial", objective=0.0),
+                      0.0)["trivial"] == 1
+    path = tmp_path / "out.csv"
+    bench.write_csv([solved, error], path)
+    assert path.read_text() == (
+        "# biloc-sweep-csv v1\n"
+        "kind,point,replication,seed,status,objective,revenue,cost,fixed_cost,nodes,"
+        "seconds,trivial,gap\n"
+        "alpha,-0.1,1,6,time_limit,11.5,20.25,5.0,3.75,12,0.123457,0,0.125\n"
+        "alpha,-0.1,2,7,error,,,,,,2.5,0,\n")
 
 
 def test_trivial_rows_have_zero_objective():

@@ -1,5 +1,6 @@
 """Model construction, LP text round trips, preprocessing bound, evaluation."""
 
+import dataclasses
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from biloc.milp import (
     InfeasibleSolutionError,
     LpParseError,
     MilpModel,
+    _SOLUTION_FIELDS,
     SolutionFormatError,
     check_solution,
 )
@@ -397,6 +399,70 @@ def test_solution_json_round_trip(tiny_instance, tiny_rho):
     solution = solve(tiny_instance, tiny_rho)
     loaded = Solution.from_json_dict(solution.to_json_dict())
     assert loaded.to_json_dict() == solution.to_json_dict()
+
+
+def test_solution_json_keys_follow_the_dataclass():
+    keys = list(Solution(status="optimal", objective=0.0).to_json_dict())
+    assert keys == [f.name for f in dataclasses.fields(Solution)]
+    assert keys == list(_SOLUTION_FIELDS)
+
+
+def test_solution_json_text_is_pinned(tmp_path):
+    inst = single_offer_instance()
+    solution = dataclasses.replace(solve(inst, RhoTable.constant(inst, 1.0)), seconds=0.0)
+    path = tmp_path / "sol.json"
+    solution.save(path)
+    assert path.read_text(encoding="utf-8") == SINGLE_OFFER_SOLUTION_JSON
+    assert Solution.load(path) == solution
+
+
+SINGLE_OFFER_SOLUTION_JSON = """\
+{
+ "status": "optimal",
+ "objective": 11.0,
+ "open_facilities": [
+  0
+ ],
+ "price_choices": [
+  {
+   "shipper": 0,
+   "service": 0,
+   "price_index": 0
+  }
+ ],
+ "service_choices": [
+  {
+   "shipper": 0,
+   "category": 0,
+   "service": 0
+  }
+ ],
+ "allocation": [
+  {
+   "facility": 0,
+   "customer": 0,
+   "service": 0,
+   "fraction": 1.0
+  }
+ ],
+ "revenue": 20.0,
+ "assignment_cost": 5.0,
+ "fixed_cost": 4.0,
+ "offer_summary": [
+  {
+   "shipper": 0,
+   "category": 0,
+   "service": 0,
+   "price_index": 0,
+   "price": 2.0,
+   "rho": 1.0
+  }
+ ],
+ "nodes": 0,
+ "seconds": 0.0,
+ "gap": 0.0
+}
+"""
 
 
 def test_solution_json_rejects_unknown_field(tiny_instance, tiny_rho):

@@ -551,10 +551,10 @@ def _full_scale():
 
 
 def test_each_search_node_is_derived_once(monkeypatch):
-    # the warm start's leaf and the root are derived alone, then the children
-    # of each branched node in one batch; every node is derived once, when
-    # made: popped nodes and leaves reuse what their push carried, and no
-    # child conflicts with a price its parent pinned
+    # the warm start's leaf and the root are derived in one batch, then the
+    # children of each branched node in one batch; every node is derived
+    # once, when made: popped nodes and leaves reuse what their push
+    # carried, and no child conflicts with a price its parent pinned
     batches = []  # sizes of the derived batches, per solve
     leaf_calls = []  # leaves valued, per solve: the warm start's and popped ones
     real_derive, real_leaf = bnb._derive, bnb._leaf_value
@@ -583,8 +583,8 @@ def test_each_search_node_is_derived_once(monkeypatch):
                 assert batches[-1] == [] and leaf_calls[-1] == 0
                 continue
             branched = solution.nodes - (leaf_calls[-1] - 1)
-            assert batches[-1][:2] == [1, 1]
-            assert len(batches[-1]) == 2 + branched
+            assert batches[-1][0] == 2
+            assert len(batches[-1]) == 1 + branched
         return sum(map(sum, batches))
 
     assert derived(_desk_sweep()) == 636  # 772 when derived twice
@@ -598,8 +598,9 @@ def _bits(derived):
 
 def test_batched_derivation_equals_single_derivation(monkeypatch):
     # each node of a batch reads bit for bit what it reads derived alone,
-    # for every branched node's children on the desk sweep, at full scale,
-    # on tiny-family seeds and on a node bound by the fractional knapsack
+    # for the warm start's leaf and the root and for every branched node's
+    # children on the desk sweep, at full scale, on tiny-family seeds and on
+    # a node bound by the fractional knapsack
     batches = []
     real = bnb._derive
 
@@ -619,7 +620,7 @@ def test_batched_derivation_equals_single_derivation(monkeypatch):
         for state, got in zip(states, derived):
             assert _bits(got) == _bits(real(data, [state])[0]), state
             children += 1
-    assert children == 1971
+    assert children == 2045  # 1,971 children, and a warm leaf and a root per search
 
     # a batch whose children miss a gate: they read -BIG and allow nothing
     inst = _gates_block_every_offer(0)
@@ -704,15 +705,14 @@ def test_search_derives_only_the_masks_kept_at_the_root(monkeypatch):
             continue  # certified trivial
         full = _StructuredData(inst, rho)
         warm, root = _dive(full), (_UNDECIDED,) * len(full.cats)
-        [(warm_bounds, _), (root_bounds, _)] = [*real_derive(full, [warm]),
-                                                *real_derive(full, [root])]
+        [(warm_bounds, _), (root_bounds, _)] = real_derive(full, [warm, root])
         leaf = bnb._leaf_value(full, warm, warm_bounds, 0.0)
         cut = (0.0 if leaf is None else leaf[0]) + 1e-12
         kept = np.flatnonzero(root_bounds > cut)
         dropped = np.flatnonzero(root_bounds <= cut)
-        assert [states for _data, states, _derived in derivations[:2]] == [[warm], [root]]
+        assert [states for _data, states, _derived in derivations[:1]] == [[warm, root]]
         knapsacks.clear()
-        for data, states, derived in derivations[2:]:
+        for data, states, derived in derivations[1:]:
             assert data.mask_ids.tobytes() == kept.tobytes()
             for got, (want, want_allowed) in zip(derived, real_derive(full, states)):
                 assert _bits(got) == _bits((want[kept], want_allowed)), states
