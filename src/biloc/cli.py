@@ -19,7 +19,7 @@ from pathlib import Path
 from . import bench, instance, milp, oracle
 from .choice import RhoTable, ScenarioSet
 from .instance import GeneratorParams
-from .solver import solve, solve_milp
+from .solver import SolverError, solve, solve_milp
 
 
 class SweepConfigError(ValueError):
@@ -242,10 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Faults of the files a command reads, reported in one line (exit status 2)
-#: instead of a traceback.
+#: Faults of the files a command reads, and a model the LP engine refuses,
+#: reported in one line (exit status 2) instead of a traceback.
 _INPUT_ERRORS = (OSError, instance.InstanceFormatError, milp.SolutionFormatError,
-                 milp.LpParseError, SweepConfigError)
+                 milp.LpParseError, SweepConfigError, SolverError)
 
 
 def main(argv: list[str] | None = None) -> int:

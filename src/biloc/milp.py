@@ -195,6 +195,14 @@ class Solution:
     def proven_optimal(self) -> bool:
         return self.status in ("optimal", "trivial")
 
+    @property
+    def offers(self) -> dict:
+        """The offer map {(n, k): (m, p)}: every category whose service has a
+        chosen price, in ``service_choices`` order."""
+        return {(n, k): (m, self.price_choices[(n, m)])
+                for (n, k), m in self.service_choices.items()
+                if (n, m) in self.price_choices}
+
     def r_value(self, i: int) -> float:
         return 1.0 if i in self.open_facilities else 0.0
 
@@ -257,6 +265,10 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
     demand; allocation only to open facilities; full assignment of offered
     categories; minimum committed demand per priced service; and the eight
     product-linearization families for pi and nu.
+
+    Variables come in the order r, y, z, w, pi, nu.  Each r, pi and nu is
+    declared with its objective coefficient, and each pi and nu with its
+    four McCormick rows, which follow the eight other row families.
     """
     for key in inst.offer_keys():
         if key not in rho:
@@ -270,7 +282,8 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
     J = inst.n_customers
 
     for i in range(I):
-        model.add_variable(f"r_i{i}", "binary", 0.0, 1.0, ("r", i))
+        r_idx = model.add_variable(f"r_i{i}", "binary", 0.0, 1.0, ("r", i))
+        model.objective[r_idx] = -inst.facilities[i].fixed_cost
     for n in range(inst.n_shippers):
         for m in inst.shipper_services(n):
             for p in range(len(inst.ladder(n, m).prices)):
@@ -286,42 +299,6 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
             for m in inst.services_for_customer(j):
                 model.add_variable(f"w_i{i}_j{j}_m{m}", "continuous", 0.0, 1.0,
                                    ("w", i, j, m))
-    for n in range(inst.n_shippers):
-        for k in range(inst.categories_per_shipper[n]):
-            for m in inst.services_by_category[n][k]:
-                for p in range(len(inst.ladder(n, m).prices)):
-                    model.add_variable(f"pi_n{n}_k{k}_m{m}_p{p}", "continuous",
-                                       0.0, 1.0, ("pi", n, k, m, p))
-    for i in range(I):
-        for j in range(J):
-            n = inst.customers[j].shipper
-            for m in inst.services_for_customer(j):
-                for p in range(len(inst.ladder(n, m).prices)):
-                    model.add_variable(f"nu_i{i}_j{j}_m{m}_p{p}", "continuous",
-                                       0.0, 1.0, ("nu", i, j, m, p))
-
-    obj: dict[int, float] = {}
-    for i in range(I):
-        obj[model.var_index(("r", i))] = -inst.facilities[i].fixed_cost
-    for n in range(inst.n_shippers):
-        for k in range(inst.categories_per_shipper[n]):
-            d_k = inst.category_demand(n, k)
-            for m in inst.services_by_category[n][k]:
-                ladder = inst.ladder(n, m)
-                for p, q in enumerate(ladder.prices):
-                    obj[model.var_index(("pi", n, k, m, p))] = (
-                        rho.get(n, k, m, p) * d_k * q
-                    )
-    for i in range(I):
-        for j in range(J):
-            cust = inst.customers[j]
-            for m in inst.services_for_customer(j):
-                for p in range(len(inst.ladder(cust.shipper, m).prices)):
-                    obj[model.var_index(("nu", i, j, m, p))] = (
-                        -rho.get(cust.shipper, cust.category, m, p)
-                        * inst.costs[i, j, m]
-                    )
-    model.objective = obj
 
     # one price per (shipper, service)
     for n in range(inst.n_shippers):
@@ -404,13 +381,16 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
                 coeffs[y_idx] = coeffs.get(y_idx, 0.0) - level
             model.add_constraint("min_demand", f"n{n}_m{m}", coeffs, ">=", 0.0)
 
-    # pi = y*z linearization
+    # pi = y*z, the revenue of a deal, and its linearization
     for n in range(inst.n_shippers):
         for k in range(inst.categories_per_shipper[n]):
+            d_k = inst.category_demand(n, k)
             for m in inst.services_by_category[n][k]:
                 z_idx = model.var_index(("z", n, k, m))
-                for p in range(len(inst.ladder(n, m).prices)):
-                    pi_idx = model.var_index(("pi", n, k, m, p))
+                for p, q in enumerate(inst.ladder(n, m).prices):
+                    pi_idx = model.add_variable(f"pi_n{n}_k{k}_m{m}_p{p}", "continuous",
+                                                0.0, 1.0, ("pi", n, k, m, p))
+                    model.objective[pi_idx] = rho.get(n, k, m, p) * d_k * q
                     y_idx = model.var_index(("y", n, m, p))
                     sfx = f"n{n}_k{k}_m{m}_p{p}"
                     model.add_constraint("deal_le_service", sfx,
@@ -422,14 +402,17 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
                                          ">=", -1.0)
                     model.add_constraint("deal_nonneg", sfx, {pi_idx: 1.0}, ">=", 0.0)
 
-    # nu = w*y linearization
+    # nu = w*y, the serving cost of a flow, and its linearization
     for i in range(I):
         for j in range(J):
             n = inst.customers[j].shipper
+            k = inst.customers[j].category
             for m in inst.services_for_customer(j):
                 w_idx = model.var_index(("w", i, j, m))
                 for p in range(len(inst.ladder(n, m).prices)):
-                    nu_idx = model.var_index(("nu", i, j, m, p))
+                    nu_idx = model.add_variable(f"nu_i{i}_j{j}_m{m}_p{p}", "continuous",
+                                                0.0, 1.0, ("nu", i, j, m, p))
+                    model.objective[nu_idx] = -rho.get(n, k, m, p) * inst.costs[i, j, m]
                     y_idx = model.var_index(("y", n, m, p))
                     sfx = f"i{i}_j{j}_m{m}_p{p}"
                     model.add_constraint("flow_le_alloc", sfx,
@@ -763,13 +746,7 @@ def check_solution(inst: "Instance", solution: Solution) -> list[str]:
 def profit_report(inst: "Instance", rho: RhoTable, solution: Solution
                   ) -> tuple[float, float, float]:
     """(expected revenue, expected assignment cost, fixed cost) of a solution."""
-    revenue = 0.0
-    for (n, k), m in solution.service_choices.items():
-        p = solution.price_choices.get((n, m))
-        if p is None:
-            continue
-        revenue += (rho.get(n, k, m, p) * inst.category_demand(n, k)
-                    * inst.ladder(n, m).prices[p])
+    revenue = offer_revenue(inst, rho, solution.offers)
     cost = 0.0
     for (i, j, m), w in solution.allocation.items():
         cust = inst.customers[j]
@@ -779,6 +756,15 @@ def profit_report(inst: "Instance", rho: RhoTable, solution: Solution
         cost += rho.get(cust.shipper, cust.category, m, p) * inst.costs[i, j, m] * w
     fixed = sum(inst.facilities[i].fixed_cost for i in solution.open_facilities)
     return float(revenue), float(cost), float(fixed)
+
+
+def offer_revenue(inst: "Instance", rho: RhoTable, offers: dict) -> float:
+    """Expected revenue of an offer map {(n, k): (m, p)}: rho * d_k * price
+    summed over its offers in map order."""
+    return sum(
+        rho.get(n, k, m, p) * inst.category_demand(n, k) * inst.ladder(n, m).prices[p]
+        for (n, k), (m, p) in offers.items()
+    )
 
 
 def evaluate(inst: "Instance", rho: RhoTable, solution: Solution) -> float:
@@ -794,11 +780,5 @@ def evaluate(inst: "Instance", rho: RhoTable, solution: Solution) -> float:
 
 def offer_summary(inst: "Instance", rho: RhoTable, solution: Solution
                   ) -> tuple[OfferLine, ...]:
-    lines = []
-    for (n, k), m in sorted(solution.service_choices.items()):
-        p = solution.price_choices.get((n, m))
-        if p is None:
-            continue
-        lines.append(OfferLine(n, k, m, p, inst.ladder(n, m).prices[p],
-                               rho.get(n, k, m, p)))
-    return tuple(lines)
+    return tuple(OfferLine(n, k, m, p, inst.ladder(n, m).prices[p], rho.get(n, k, m, p))
+                 for (n, k), (m, p) in sorted(solution.offers.items()))

@@ -27,7 +27,7 @@ import numpy as np
 from .choice import (OPT_OUT, SCENARIO_CHUNK, RhoTable, ScenarioSet, accept_rule,
                      deterministic_utility)
 from .milp import Solution, first_stage_violations
-from .solver.serving import offers_from_solution, transport_offers
+from .solver.serving import transport_offers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import Instance
@@ -87,7 +87,7 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
             + "\n".join("  - " + p for p in problems)
         )
 
-    offers = offers_from_solution(inst, first_stage)
+    offers = first_stage.offers
     offer_list = sorted(offers.items())  # [((n,k),(m,p)), ...] fixed order
     open_facilities = tuple(sorted(first_stage.open_facilities))
     fixed_cost = sum(inst.facilities[i].fixed_cost for i in open_facilities)

@@ -56,8 +56,8 @@ import numpy as np
 
 from ..choice import RhoTable
 from ..milp import (INTEGRALITY_TOL, MilpModel, Solution, certifies_trivial,
-                    profit_upper_bound)
-from .serving import flow_map, offer_revenue, serving_problem, solution_from_offers
+                    offer_revenue, profit_upper_bound)
+from .serving import flow_map, serving_problem, solution_from_offers
 from .simplex import solve_lp
 from .transportation import (capacity_limit, greedy_start, solve_transportation,
                              transport_cost_floor)
@@ -673,6 +673,9 @@ def solve_milp(model: MilpModel, budget: float | None = None,
             break
         lp = solve_lp(node_model, fixed=fixed)
         nodes += 1
+        if lp.status == "unbounded":
+            # no node bound exists, so no incumbent can be proven optimal
+            raise SolverError("the model's continuous relaxation is unbounded")
         if lp.status != "optimal":
             continue
         bound = lp.objective

@@ -12,21 +12,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..choice import RhoTable
-from ..milp import Solution, offer_summary, profit_report
+from ..milp import Solution, offer_revenue, offer_summary, profit_report
 from .transportation import TransportResult, solve_transportation
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..instance import Instance
-
-
-def offers_from_solution(inst: "Instance", solution: Solution) -> dict:
-    """{(n, k): (m, p)} for every category the solution actually offers."""
-    offers = {}
-    for (n, k), m in solution.service_choices.items():
-        p = solution.price_choices.get((n, m))
-        if p is not None:
-            offers[(n, k)] = (m, p)
-    return offers
 
 
 def solution_from_offers(inst: "Instance", rho: RhoTable, status: str,
@@ -35,7 +25,7 @@ def solution_from_offers(inst: "Instance", rho: RhoTable, status: str,
                          gap: float = 0.0) -> Solution:
     """Solution serving the offer map {(n, k): (m, p)} from the open
     facilities with the given flows, with its profit breakdown and offer
-    summary; the inverse of ``offers_from_solution``."""
+    summary; the inverse of ``Solution.offers``."""
     solution = Solution(
         status=status,
         objective=float(objective),
@@ -83,13 +73,6 @@ def serving_problem(inst: "Instance", offers: dict, open_facilities,
     rows = np.array(open_facilities, dtype=int)[:, None]
     cost = weight[None, :] * inst.costs[rows, served, services]
     return served, services, cost, loads, caps
-
-
-def offer_revenue(inst: "Instance", rho: RhoTable, offers: dict) -> float:
-    return sum(
-        rho.get(n, k, m, p) * inst.category_demand(n, k) * inst.ladder(n, m).prices[p]
-        for (n, k), (m, p) in offers.items()
-    )
 
 
 def transport_offers(inst: "Instance", offers: dict, open_facilities,

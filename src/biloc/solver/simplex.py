@@ -78,17 +78,22 @@ def _pivot_loop(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
         else:
             degenerate_streak = 0
 
-        pivot = T[row, col]
-        if abs(pivot) < EPS_PIVOT:
-            raise _Stall(f"pivot element {pivot} too small")
-        T[row, :] /= pivot
-        col_vals = T[:, col].copy()
-        col_vals[row] = 0.0
-        T -= col_vals[:, None] * T[row, :]
-        T[:, col] = 0.0
-        T[row, col] = 1.0
-        basis[row] = col
+        _pivot(T, basis, row, col)
     raise _Stall(f"no convergence in {max_iters} pivots")
+
+
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Bring column ``col`` into the basis at ``row``, in place."""
+    pivot = T[row, col]
+    if abs(pivot) < EPS_PIVOT:
+        raise _Stall(f"pivot element {pivot} too small")
+    T[row, :] /= pivot
+    col_vals = T[:, col].copy()
+    col_vals[row] = 0.0
+    T -= col_vals[:, None] * T[row, :]
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
 
 
 def _solve_once(c: np.ndarray, A: np.ndarray, senses: list[str], b: np.ndarray,
@@ -151,15 +156,7 @@ def _solve_once(c: np.ndarray, A: np.ndarray, senses: list[str], b: np.ndarray,
                 options = np.where(np.abs(T[row, :art_start]) > EPS_PIVOT)[0]
                 options = options[allowed[options]]
                 if options.size:
-                    col = int(options[0])
-                    pivot = T[row, col]
-                    T[row, :] /= pivot
-                    col_vals = T[:, col].copy()
-                    col_vals[row] = 0.0
-                    T -= np.outer(col_vals, T[row, :])
-                    T[:, col] = 0.0
-                    T[row, col] = 1.0
-                    basis[row] = col
+                    _pivot(T, basis, row, int(options[0]))
         allowed[art_start:] = False
 
     # phase 2

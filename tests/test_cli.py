@@ -189,6 +189,15 @@ def _args_with_a_bad_lp_file(inst_path, tmp_path):
     return ["solve", str(tmp_path / "model.lp")]
 
 
+def _args_with_a_too_large_lp_file(inst_path, tmp_path):
+    # 2,000 bounded columns: about 8M dense tableau cells, past the guard
+    names = [f"x{i}" for i in range(2_000)]
+    (tmp_path / "model.lp").write_text(
+        "Maximize\n obj: " + " + ".join(names) + "\nSubject To\nBounds\n"
+        + "".join(f" 0.0 <= {name} <= 1.0\n" for name in names) + "End\n")
+    return ["solve", str(tmp_path / "model.lp")]
+
+
 def _args_with_bad_sweep_json(inst_path, tmp_path):
     (tmp_path / "sweep.json").write_text("{points: [1]}")
     return ["sweep", "--kind", "ratio", "--config", str(tmp_path / "sweep.json"),
@@ -199,8 +208,10 @@ def _args_with_bad_sweep_json(inst_path, tmp_path):
     (_args_with_a_missing_file, "No such file or directory"),
     (_args_with_a_bad_solution, "sol.json: "),
     (_args_with_a_bad_lp_file, "content before any section header"),
+    (_args_with_a_too_large_lp_file, "too large for the dense relaxation engine"),
     (_args_with_bad_sweep_json, "sweep.json: not valid JSON"),
-], ids=["missing-file", "bad-solution", "bad-lp-file", "bad-sweep-json"])
+], ids=["missing-file", "bad-solution", "bad-lp-file", "too-large-lp-file",
+        "bad-sweep-json"])
 def test_input_errors_print_one_line_and_exit_2(inst_path, tmp_path, capsys,
                                                 make_args, message):
     assert main(make_args(inst_path, tmp_path)) == 2

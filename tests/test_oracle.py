@@ -1,5 +1,7 @@
 """Scenario simulation against the deterministic reduction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from biloc import (
 from biloc.choice import SCENARIO_CHUNK
 from biloc.milp import evaluate
 from biloc.oracle import _acceptance_patterns, standard_error, weighted_moments
-from biloc.solver.serving import offers_from_solution, transport_offers
+from biloc.solver.serving import transport_offers
 
 from conftest import single_offer_instance, tiny_family_instance, tiny_params
 
@@ -115,7 +117,7 @@ def test_outcomes_match_a_scenario_by_scenario_replay(mode):
     scen = ScenarioSet.for_model(inst.choice_model, 40_000, seed=6)
     assert scen.count > 2 * SCENARIO_CHUNK
     result = simulate(inst, solution, scen, modes=(mode,), keep_outcomes=True)[mode]
-    offers = offers_from_solution(inst, solution)
+    offers = solution.offers
     model = inst.choice_model
     utilities = {
         (n, k): (offer_utility(model.alpha, inst.ladder(n, m).prices[p],
@@ -221,8 +223,6 @@ def test_reallocation_counts_infeasible_scenarios():
     inst = generate(tiny_params(seed=5, n_shippers=1, categories_per_shipper=2,
                                 n_services=1, ratio=2.0))
     # shrink the capacity so both categories together overflow it
-    from dataclasses import replace
-
     total = inst.total_demand
     fac = tuple(replace(f, capacity=0.6 * total / inst.n_facilities)
                 for f in inst.facilities)
@@ -254,6 +254,19 @@ def test_replay_of_the_desk_optimum_is_pinned(mode, mean, std_error):
     assert result.mean_profit == pytest.approx(mean, rel=1e-12)
     assert result.std_error == pytest.approx(std_error, rel=1e-12)
     assert result.violation_rate == {(0, 0): 0.0, (1, 0): 0.0}
+
+
+def test_reduced_mode_serves_a_plan_that_comes_without_its_allocation():
+    # the transportation kernel at closed-form rho re-serves the offers just
+    # as the search served them
+    inst = generate(bench.DESK_PARAMS)
+    solution = solve(inst, RhoTable.closed_form(inst))
+    scen = ScenarioSet.for_model(inst.choice_model, 20_000, seed=9)
+    full = simulate(inst, solution, scen)[REDUCED]
+    assert simulate(inst, replace(solution, allocation={}), scen)[REDUCED] == full
+    unservable = replace(solution, open_facilities=(), allocation={})
+    with pytest.raises(ValueError, match="cannot be served by the open facilities"):
+        simulate(inst, unservable, scen)
 
 
 @pytest.mark.parametrize("mode", [REDUCED, REALLOC])

@@ -398,6 +398,52 @@ def test_budget_holds_through_warm_start_and_leaves(monkeypatch):
     assert 0 < considered < 140
 
 
+#: The all-zero point is feasible (so it seeds the incumbent), but x has no
+#: upper bound.
+UNBOUNDED_LP = """\\ biloc lp export v1
+Maximize
+ obj: 1.0 x + 1.0 b
+Subject To
+Bounds
+ 0.0 <= x <= inf
+Binaries
+ b
+End
+"""
+
+#: The all-zero point violates the row, so no incumbent exists at the start.
+NO_ZERO_POINT_LP = """\\ biloc lp export v1
+Maximize
+ obj: 1.0 b + 1.0 c
+Subject To
+ cover__0: 1.0 b + 1.0 c >= 1.0
+Bounds
+Binaries
+ b c
+End
+"""
+
+
+def test_unbounded_relaxation_is_an_error_not_an_optimum():
+    model = parse_lp(UNBOUNDED_LP)
+    assert solve_lp(model).status == "unbounded"
+    with pytest.raises(SolverError, match="unbounded"):
+        solve_milp(model)
+
+
+def test_relaxation_engine_with_no_time_reports_what_it_has(tiny_instance, tiny_rho):
+    # a spent budget stops the search before its root: with the all-zero
+    # point as incumbent it reports that point, and without one nothing
+    seeded = solve_milp(build(tiny_instance, tiny_rho), budget=0.0)
+    assert (seeded.status, seeded.objective, seeded.nodes) == ("time_limit", 0.0, 0)
+    assert seeded.gap == float("inf")
+    assert seeded.open_facilities == () and seeded.offers == {}
+    bare = solve_milp(parse_lp(NO_ZERO_POINT_LP), budget=0.0)
+    assert (bare.status, bare.objective, bare.nodes) == ("time_limit", float("-inf"), 0)
+    assert bare.gap == float("inf")
+    assert solve_milp(parse_lp(NO_ZERO_POINT_LP)).objective == 2.0
+
+
 def test_structured_engine_requires_source(tiny_instance, tiny_rho):
     # the structured engine needs the instance; a parsed LP file carries
     # none and goes through the relaxation engine, which must agree
