@@ -12,6 +12,7 @@ sits behind ``scale="full"``.
 from __future__ import annotations
 
 import logging
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -181,16 +182,25 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def write_csv(rows: list[dict], path: str | Path) -> None:
-    lines = [f"# {CSV_SCHEMA}", ",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(row[col]) for col in CSV_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_csv(rows: list[dict], path: str | Path | None, columns: tuple = CSV_COLUMNS,
+              schema: str | None = CSV_SCHEMA) -> None:
+    """Write ``rows``, dicts keyed by ``columns``, as CSV under a '# schema'
+    line, if any, to ``path`` or, without one, to standard output."""
+    lines = ([] if schema is None else [f"# {schema}"]) + [",".join(columns)]
+    lines += [",".join(str(row[col]) for col in columns) for row in rows]
+    text = "\n".join(lines) + "\n"
+    if not path:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
 # Worked example: two shippers, two facilities, two service levels
 # ---------------------------------------------------------------------------
+
+FIXTURE_CSV_SCHEMA = "biloc-fixture-csv v1"
+FIXTURE_CSV_COLUMNS = ("regime", "objective")
 
 #: Acceptance probabilities of the worked example, higher for cheaper prices
 #: (repo-chosen: the published figure's values are not recoverable).
@@ -268,12 +278,12 @@ class FixtureReport:
     solutions: dict
 
     def rows(self) -> list[dict]:
-        return [
-            {"regime": "fixture", "objective": self.fixture_objective},
-            {"regime": "fixture_no_gates", "objective": self.fixture_objective_no_gates},
-            {"regime": "perfect_information", "objective": self.perfect_info_objective},
-            {"regime": "uniform", "objective": self.uniform_objective},
-        ]
+        return [dict(zip(FIXTURE_CSV_COLUMNS, row)) for row in (
+            ("fixture", self.fixture_objective),
+            ("fixture_no_gates", self.fixture_objective_no_gates),
+            ("perfect_information", self.perfect_info_objective),
+            ("uniform", self.uniform_objective),
+        )]
 
 
 def run_fixture_example() -> FixtureReport:
@@ -316,10 +326,3 @@ def run_fixture_example() -> FixtureReport:
             "uniform": uniform_sol,
         },
     )
-
-
-def write_fixture_csv(report: FixtureReport, path: str | Path) -> None:
-    lines = [f"# {CSV_SCHEMA}", "regime,objective"]
-    for row in report.rows():
-        lines.append(f"{row['regime']},{row['objective']!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -13,12 +13,11 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import bench, instance, milp, oracle
 from .choice import RhoTable, ScenarioSet
-from .instance import GeneratorParams
+from .instance import GeneratorParams, _integer, _number, _of_type, _tuple_of
 from .solver import SolverError, solve, solve_milp
 
 
@@ -46,26 +45,32 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rho_rows(inst, saa_count: int | None, seed: int) -> list[str]:
-    lines = ["shipper,category,service,price_index,price,rho_closed_form,rho_saa"]
+#: Columns of ``biloc rho``; ``rho_saa`` is empty without ``--saa``.
+RHO_COLUMNS = ("shipper", "category", "service", "price_index", "price",
+               "rho_closed_form", "rho_saa")
+#: Columns of ``biloc simulate``; a ``mode_gap`` row follows two modes' rows.
+SIMULATE_COLUMNS = ("mode", "scenarios", "mean_profit", "std_error", "infeasible",
+                    "violations")
+
+
+def _write_csv(rows: list[dict], path: str | None, columns: tuple, schema=None) -> None:
+    """CSV to ``path`` and a note that says so, or else to standard output."""
+    bench.write_csv(rows, path, columns, schema)
+    if path:
+        print(f"wrote {path}")
+
+
+def _rho_rows(inst, saa_count: int | None, seed: int) -> list[dict]:
     closed = RhoTable.closed_form(inst)
     saa = _rho_table(inst, "saa", saa_count, seed) if saa_count else None
-    for (n, k, m, p), value in closed.items():
-        estimate = repr(saa.get(n, k, m, p)) if saa is not None else ""
-        price = inst.ladder(n, m).prices[p]
-        lines.append(f"{n},{k},{m},{p},{price!r},{value!r},{estimate}")
-    return lines
+    return [dict(zip(RHO_COLUMNS, (n, k, m, p, inst.ladder(n, m).prices[p], value,
+                                   "" if saa is None else saa.get(n, k, m, p))))
+            for (n, k, m, p), value in closed.items()]
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
     inst = instance.load(args.instance)
-    lines = _rho_rows(inst, args.saa, args.seed)
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write_csv(_rho_rows(inst, args.saa, args.seed), args.output, RHO_COLUMNS)
     return 0
 
 
@@ -109,49 +114,48 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     modes = {"reduced": (oracle.REDUCED,), "per-scenario": (oracle.REALLOC,),
              "both": (oracle.REDUCED, oracle.REALLOC)}[args.mode]
     results = oracle.simulate(inst, solution, scenarios, modes=modes)
-    lines = ["mode,scenarios,mean_profit,std_error,infeasible,violations"]
-    for mode, result in results.items():
-        flagged = ";".join(
-            f"n{n}m{m}:{rate:.6f}" for (n, m), rate in
-            sorted(result.violation_rate.items()) if rate > 0
-        )
-        lines.append(f"{mode},{result.count},{result.mean_profit!r},"
-                     f"{result.std_error!r},{result.infeasible_scenarios},{flagged}")
+    rows = [dict(zip(SIMULATE_COLUMNS, (
+        mode, result.count, result.mean_profit, result.std_error,
+        result.infeasible_scenarios,
+        ";".join(f"n{n}m{m}:{rate:.6f}" for (n, m), rate in
+                 sorted(result.violation_rate.items()) if rate > 0))))
+        for mode, result in results.items()]
     if len(results) == 2:
-        gap = (results[oracle.REALLOC].mean_profit
-               - results[oracle.REDUCED].mean_profit)
-        lines.append(f"mode_gap,,{gap!r},,,")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+        gap = results[oracle.REALLOC].mean_profit - results[oracle.REDUCED].mean_profit
+        rows.append(dict(zip(SIMULATE_COLUMNS, ("mode_gap", "", gap, "", "", ""))))
+    _write_csv(rows, args.out, SIMULATE_COLUMNS)
     return 0
+
+
+def _sweep_point(value):
+    """A number, or the (facilities, customers, prices) list of a size point."""
+    return _tuple_of(_integer)(value) if isinstance(value, list) else _number(value)
+
+
+#: The ``SweepSpec`` fields a sweep config may set, all optional, and their
+#: converters; ``base`` is then read as a ``GeneratorParams`` record.
+_SWEEP_CONFIG = {
+    "points": _tuple_of(_sweep_point), "replications": _integer,
+    "budget": _number, "base": _of_type(dict), "instance_path": _of_type(str),
+    "scale": _of_type(str),
+}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec_args: dict = {}
     if args.config:
         try:
-            spec_args = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise SweepConfigError(f"{args.config}: not valid JSON: {exc}") from None
-        sweep_fields = {f.name for f in fields(bench.SweepSpec)} - {"kind", "out_path"}
-        instance._require_keys(spec_args, dict.fromkeys(sweep_fields, False),
-                               "sweep config", SweepConfigError)
+        spec_args = instance._read(config, "sweep config", _SWEEP_CONFIG,
+                                   tuple(_SWEEP_CONFIG), error=SweepConfigError)
     if "base" in spec_args:
         spec_args["base"] = instance.read_record(
             spec_args["base"], "sweep config base", GeneratorParams, SweepConfigError)
-    if "points" in spec_args:
-        spec_args["points"] = tuple(
-            tuple(pt) if isinstance(pt, list) else pt for pt in spec_args["points"]
-        )
-    spec_args["kind"] = args.kind
-    spec_args["out_path"] = args.out
     try:
-        spec = bench.SweepSpec(**spec_args)
-    except (TypeError, ValueError) as exc:
+        spec = bench.SweepSpec(kind=args.kind, out_path=args.out, **spec_args)
+    except ValueError as exc:
         raise SweepConfigError(f"sweep config: {exc}") from None
     rows = bench.run_sweep(spec)
     print(f"wrote {args.out}: {len(rows)} rows")
@@ -161,8 +165,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_fixture(args: argparse.Namespace) -> int:
     report = bench.run_fixture_example()
     if args.out:
-        bench.write_fixture_csv(report, args.out)
-        print(f"wrote {args.out}")
+        _write_csv(report.rows(), args.out, bench.FIXTURE_CSV_COLUMNS,
+                   bench.FIXTURE_CSV_SCHEMA)
     for row in report.rows():
         print(f"{row['regime']}: {row['objective']!r}")
     print(f"cheap price blocked for small shipper: "

@@ -10,10 +10,10 @@ threads; all generation is a pure function of the seed.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +58,17 @@ class ServiceLevel:
     """A service tier: gamma scales capacity usage, the multiplier scales cost."""
 
     id: int
-    gamma: float = 1.0
-    cost_multiplier: float = 1.0
+    gamma: float
+    cost_multiplier: float
+
+
+@dataclass(frozen=True)
+class Shipper:
+    """A shipper's entry in the instance file."""
+
+    id: int
+    n_categories: int
+    services_by_category: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -82,8 +91,16 @@ class PriceLadder:
 
 @dataclass(frozen=True)
 class Meta:
+    """Where an instance came from, and the version of its file layout."""
+
     seed: int
-    generator: "GeneratorParams | None" = None
+    generator: GeneratorParams | None = None
+    format_version: int = JSON_FORMAT_VERSION
+
+    def __post_init__(self) -> None:
+        if self.format_version != JSON_FORMAT_VERSION:
+            raise ValueError(f"format_version must be {JSON_FORMAT_VERSION} "
+                             f"(got {self.format_version})")
 
 
 @dataclass(frozen=True)
@@ -182,6 +199,11 @@ class Instance:
     @property
     def capacity_ratio(self) -> float:
         return self.total_capacity / self.total_demand
+
+    @property
+    def shippers(self) -> tuple[Shipper, ...]:
+        return tuple(map(Shipper, range(self.n_shippers), self.categories_per_shipper,
+                         self.services_by_category))
 
     def shipper_services(self, n: int) -> tuple[int, ...]:
         """Service levels available to shipper n (union over its categories)."""
@@ -473,44 +495,32 @@ def validate(inst: Instance) -> list[str]:
 
 # ---------------------------------------------------------------------------
 # JSON serialization.  The schema is strict: unknown keys are rejected so that
-# drifting experiment configs fail loudly instead of being silently ignored.
+# drifting experiment configs fail loudly instead of being silently ignored,
+# and numbers must be finite, although JSON readers take NaN and Infinity.
 # ---------------------------------------------------------------------------
 
-def _require_keys(obj: dict, allowed: dict[str, bool], where: str,
-                  error: type[ValueError] = InstanceFormatError) -> None:
-    if not isinstance(obj, dict):
-        raise error(f"{where} must be a JSON object")
-    for key in obj:
-        if key not in allowed:
-            raise error(f"unknown field '{key}' in {where}")
-    for key, required in allowed.items():
-        if required and key not in obj:
-            raise error(f"missing field '{key}' in {where}")
+#: The instance file's record lists and the record type of their entries,
+#: each named as the ``Instance`` attribute it holds.
+_RECORD_LISTS = {"facilities": Facility, "customers": Customer, "shippers": Shipper,
+                 "service_levels": ServiceLevel, "price_ladders": PriceLadder}
+#: The instance file's single records, named the same way.
+_RECORDS = {"choice_model": ChoiceModel, "meta": Meta}
+#: The file keys of the record fields that are stored under another name.
+_FILE_KEYS = {ChoiceModel: {"service_preference": "L", "optout_preference": "L_optout"}}
+
+
+def _record_dict(record) -> dict:
+    """JSON object of a record, each field under its file key; None is left out."""
+    keys = _FILE_KEYS.get(type(record), {})
+    return {keys.get(name, name): value for name, value in asdict(record).items()
+            if value is not None}
 
 
 def to_json_dict(inst: Instance) -> dict:
-    meta: dict = {"seed": inst.meta.seed, "format_version": JSON_FORMAT_VERSION}
-    if inst.meta.generator is not None:
-        meta["generator"] = asdict(inst.meta.generator)
     return {
-        "facilities": [asdict(f) for f in inst.facilities],
-        "customers": [asdict(c) for c in inst.customers],
-        "shippers": [
-            {"id": n, "n_categories": inst.categories_per_shipper[n],
-             "services_by_category": [list(ms) for ms in inst.services_by_category[n]]}
-            for n in range(inst.n_shippers)
-        ],
-        "service_levels": [asdict(s) for s in inst.service_levels],
-        "price_ladders": [asdict(lad) for lad in inst.price_ladders],
+        **{key: [_record_dict(r) for r in getattr(inst, key)] for key in _RECORD_LISTS},
+        **{key: _record_dict(getattr(inst, key)) for key in _RECORDS},
         "costs": inst.costs.tolist(),
-        "choice_model": {
-            "alpha": inst.choice_model.alpha,
-            "beta": inst.choice_model.beta,
-            "L": [[list(km) for km in kn] for kn in inst.choice_model.service_preference],
-            "L_optout": [list(kn) for kn in inst.choice_model.optout_preference],
-            "deterministic": inst.choice_model.deterministic,
-        },
-        "meta": meta,
     }
 
 
@@ -520,14 +530,20 @@ def _read(obj, where: str, convert: dict, optional: tuple = (), into=dict,
     through its converter in ``convert``; the fields in ``optional`` may be
     missing.  Raises ``error`` naming the unknown, missing or malformed
     field."""
-    _require_keys(obj, {key: key not in optional for key in convert}, where, error)
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be a JSON object")
+    for key in obj:
+        if key not in convert:
+            raise error(f"unknown field '{key}' in {where}")
     values = {}
     for key, fn in convert.items():
         if key in obj:
             try:
                 values[key] = fn(obj[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise error(f"{where}.{key}: {exc}") from None
+        elif key not in optional:
+            raise error(f"missing field '{key}' in {where}")
     try:
         return into(**values)
     except (TypeError, ValueError) as exc:
@@ -549,7 +565,10 @@ _integer = _of_type(int)
 
 
 def _number(value) -> float:
-    return float(_of_type(int, float)(value))
+    number = float(_of_type(int, float)(value))
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {number!r}")
+    return number
 
 
 def _tuple_of(convert):
@@ -563,85 +582,62 @@ _floats = _tuple_of(_number)
 
 
 def _float_array(value) -> np.ndarray:
-    """Nested JSON lists of numbers as a float array."""
+    """Nested JSON lists of finite numbers as a float array."""
     array = np.asarray(value, dtype=float)
-    flat = [value]
-    for _ in range(array.ndim):
-        flat = chain.from_iterable(flat)
-    for kind in set(map(type, flat)) - {int, float}:
+    for kind in set(map(type, np.asarray(value, dtype=object).flat)) - {int, float}:
         raise TypeError(f"expected int or float, got {kind.__name__}")
+    if not np.isfinite(array).all():
+        raise ValueError("expected finite numbers only")
     return array
 
 
 #: JSON converter of each field type of the records ``read_record`` reads.
-_CONVERTERS = {"int": _integer, "float": _number,
-               "tuple[float, float]": _floats, "tuple[float, ...]": _floats}
+_CONVERTERS = {
+    "int": _integer, "float": _number, "bool": _of_type(bool),
+    "tuple[float, float]": _floats, "tuple[float, ...]": _floats,
+    "tuple[tuple[float, ...], ...]": _tuple_of(_floats),
+    "tuple[tuple[tuple[float, ...], ...], ...]": _tuple_of(_tuple_of(_floats)),
+    "tuple[tuple[int, ...], ...]": _tuple_of(_tuple_of(_integer)),
+    # an object here; ``from_json_dict`` reads it as a ``GeneratorParams``
+    "GeneratorParams | None": _of_type(dict),
+}
 
 
 def read_record(obj, where: str, cls, error: type[ValueError] = InstanceFormatError):
-    """Dataclass ``cls`` from a JSON object, each field converted by its
-    declared type; the fields with a default may be missing."""
-    spec = fields(cls)
-    convert = {f.name: _CONVERTERS[f.type] for f in spec}
-    optional = tuple(f.name for f in spec if f.default is not MISSING)
-    return _read(obj, where, convert, optional, cls, error)
+    """Dataclass ``cls`` from a JSON object, each field under its file key
+    and converted by its declared type; the fields with a default may be
+    missing."""
+    keys = _FILE_KEYS.get(cls, {})
+    spec = {keys.get(f.name, f.name): f for f in fields(cls)}
+    return _read(obj, where, {key: _CONVERTERS[f.type] for key, f in spec.items()},
+                 tuple(key for key, f in spec.items() if f.default is not MISSING),
+                 lambda **values: cls(**{spec[key].name: v for key, v in values.items()}),
+                 error)
 
 
 def from_json_dict(data: dict) -> Instance:
     """Instance from its JSON form; raises ``InstanceFormatError`` on a
     schema violation or listing every problem ``validate`` finds."""
-    data = _read(data, "instance", {
-        **dict.fromkeys(("facilities", "customers", "shippers", "service_levels",
-                         "price_ladders"), _of_type(list)),
-        "choice_model": _of_type(dict), "meta": _of_type(dict),
-        "costs": _float_array})
-    facilities = tuple(read_record(obj, f"facilities[{idx}]", Facility)
-                       for idx, obj in enumerate(data["facilities"]))
-    customers = tuple(read_record(obj, f"customers[{idx}]", Customer)
-                      for idx, obj in enumerate(data["customers"]))
-    shippers = [
-        _read(obj, f"shippers[{idx}]",
-              {"id": _integer, "n_categories": _integer,
-               "services_by_category": _tuple_of(_tuple_of(_integer))})
-        for idx, obj in enumerate(data["shippers"])]
-    for idx, obj in enumerate(shippers):
-        if obj["id"] != idx:
-            raise InstanceFormatError(
-                f"shippers[{idx}] has id {obj['id']}; shippers must be listed in order"
-            )
-    # not read_record: gamma and cost_multiplier have defaults but files must set them
-    service_levels = tuple(
-        _read(obj, f"service_levels[{idx}]",
-              {"id": _integer, "gamma": _number, "cost_multiplier": _number},
-              into=ServiceLevel)
-        for idx, obj in enumerate(data["service_levels"]))
-    ladders = tuple(read_record(obj, f"price_ladders[{idx}]", PriceLadder)
-                    for idx, obj in enumerate(data["price_ladders"]))
-    model = _read(data["choice_model"], "choice_model", {
-        "alpha": _number, "beta": _number,
-        "L": _tuple_of(_tuple_of(_floats)),
-        "L_optout": _tuple_of(_floats),
-        "deterministic": _of_type(bool),
-    }, ("deterministic",), lambda L, L_optout, **rest: ChoiceModel(
-        service_preference=L, optout_preference=L_optout, **rest))
-    meta = _read(data["meta"], "meta", {"seed": _integer, "format_version": _integer,
-                                        "generator": _of_type(dict)},
-                 ("format_version", "generator"))
-    generator = None
-    if "generator" in meta:
-        generator = read_record(meta["generator"], "meta.generator", GeneratorParams)
+    data = _read(data, "instance", {**dict.fromkeys(_RECORD_LISTS, _of_type(list)),
+                                    **dict.fromkeys(_RECORDS, _of_type(dict)),
+                                    "costs": _float_array})
+    records = {key: tuple(read_record(obj, f"{key}[{idx}]", cls)
+                          for idx, obj in enumerate(data[key]))
+               for key, cls in _RECORD_LISTS.items()}
+    records.update((key, read_record(data[key], key, cls)) for key, cls in _RECORDS.items())
+    shippers = records.pop("shippers")
+    for idx, shipper in enumerate(shippers):
+        if shipper.id != idx:
+            raise InstanceFormatError(f"shippers[{idx}] has id {shipper.id}; "
+                                      "shippers must be listed in order")
+    generator = records["meta"].generator
+    if generator is not None:
+        records["meta"] = replace(records["meta"], generator=read_record(
+            generator, "meta.generator", GeneratorParams))
 
-    inst = Instance(
-        facilities=facilities,
-        customers=customers,
-        service_levels=service_levels,
-        categories_per_shipper=tuple(obj["n_categories"] for obj in shippers),
-        services_by_category=tuple(obj["services_by_category"] for obj in shippers),
-        price_ladders=ladders,
-        costs=data["costs"],
-        choice_model=model,
-        meta=Meta(seed=meta["seed"], generator=generator),
-    )
+    inst = Instance(**records, costs=data["costs"],
+                    categories_per_shipper=tuple(s.n_categories for s in shippers),
+                    services_by_category=tuple(s.services_by_category for s in shippers))
     problems = validate(inst)
     if problems:
         raise InstanceFormatError("invalid instance:\n  " + "\n  ".join(problems))

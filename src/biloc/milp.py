@@ -12,6 +12,7 @@ without any search.
 from __future__ import annotations
 
 import json
+import math
 import re
 import reprlib
 from dataclasses import asdict, dataclass, field, fields
@@ -130,13 +131,18 @@ def _status(value) -> str:
     return value
 
 
+def _bound(value) -> float:
+    """A finite number, or the infinite objective or gap of a failed search."""
+    return value if value in (math.inf, -math.inf) else _number(value)
+
+
 #: Top-level fields of solution JSON and their converters.
 _SOLUTION_FIELDS = {
-    "status": _status, "objective": _number, "open_facilities": _tuple_of(_integer),
+    "status": _status, "objective": _bound, "open_facilities": _tuple_of(_integer),
     "price_choices": _of_type(list), "service_choices": _of_type(list),
     "allocation": _of_type(list), "revenue": _number, "assignment_cost": _number,
     "fixed_cost": _number, "offer_summary": _of_type(list), "nodes": _integer,
-    "seconds": _number, "gap": _number,
+    "seconds": _number, "gap": _bound,
 }
 #: The profit breakdown and the search counters, which default to zero when
 #: absent.
@@ -256,6 +262,17 @@ class Solution:
 # Model construction
 # ---------------------------------------------------------------------------
 
+#: LP names of the variable families: tag (head, *indices) is named head,
+#: then each index after its prefix, joined by underscores: ``y_n0_m1_p2``.
+_TAG_PATTERNS = {"r": ("i",), "y": ("n", "m", "p"), "z": ("n", "k", "m"),
+                 "w": ("i", "j", "m"), "pi": ("n", "k", "m", "p"),
+                 "nu": ("i", "j", "m", "p")}
+
+
+def _var_name(tag: tuple) -> str:
+    return "_".join([tag[0], *map("{}{}".format, _TAG_PATTERNS[tag[0]], tag[1:])])
+
+
 def build(inst: "Instance", rho: RhoTable) -> MilpModel:
     """Assemble the reduced single-level MILP for the instance.
 
@@ -281,24 +298,23 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
     I = inst.n_facilities
     J = inst.n_customers
 
+    def declare(kind: str, *tag) -> int:
+        return model.add_variable(_var_name(tag), kind, 0.0, 1.0, tag)
+
     for i in range(I):
-        r_idx = model.add_variable(f"r_i{i}", "binary", 0.0, 1.0, ("r", i))
-        model.objective[r_idx] = -inst.facilities[i].fixed_cost
+        model.objective[declare("binary", "r", i)] = -inst.facilities[i].fixed_cost
     for n in range(inst.n_shippers):
         for m in inst.shipper_services(n):
             for p in range(len(inst.ladder(n, m).prices)):
-                model.add_variable(f"y_n{n}_m{m}_p{p}", "binary", 0.0, 1.0,
-                                   ("y", n, m, p))
+                declare("binary", "y", n, m, p)
     for n in range(inst.n_shippers):
         for k in range(inst.categories_per_shipper[n]):
             for m in inst.services_by_category[n][k]:
-                model.add_variable(f"z_n{n}_k{k}_m{m}", "binary", 0.0, 1.0,
-                                   ("z", n, k, m))
+                declare("binary", "z", n, k, m)
     for i in range(I):
         for j in range(J):
             for m in inst.services_for_customer(j):
-                model.add_variable(f"w_i{i}_j{j}_m{m}", "continuous", 0.0, 1.0,
-                                   ("w", i, j, m))
+                declare("continuous", "w", i, j, m)
 
     # one price per (shipper, service)
     for n in range(inst.n_shippers):
@@ -388,8 +404,7 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
             for m in inst.services_by_category[n][k]:
                 z_idx = model.var_index(("z", n, k, m))
                 for p, q in enumerate(inst.ladder(n, m).prices):
-                    pi_idx = model.add_variable(f"pi_n{n}_k{k}_m{m}_p{p}", "continuous",
-                                                0.0, 1.0, ("pi", n, k, m, p))
+                    pi_idx = declare("continuous", "pi", n, k, m, p)
                     model.objective[pi_idx] = rho.get(n, k, m, p) * d_k * q
                     y_idx = model.var_index(("y", n, m, p))
                     sfx = f"n{n}_k{k}_m{m}_p{p}"
@@ -410,8 +425,7 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
             for m in inst.services_for_customer(j):
                 w_idx = model.var_index(("w", i, j, m))
                 for p in range(len(inst.ladder(n, m).prices)):
-                    nu_idx = model.add_variable(f"nu_i{i}_j{j}_m{m}_p{p}", "continuous",
-                                                0.0, 1.0, ("nu", i, j, m, p))
+                    nu_idx = declare("continuous", "nu", i, j, m, p)
                     model.objective[nu_idx] = -rho.get(n, k, m, p) * inst.costs[i, j, m]
                     y_idx = model.var_index(("y", n, m, p))
                     sfx = f"i{i}_j{j}_m{m}_p{p}"
@@ -475,31 +489,27 @@ def write_lp(model: MilpModel, path: str | Path) -> None:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TERM_RE = re.compile(r"([+-])?\s*([0-9][0-9.eE+-]*)?\s*([A-Za-z_][A-Za-z0-9_]*)")
 
-_TAG_PATTERNS = {
-    "r": ("i",),
-    "y": ("n", "m", "p"),
-    "z": ("n", "k", "m"),
-    "w": ("i", "j", "m"),
-    "pi": ("n", "k", "m", "p"),
-    "nu": ("i", "j", "m", "p"),
-}
-
 
 def _tag_from_name(name: str) -> tuple:
-    parts = name.split("_")
-    head = parts[0]
-    prefixes = _TAG_PATTERNS.get(head)
-    if prefixes is not None and len(parts) == len(prefixes) + 1:
-        try:
-            values = []
-            for expected, part in zip(prefixes, parts[1:]):
-                if not part.startswith(expected):
-                    raise ValueError
-                values.append(int(part[len(expected):]))
-            return (head, *values)
-        except ValueError:
-            pass
-    return ("x", name)
+    """The tag ``_var_name`` gives this name, else ("x", name)."""
+    head, *parts = name.split("_")
+    try:
+        tag = (head, *(int(part[len(prefix):])
+                       for prefix, part in zip(_TAG_PATTERNS[head], parts, strict=True)))
+    except (KeyError, ValueError):
+        return ("x", name)
+    return tag if _var_name(tag) == name else ("x", name)
+
+
+def _lp_number(text: str, line_no: int, what: str) -> float:
+    """The number ``text``, which may be infinite but not NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise LpParseError(f"line {line_no}: {what} '{text.strip()}' is not a number")
+    return value
 
 
 def _parse_terms(text: str, line_no: int) -> list[tuple[str, float]]:
@@ -511,7 +521,7 @@ def _parse_terms(text: str, line_no: int) -> list[tuple[str, float]]:
         if match is None or match.start() != pos:
             raise LpParseError(f"line {line_no}: cannot parse term at '{text[pos:]}'")
         sign, number, name = match.groups()
-        coeff = float(number) if number is not None else 1.0
+        coeff = 1.0 if number is None else _lp_number(number, line_no, "coefficient")
         if sign == "-":
             coeff = -coeff
         terms.append((name, coeff))
@@ -567,12 +577,7 @@ def parse_lp(text: str) -> MilpModel:
                 raise LpParseError(f"line {line_no}: constraint without a sense")
             sense = sense_match.group(1)
             lhs, rhs_text = body.split(sense, 1)
-            try:
-                rhs = float(rhs_text)
-            except ValueError:
-                raise LpParseError(
-                    f"line {line_no}: right-hand side '{rhs_text.strip()}' is not a number"
-                ) from None
+            rhs = _lp_number(rhs_text, line_no, "right-hand side")
             rows.append((name.strip(), _parse_terms(lhs, line_no), sense, rhs))
         elif section == "bounds":
             match = re.fullmatch(
@@ -580,7 +585,9 @@ def parse_lp(text: str) -> MilpModel:
             )
             if match is None:
                 raise LpParseError(f"line {line_no}: cannot parse bound '{line}'")
-            bounds.append((float(match.group(1)), match.group(2), float(match.group(3))))
+            lb, name, ub = match.groups()
+            bounds.append((_lp_number(lb, line_no, "bound"), name,
+                           _lp_number(ub, line_no, "bound")))
         elif section == "binaries":
             binaries.extend(_NAME_RE.findall(line))
         elif section is None:

@@ -252,7 +252,6 @@ def solve_lp(model: MilpModel, fixed: dict | None = None) -> LpSolution:
     senses: list[str] = []
     rhs: list[float] = []
     upper = {idx: model.variables[idx].ub for idx in free}
-    infeasible_fixed = False
     for con in model.constraints:
         row = np.zeros(n)
         shift = 0.0
@@ -281,13 +280,11 @@ def solve_lp(model: MilpModel, fixed: dict | None = None) -> LpSolution:
                   or (con.sense == ">=" and 0.0 >= bound - EPS_FEASIBILITY)
                   or (con.sense == "=" and abs(bound) <= EPS_FEASIBILITY))
             if not ok:
-                infeasible_fixed = True
+                return LpSolution("infeasible", {}, None)
             continue
         rows.append(row)
         senses.append(con.sense)
         rhs.append(bound)
-    if infeasible_fixed:
-        return LpSolution("infeasible", {}, None)
     for idx in free:
         ub = upper[idx]
         if ub < 0.0:
@@ -300,16 +297,8 @@ def solve_lp(model: MilpModel, fixed: dict | None = None) -> LpSolution:
             rhs.append(ub)
 
     if n == 0:
-        # everything fixed: only feasibility of the constant rows matters
-        feasible = all(
-            (s == "<=" and 0.0 <= r + EPS_FEASIBILITY)
-            or (s == ">=" and 0.0 >= r - EPS_FEASIBILITY)
-            or (s == "=" and abs(r) <= EPS_FEASIBILITY)
-            for s, r in zip(senses, rhs)
-        )
+        # everything fixed: every row was constant and is checked above
         values = {model.variables[i].name: v for i, v in fixed_by_index.items()}
-        if not feasible:
-            return LpSolution("infeasible", {}, None)
         return LpSolution("optimal", values, constant)
 
     result = solve_dense_lp(c, np.vstack(rows), senses, np.asarray(rhs))

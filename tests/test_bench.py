@@ -202,8 +202,10 @@ def test_fixture_min_demand_gate_rejects_small_shipper():
 def test_fixture_csv(tmp_path):
     report = bench.run_fixture_example()
     path = tmp_path / "fixture.csv"
-    bench.write_fixture_csv(report, path)
+    bench.write_csv(report.rows(), path, bench.FIXTURE_CSV_COLUMNS,
+                    bench.FIXTURE_CSV_SCHEMA)
     lines = path.read_text().splitlines()
+    assert lines[0] == "# biloc-fixture-csv v1"
     assert lines[1] == "regime,objective"
     assert len(lines) == 6
 

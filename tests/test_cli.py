@@ -166,6 +166,12 @@ def test_solve_rejects_an_invalid_instance_file(inst_path, tmp_path, capsys):
                "categories_per_shipper": 2, "n_services": 2, "n_prices": 3,
                "ratio": 2.0, "seed": 5}},
      "sweep config base.n_facilities: expected int, got str '3'"),
+    ({"points": 5}, "sweep config.points: expected list, got int 5"),
+    ({"budget": "x"}, "sweep config.budget: expected int or float, got str 'x'"),
+    ({"base": {"n_facilities": 3, "n_customers": 6, "n_shippers": 2,
+               "categories_per_shipper": 2, "n_services": 2, "n_prices": 3,
+               "ratio": 2.0, "seed": 5, "alpha": float("nan")}},
+     "sweep config base.alpha: expected a finite number, got nan"),
 ])
 def test_sweep_config_names_a_bad_field(tmp_path, capsys, config, field):
     path = tmp_path / "sweep.json"
@@ -198,6 +204,13 @@ def _args_with_a_too_large_lp_file(inst_path, tmp_path):
     return ["solve", str(tmp_path / "model.lp")]
 
 
+def _args_with_a_nan_in_the_instance(inst_path, tmp_path):
+    data = json.loads(inst_path.read_text())
+    data["facilities"][0]["fixed_cost"] = float("nan")
+    inst_path.write_text(json.dumps(data))
+    return ["solve", str(inst_path)]
+
+
 def _args_with_bad_sweep_json(inst_path, tmp_path):
     (tmp_path / "sweep.json").write_text("{points: [1]}")
     return ["sweep", "--kind", "ratio", "--config", str(tmp_path / "sweep.json"),
@@ -210,8 +223,10 @@ def _args_with_bad_sweep_json(inst_path, tmp_path):
     (_args_with_a_bad_lp_file, "content before any section header"),
     (_args_with_a_too_large_lp_file, "too large for the dense relaxation engine"),
     (_args_with_bad_sweep_json, "sweep.json: not valid JSON"),
+    (_args_with_a_nan_in_the_instance,
+     "facilities[0].fixed_cost: expected a finite number, got nan"),
 ], ids=["missing-file", "bad-solution", "bad-lp-file", "too-large-lp-file",
-        "bad-sweep-json"])
+        "bad-sweep-json", "nan-in-instance"])
 def test_input_errors_print_one_line_and_exit_2(inst_path, tmp_path, capsys,
                                                 make_args, message):
     assert main(make_args(inst_path, tmp_path)) == 2

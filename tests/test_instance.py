@@ -254,6 +254,26 @@ def _bool_cost(data):
     data["costs"][1][0][1] = False
 
 
+def _nan_fixed_cost(data):
+    data["facilities"][0]["fixed_cost"] = float("nan")
+
+
+def _infinite_cost(data):
+    data["costs"][0][1][0] = float("inf")
+
+
+def _nan_alpha(data):
+    data["choice_model"]["alpha"] = float("nan")
+
+
+def _huge_demand(data):
+    data["customers"][0]["demand"] = 10 ** 400
+
+
+def _other_format_version(data):
+    data["meta"]["format_version"] = 2
+
+
 @pytest.mark.parametrize("edit, where", [
     (_ragged_costs, "instance.costs: "),
     (_five_prices, r"price_ladders\[0\]: .*5 prices but 2 minimum demands"),
@@ -263,8 +283,14 @@ def _bool_cost(data):
     (_bool_demand, r"customers\[0\]\.demand: expected int or float, got bool True"),
     (_fractional_id, r"facilities\[1\]\.id: expected int, got float 1\.5"),
     (_bool_cost, "instance.costs: expected int or float, got bool"),
+    (_nan_fixed_cost, r"facilities\[0\]\.fixed_cost: expected a finite number, got nan"),
+    (_infinite_cost, "instance.costs: expected finite numbers only"),
+    (_nan_alpha, "choice_model.alpha: expected a finite number, got nan"),
+    (_huge_demand, r"customers\[0\]\.demand: int too large to convert to float"),
+    (_other_format_version, r"meta: format_version must be 1 \(got 2\)"),
 ], ids=["ragged-costs", "five-prices", "text-capacity", "number-for-customers",
-        "text-flag", "bool-demand", "fractional-id", "bool-cost"])
+        "text-flag", "bool-demand", "fractional-id", "bool-cost", "nan-fixed-cost",
+        "infinite-cost", "nan-alpha", "huge-demand", "other-format-version"])
 def test_load_names_the_field_of_a_malformed_value(tmp_path, tiny_instance,
                                                    edit, where):
     with pytest.raises(InstanceFormatError, match=where):

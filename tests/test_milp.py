@@ -148,6 +148,44 @@ def test_empty_model_exports_header_only_and_fails_to_parse():
         parse_lp(text)
 
 
+@pytest.mark.parametrize("name, tag", [
+    ("r_i3", ("r", 3)), ("nu_i1_j12_m0_p4", ("nu", 1, 12, 0, 4)),
+    ("r", ("x", "r")), ("y_n0", ("x", "y_n0")), ("r_i1_j2", ("x", "r_i1_j2")),
+    ("r_i03", ("x", "r_i03")), ("r_j3", ("x", "r_j3")), ("q_i3", ("x", "q_i3")),
+])
+def test_lp_names_map_to_tags_through_the_naming_table(name, tag):
+    # a name the table would not give is a plain column, never a model tag
+    model = parse_lp(f"Maximize\n obj: 1.0 {name}\nSubject To\nBinaries\n {name}\nEnd\n")
+    assert model.variables[0].tag == tag
+
+
+_LP_ROWS = "Maximize\n obj: 1.0 x\nSubject To\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x + y\n", "line 1: content before any section header"),
+    ("Maximize\n obj: 2.0 x ? y\n", "line 2: cannot parse term at '? y'"),
+    ("Maximize\n obj: 1.2.3 x\n", "line 2: coefficient '1.2.3' is not a number"),
+    (_LP_ROWS + " 1.0 x <= 1.0\n", "line 4: constraint without a name"),
+    (_LP_ROWS + " c: 1.0 x + 1.0 y\n", "line 4: constraint without a sense"),
+    (_LP_ROWS + " c: 1.0 x <= abc\n", "line 4: right-hand side 'abc' is not a number"),
+    (_LP_ROWS + " c: 1.0 x <= nan\n", "line 4: right-hand side 'nan' is not a number"),
+    (_LP_ROWS + "Bounds\n x >= 0.0\n", "line 5: cannot parse bound 'x >= 0.0'"),
+    (_LP_ROWS + "Bounds\n abc <= x <= 1.0\n", "line 5: bound 'abc' is not a number"),
+    (_LP_ROWS + "Bounds\n 0.0 <= x <= 1e\n", "line 5: bound '1e' is not a number"),
+    ("Maximize\n obj: 1.0 x\nEnd\n", "objective references undeclared variable 'x'"),
+    (_LP_ROWS + " c: 1.0 y <= 1.0\nBinaries\n x\n",
+     "constraint c references undeclared variable 'y'"),
+    ("Maximize\nSubject To\nEnd\n", "model declares no variables"),
+], ids=["before-header", "term", "coefficient", "row-name", "row-sense", "row-rhs",
+        "nan-rhs", "bound", "bound-number", "bound-exponent", "objective-variable", "row-variable",
+        "no-variables"])
+def test_lp_parse_errors_name_their_line(text, message):
+    with pytest.raises(LpParseError) as err:
+        parse_lp(text)
+    assert str(err.value) == message
+
+
 def test_external_solver_agrees_on_exported_file(tiny_instance, tiny_rho):
     model = build(tiny_instance, tiny_rho)
     ours = solve(tiny_instance, tiny_rho).objective
@@ -494,7 +532,12 @@ def test_solution_json_reports_missing_field(tiny_instance, tiny_rho):
      r"allocation\[0\].fraction: expected int or float, got bool True"),
     (lambda d: d["offer_summary"][0].update(price_index=1.5),
      r"offer_summary\[0\].price_index: expected int, got float 1.5"),
-], ids=["objective", "status-number", "status-unknown", "fraction", "offer-summary"])
+    (lambda d: d.update(objective=float("nan")),
+     "solution.objective: expected a finite number, got nan"),
+    (lambda d: d.update(revenue=float("inf")),
+     "solution.revenue: expected a finite number, got inf"),
+], ids=["objective", "status-number", "status-unknown", "fraction", "offer-summary",
+        "nan-objective", "infinite-revenue"])
 def test_solution_load_names_the_malformed_field(tiny_instance, tiny_rho, tmp_path,
                                                  edit, message):
     data = solve(tiny_instance, tiny_rho).to_json_dict()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from biloc.solver.simplex import solve_dense_lp
+from biloc.solver import simplex
+from biloc.solver.simplex import SimplexError, solve_dense_lp
 from biloc.solver.transportation import solve_transportation
 
 
@@ -18,6 +19,29 @@ def test_basic_maximization():
     assert result.status == "optimal"
     assert result.objective == pytest.approx(-7.0)
     assert result.x == pytest.approx([1.0, 3.0])
+
+
+@pytest.mark.parametrize("stalled_rules", [("dantzig",), ("dantzig", "bland")])
+def test_a_stalled_run_restarts_under_blands_rule(monkeypatch, stalled_rules):
+    solve_once, rules = simplex._solve_once, []
+
+    def stalling(c, A, senses, b, rule):
+        rules.append(rule)
+        if rule in stalled_rules:
+            raise simplex._Stall(f"{rule} stalled")
+        return solve_once(c, A, senses, b, rule)
+
+    monkeypatch.setattr(simplex, "_solve_once", stalling)
+    problem = dict(c=[-1.0, -2.0], A=[[1.0, 1.0], [0.0, 1.0]], senses=["<=", "<="],
+                   b=[4.0, 3.0])
+    if "bland" in stalled_rules:
+        with pytest.raises(SimplexError, match="even under Bland's rule: bland stalled"):
+            solve_dense_lp(**problem)
+    else:
+        result = solve_dense_lp(**problem)
+        assert (result.status, result.objective) == ("optimal", -7.0)
+        assert result.x == pytest.approx([1.0, 3.0])
+    assert rules == ["dantzig", "bland"]
 
 
 def test_equality_and_surplus_rows():

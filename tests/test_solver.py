@@ -10,6 +10,7 @@ import pytest
 
 from biloc import (
     RhoTable,
+    Solution,
     bench,
     build,
     enumerate_oracle,
@@ -442,6 +443,50 @@ def test_relaxation_engine_with_no_time_reports_what_it_has(tiny_instance, tiny_
     assert (bare.status, bare.objective, bare.nodes) == ("time_limit", float("-inf"), 0)
     assert bare.gap == float("inf")
     assert solve_milp(parse_lp(NO_ZERO_POINT_LP)).objective == 2.0
+
+
+#: No point satisfies the row, so the root relaxation is infeasible.
+INFEASIBLE_LP = """\\ biloc lp export v1
+Maximize
+ obj: 1.0 b
+Subject To
+ need__0: 1.0 b >= 2.0
+Bounds
+Binaries
+ b
+End
+"""
+
+
+def test_relaxation_engine_reports_an_infeasible_model(tmp_path):
+    solution = solve_milp(parse_lp(INFEASIBLE_LP))
+    assert (solution.status, solution.objective, solution.nodes) == (
+        "infeasible", float("-inf"), 1)
+    # an infinite objective or gap is the one non-finite number solution JSON takes
+    solution.save(tmp_path / "sol.json")
+    assert Solution.load(tmp_path / "sol.json") == solution
+
+
+def test_budget_that_runs_out_in_a_popped_leaf_leaves_its_bound_open(monkeypatch):
+    # the deadline passes while the first leaf the search pops is valued:
+    # the search stops right after it, with that leaf's bound open
+    inst = generate(tiny_params(seed=8))
+    rho = RhoTable.closed_form(inst)
+    exact = solve(inst, rho)
+    leaf_value, valued = bnb._leaf_value, []
+
+    def counted(*args):
+        valued.append(leaf_value(*args))
+        return valued[-1]
+
+    monkeypatch.setattr(bnb, "_leaf_value", counted)
+    monkeypatch.setattr(bnb, "_past", lambda deadline: len(valued) == 2)
+    solution = solve(inst, rho, budget=60.0)
+    assert len(valued) == 2  # the warm start's leaf, then the popped one
+    assert solution.status == "time_limit"
+    assert 0 < solution.nodes < exact.nodes
+    assert solution.objective <= exact.objective
+    assert solution.gap >= 0.0
 
 
 def test_structured_engine_requires_source(tiny_instance, tiny_rho):
