@@ -12,6 +12,7 @@ sits behind ``scale="full"``.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -87,16 +88,29 @@ class SweepSpec:
     scale: str = "desk"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("alpha", "beta", "ratio", "size"):
+        if self.kind not in _POINTS:
             raise ValueError(f"unknown sweep kind '{self.kind}'")
+        if self.scale not in ("desk", "full"):
+            raise ValueError(f"scale must be 'desk' or 'full', got {self.scale!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not self.points:
             self.points = default_points(self.kind, self.base, self.scale)
-        if self.kind in ("alpha", "beta"):
-            for value in self.points:
-                if not isinstance(value, (int, float)):
-                    raise ValueError(f"{self.kind} sweep points must be numbers")
+        what, valid = _POINTS[self.kind]
+        for point in self.points:
+            if not valid(point):
+                raise ValueError(f"{self.kind} sweep points must be {what}, got {point!r}")
+
+
+#: Each sweep kind: what its points must be, and the check of one point.
+_POINTS = {
+    "alpha": ("numbers", lambda p: isinstance(p, (int, float))),
+    "beta": ("numbers", lambda p: isinstance(p, (int, float))),
+    "ratio": ("positive numbers", lambda p: isinstance(p, (int, float)) and 0 < p < math.inf),
+    "size": ("(facilities, customers, prices) triples of positive integers",
+             lambda p: isinstance(p, (tuple, list)) and len(p) == 3
+             and all(isinstance(v, int) and v > 0 for v in p)),
+}
 
 
 def default_points(kind: str, base: GeneratorParams, scale: str = "desk") -> tuple:

@@ -131,18 +131,21 @@ def _status(value) -> str:
     return value
 
 
-def _bound(value) -> float:
-    """A finite number, or the infinite objective or gap of a failed search."""
-    return value if value in (math.inf, -math.inf) else _number(value)
+def _bound(infinite: float):
+    """Converter of a finite number, or of ``null``, which stands for the
+    ``infinite`` objective or gap of a search without an incumbent."""
+    def check(value) -> float:
+        return infinite if value is None else _number(value)
+    return check
 
 
 #: Top-level fields of solution JSON and their converters.
 _SOLUTION_FIELDS = {
-    "status": _status, "objective": _bound, "open_facilities": _tuple_of(_integer),
+    "status": _status, "objective": _bound(-math.inf), "open_facilities": _tuple_of(_integer),
     "price_choices": _of_type(list), "service_choices": _of_type(list),
     "allocation": _of_type(list), "revenue": _number, "assignment_cost": _number,
     "fixed_cost": _number, "offer_summary": _of_type(list), "nodes": _integer,
-    "seconds": _number, "gap": _bound,
+    "seconds": _number, "gap": _bound(math.inf),
 }
 #: The profit breakdown and the search counters, which default to zero when
 #: absent.
@@ -180,7 +183,7 @@ class Solution:
     of entries laid out by ``_SOLUTION_DECISIONS``, which both the writer
     and the reader follow.  A new scalar field needs its converter entry
     (and an optional entry, if older files lack it) but no edit to either
-    method.
+    method.  It is strict JSON: an infinite objective or gap is ``null``.
     """
 
     status: str  # "optimal" | "infeasible" | "time_limit" | "trivial"
@@ -220,6 +223,7 @@ class Solution:
 
     def to_json_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update((name, None) for name in ("objective", "gap") if math.isinf(data[name]))
         for name, (keys, value, _convert) in _SOLUTION_DECISIONS.items():
             names = (*keys, value)
             data[name] = [dict(zip(names, key + (v,))) for key, v in sorted(data[name].items())]
@@ -246,7 +250,7 @@ class Solution:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=1) + "\n", encoding="utf-8"
+            json.dumps(self.to_json_dict(), indent=1, allow_nan=False) + "\n", encoding="utf-8"
         )
 
     @classmethod
@@ -327,10 +331,8 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
 
     # per-shipper budget: priced (service, price) pairs cannot exceed category count
     for n in range(inst.n_shippers):
-        coeffs = {}
-        for m in inst.shipper_services(n):
-            for p in range(len(inst.ladder(n, m).prices)):
-                coeffs[model.var_index(("y", n, m, p))] = 1.0
+        coeffs = {model.var_index(("y", n, m, p)): 1.0 for m in inst.shipper_services(n)
+                  for p in range(len(inst.ladder(n, m).prices))}
         model.add_constraint("offer_budget", f"n{n}", coeffs, "<=",
                              float(inst.categories_per_shipper[n]))
 
@@ -356,13 +358,8 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
 
     # capacity, gamma-scaled usage
     for i in range(I):
-        coeffs = {}
-        for j in range(J):
-            d_j = inst.customers[j].demand
-            for m in inst.services_for_customer(j):
-                coeffs[model.var_index(("w", i, j, m))] = (
-                    inst.service_levels[m].gamma * d_j
-                )
+        coeffs = {model.var_index(("w", i, j, m)): inst.service_levels[m].gamma * cust.demand
+                  for j, cust in enumerate(inst.customers) for m in inst.services_for_customer(j)}
         coeffs[model.var_index(("r", i))] = -inst.facilities[i].capacity
         model.add_constraint("capacity", f"i{i}", coeffs, "<=", 0.0)
 
@@ -446,19 +443,13 @@ def build(inst: "Instance", rho: RhoTable) -> MilpModel:
 # ---------------------------------------------------------------------------
 
 def _fmt(value: float) -> str:
-    value = float(value) + 0.0  # plain float, -0.0 normalized
-    return repr(value)
+    return repr(float(value) + 0.0)  # plain float, -0.0 normalized
 
 
 def _fmt_terms(coeffs: dict[int, float], variables: list[Variable]) -> str:
-    parts: list[str] = []
-    for idx, coeff in coeffs.items():
-        sign = "-" if coeff < 0 else "+"
-        if not parts and sign == "+":
-            parts.append(f"{_fmt(abs(coeff))} {variables[idx].name}")
-        else:
-            parts.append(f"{sign} {_fmt(abs(coeff))} {variables[idx].name}")
-    return " ".join(parts)
+    """Signed terms, a leading "+" left out."""
+    return " ".join(f"{'-' if coeff < 0 else '+'} {_fmt(abs(coeff))} {variables[idx].name}"
+                    for idx, coeff in coeffs.items()).removeprefix("+ ")
 
 
 def export_lp(model: MilpModel) -> str:
@@ -531,6 +522,14 @@ def _parse_terms(text: str, line_no: int) -> list[tuple[str, float]]:
     return terms
 
 
+#: Section headers of LP text, lower-cased, and the section each opens.
+_SECTIONS = {
+    **dict.fromkeys(("maximize", "maximise", "max", "minimize", "minimise", "min"), "objective"),
+    **dict.fromkeys(("subject to", "st", "s.t."), "constraints"), "bounds": "bounds",
+    **dict.fromkeys(("binaries", "binary", "bin"), "binaries"), "end": "end",
+}
+
+
 def parse_lp(text: str) -> MilpModel:
     """Parse the canonical LP text back into a model."""
     section = None
@@ -545,23 +544,10 @@ def parse_lp(text: str) -> MilpModel:
         if not line or line.startswith("\\"):
             continue
         lowered = line.lower()
-        if lowered in ("maximize", "maximise", "max"):
-            section, maximize = "objective", True
-            continue
-        if lowered in ("minimize", "minimise", "min"):
-            section, maximize = "objective", False
-            continue
-        if lowered in ("subject to", "st", "s.t."):
-            section = "constraints"
-            continue
-        if lowered == "bounds":
-            section = "bounds"
-            continue
-        if lowered in ("binaries", "binary", "bin"):
-            section = "binaries"
-            continue
-        if lowered == "end":
-            section = "end"
+        if lowered in _SECTIONS:
+            section = _SECTIONS[lowered]
+            if section == "objective":
+                maximize = lowered.startswith("max")
             continue
 
         if section == "objective":

@@ -16,13 +16,15 @@ Two engines, each its own best-first search:
   per-customer cheapest serving cost, and an exact 0/1 knapsack, solved for
   all facility subsets at once, caps total gamma-scaled demand by the
   subset's aggregate capacity; when too many categories are undecided to
-  enumerate their subsets, the fractional knapsack takes its place.  The
-  bound only ever over-estimates and shrinks monotonically along any branch,
-  so below the root the search carries only the subsets whose root bound
-  beats the warm start's leaf.  One routine derives nodes in batches: all
-  children of a branched node at once, as arrays with a leading node axis,
-  and the root and the warm start's leaf alone.  Each node comes out bit for
-  bit as if derived by itself, and is derived once, when made; its heap entry
+  enumerate their subsets, the fractional knapsack takes its place.  Every
+  table over subsets, of facilities or of knapsack items, comes from one
+  doubling and sums its terms in index order.  The bound only ever
+  over-estimates and shrinks monotonically along any branch, so below the
+  root the search carries only the subsets whose root bound beats the warm
+  start's leaf.  One routine derives nodes in batches: all children of a
+  branched node at once, as arrays with a leading node axis, and the root
+  and the warm start's leaf alone.  Each node comes out bit for bit as if
+  derived by itself, and is derived once, when made; its heap entry
   carries its own copy of the per-subset bound and of its allowed offers,
   which give its children.  Fully decided nodes are evaluated exactly by
   transporting facility subsets in the order of that bound, so facility
@@ -48,7 +50,6 @@ import copy
 import heapq
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import count as _counter
 from typing import TYPE_CHECKING
 
@@ -58,7 +59,7 @@ from ..choice import RhoTable
 from ..milp import (INTEGRALITY_TOL, MilpModel, Solution, certifies_trivial,
                     offer_revenue, profit_upper_bound)
 from .serving import flow_map, serving_problem, solution_from_offers
-from .simplex import solve_lp
+from .simplex import _solve_lp
 from .transportation import (capacity_limit, greedy_start, solve_transportation,
                              transport_cost_floor)
 
@@ -118,10 +119,10 @@ class _StructuredData:
     probability-weighted revenue minus probability-weighted cheapest serving
     cost.  Padding entries carry -BIG so vectorized maxima ignore them.
 
-    Masks 2^i to 2^(i+1) - 1 are masks 0 to 2^i - 1 plus facility i, so
-    every mask's cheapest and second-cheapest costs and first cheapest
-    facility come from one step per facility, with no loop over masks; sums
-    add their terms in a loop's order, so each table is the same to the bit.
+    Every per-mask table comes from one doubling, a step per facility: masks
+    2^i to 2^(i+1) - 1 are masks 0 to 2^i - 1 plus facility i.  Sums add
+    their terms in index order, as a loop would, so each table is the same
+    to the bit, and a leaf subtracts the fixed cost its node bound did.
     """
 
     def __init__(self, inst: "Instance", rho: RhoTable):
@@ -168,13 +169,7 @@ class _StructuredData:
         self.n_masks = 1 << I
         self.mask_ids = np.arange(self.n_masks)  # facility mask of each mask column
         per_facility = np.array([[f.capacity, f.fixed_cost] for f in inst.facilities]).T
-        member = (np.arange(self.n_masks)[:, None] >> np.arange(I)) & 1 == 1
-        sums = np.zeros((2, self.n_masks))
-        for size in range(1, I + 1):  # summed as per_facility[:, members].sum(axis=1)
-            same = np.flatnonzero(member.sum(axis=1) == size)  # one run per mask
-            runs = np.nonzero(member[same])[1].reshape(-1, size)
-            sums[:, same] = np.take(per_facility, runs, axis=1).sum(axis=2)
-        self.mask_capacity, self.mask_fixed_cost = sums
+        self.mask_capacity, self.mask_fixed_cost = _subset_sums(per_facility)
         self.mask_limit = capacity_limit(self.mask_capacity)
 
         # per (mask, customer, service): the cheapest serving cost, the first
@@ -305,13 +300,16 @@ def _node_offers(data: _StructuredData, states: np.ndarray
     return allowed, conflict, reach < level - 1e-9
 
 
-@lru_cache(maxsize=None)
-def _subsets(n: int) -> np.ndarray:
-    """(2^n, n) 0/1 matrix whose row s holds the bits of s; shared, so
-    read-only."""
-    subsets = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    subsets.flags.writeable = False
-    return subsets
+def _subset_sums(terms: np.ndarray) -> np.ndarray:
+    """(..., 2^n) sum of every subset of the n terms on the last axis,
+    subset s holding the terms at the bits of s.  The subsets holding term i
+    are those without it plus term i, so each sum adds its terms in index
+    order, as Python's ``sum`` does."""
+    n = terms.shape[-1]
+    sums = np.zeros((*terms.shape[:-1], 1 << n))
+    for i in range(n):
+        np.add(sums[..., :1 << i], terms[..., i:i + 1], out=sums[..., 1 << i:2 << i])
+    return sums
 
 
 def _knapsack(values: np.ndarray, weights: np.ndarray, room: np.ndarray,
@@ -321,23 +319,21 @@ def _knapsack(values: np.ndarray, weights: np.ndarray, room: np.ndarray,
     ``values`` is (nodes, masks, items) and non-negative, ``weights``
     (items,) and ``room`` (nodes, masks).  When ``exact``, every subset of
     items is valued at once, an exact 0/1 knapsack, over slices of at most
-    ``_EXACT_KNAPSACK_CELLS`` (row, subset) pairs; the subsets holding item i
-    are those without it plus item i, so each subset sums its items in item
-    order, whatever the rows.  Otherwise the items are taken greedily by
-    value per weight with the last one split, the fractional bound.
+    ``_EXACT_KNAPSACK_CELLS`` (row, subset) pairs, each subset summing its
+    items in item order, whatever the rows.  Otherwise the items are taken
+    greedily by value per weight with the last one split, the fractional
+    bound.
     """
     n_nodes, n_masks, n_items = values.shape
     values = values.reshape(n_nodes * n_masks, n_items)
     room = room.reshape(n_nodes * n_masks)
     if exact:
-        sizes = _subsets(n_items) @ weights
+        sizes = _subset_sums(weights)
         best = np.empty(len(room))
         step = _EXACT_KNAPSACK_CELLS >> n_items  # rows per slice
         for lo in range(0, len(room), step):
             part = slice(lo, lo + step)
-            valued = np.zeros((len(room[part]), 1 << n_items))
-            for i in range(n_items):
-                np.add(valued[:, :1 << i], values[part, i:i + 1], out=valued[:, 1 << i:2 << i])
+            valued = _subset_sums(values[part])
             valued *= sizes[None, :] <= room[part, None]  # drop what overfills
             best[part] = valued.max(axis=1)
         return best.reshape(n_nodes, n_masks)
@@ -435,7 +431,7 @@ def _leaf_value(data: _StructuredData, state: tuple, mask_bound: np.ndarray,
         mask = int(data.mask_ids[column])
         subset = tuple(i for i in range(inst.n_facilities) if mask >> i & 1)
         served, services, cost, loads, caps = serving_problem(inst, offers, subset, data.rho)
-        fixed = sum(inst.facilities[i].fixed_cost for i in subset)
+        fixed = float(data.mask_fixed_cost[column])
         start = greedy_start(cost, loads, caps)
         # an infeasible subset's floor is +inf, so it is always screened
         if (revenue - transport_cost_floor(cost, loads, caps, start) - fixed
@@ -593,35 +589,24 @@ def _relaxation_model(model: MilpModel) -> MilpModel:
     down onto its >= rows, so its <= rows are slack.  The reduced LP has the
     same optimal value node for node, and its optimum maps back to a point
     satisfying the dropped rows."""
-    drop_ge = set()
-    drop_le = set()
-    for idx, var in enumerate(model.variables):
-        kind = var.tag[0]
-        coef = model.objective.get(idx, 0.0)
-        if kind == "pi" and coef >= 0.0:
-            drop_ge.add(idx)
-        elif kind == "nu" and coef <= 0.0:
-            drop_le.add(idx)
-    kept = []
-    for con in model.constraints:
-        if con.family == "deal_ge_link" and any(i in drop_ge for i in con.coeffs):
-            continue
-        if con.family in ("flow_le_alloc", "flow_le_price") and any(
-            i in drop_le for i in con.coeffs
-        ):
-            continue
-        kept.append(con)
-    reduced = MilpModel(variables=model.variables, objective=model.objective,
-                        maximize=model.maximize)
-    reduced.constraints = kept
-    return reduced
+    gains = [(var.tag[0], model.objective.get(idx, 0.0))
+             for idx, var in enumerate(model.variables)]
+    drop_ge = {idx for idx, (kind, coef) in enumerate(gains) if kind == "pi" and coef >= 0.0}
+    drop_le = {idx for idx, (kind, coef) in enumerate(gains) if kind == "nu" and coef <= 0.0}
+    slack = {"deal_ge_link": drop_ge, "flow_le_alloc": drop_le, "flow_le_price": drop_le}
+    return MilpModel(variables=model.variables, objective=model.objective,
+                     maximize=model.maximize,
+                     constraints=[con for con in model.constraints
+                                  if slack.get(con.family, set()).isdisjoint(con.coeffs)])
 
 
 def solve_milp(model: MilpModel, budget: float | None = None,
                diagnostics: SearchDiagnostics | None = None) -> Solution:
     """Solve any model, built or parsed from LP text, with the relaxation
     engine.  ``budget`` is a wall-clock limit in seconds (None = none),
-    checked before every node."""
+    checked before every node and every pivot of its LP."""
+    start = time.perf_counter()
+    deadline = None if budget is None else start + budget
     cells = (len(model.constraints) + len(model.variables) + 1) * (
         2 * len(model.variables) + len(model.constraints) + 1
     )
@@ -631,8 +616,6 @@ def solve_milp(model: MilpModel, budget: float | None = None,
             "cells); solve through the instance (structured engine) instead"
         )
     node_model = _relaxation_model(model)
-    start = time.perf_counter()
-    deadline = None if budget is None else start + budget
     binaries = model.binary_indices()
 
     incumbent = None  # (objective, values)
@@ -666,12 +649,13 @@ def solve_milp(model: MilpModel, budget: float | None = None,
         depth = -neg_depth
         if incumbent is not None and est <= inc_value() + prune_tol():
             break
-        if _past(deadline):
+        lp = None if _past(deadline) else _solve_lp(node_model, fixed, deadline)
+        if lp is None or lp.status == "time_limit":
+            # out of time before or inside the node's LP: its bound stays open
             status = "time_limit"
             final_gap = (max(0.0, est - inc_value())
                          / max(1.0, abs(inc_value())))
             break
-        lp = solve_lp(node_model, fixed=fixed)
         nodes += 1
         if lp.status == "unbounded":
             # no node bound exists, so no incumbent can be proven optimal

@@ -67,17 +67,8 @@ def _shipper_plans(inst: "Instance", n: int) -> list[tuple[dict, dict]]:
         ]
         for combo in product(*cat_options):
             assignment = {k: m for k, m in enumerate(combo) if m is not None}
-            ok = True
-            for m, p in menu.items():
-                level = inst.ladder(n, m).min_demands[p]
-                committed = sum(
-                    inst.category_demand(n, k)
-                    for k, mm in assignment.items() if mm == m
-                )
-                if committed < level - 1e-9:
-                    ok = False
-                    break
-            if ok:
+            if all(sum(inst.category_demand(n, k) for k, mm in assignment.items() if mm == m)
+                   >= inst.ladder(n, m).min_demands[p] - 1e-9 for m, p in menu.items()):
                 plans.append((menu, assignment))
     return plans
 

@@ -37,10 +37,8 @@ def solution_from_offers(inst: "Instance", rho: RhoTable, status: str,
         seconds=seconds,
         gap=gap,
     )
-    revenue, cost, fixed = profit_report(inst, rho, solution)
-    solution.revenue = revenue
-    solution.assignment_cost = cost
-    solution.fixed_cost = fixed
+    solution.revenue, solution.assignment_cost, solution.fixed_cost = profit_report(
+        inst, rho, solution)
     solution.offer_summary = offer_summary(inst, rho, solution)
     return solution
 

@@ -14,6 +14,7 @@ from scratch under pure Bland's rule before giving up.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ class _Stall(Exception):
 
 @dataclass
 class DenseLpResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded" | "time_limit"
     x: np.ndarray | None
     objective: float | None  # minimization sense
     iterations: int
@@ -44,13 +45,16 @@ class DenseLpResult:
 
 
 def _pivot_loop(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray,
-                rule: str, max_iters: int) -> tuple[str, int]:
+                rule: str, max_iters: int, deadline: float | None) -> tuple[str, int]:
     """Run pivots on tableau T (objective in the last row, rhs in the last
-    column) until the objective row is nonnegative over allowed columns."""
+    column) until the objective row is nonnegative over allowed columns, or
+    until the clock passes ``deadline`` (None = never)."""
     m = T.shape[0] - 1
     degenerate_streak = 0
     bland = rule == "bland"
     for iteration in range(max_iters):
+        if deadline is not None and time.perf_counter() > deadline:
+            return "time_limit", iteration
         obj = T[-1, :-1]
         candidates = np.where(allowed & (obj < -EPS_REDUCED_COST))[0]
         if candidates.size == 0:
@@ -97,7 +101,7 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def _solve_once(c: np.ndarray, A: np.ndarray, senses: list[str], b: np.ndarray,
-                rule: str) -> DenseLpResult:
+                rule: str, deadline: float | None) -> DenseLpResult:
     m, n = A.shape
     A = A.copy()
     b = b.copy()
@@ -139,8 +143,10 @@ def _solve_once(c: np.ndarray, A: np.ndarray, senses: list[str], b: np.ndarray,
         for i in art_rows:
             T[-1, :] -= T[i, :]
         T[-1, art_start:-1] += 1.0
-        status, used = _pivot_loop(T, basis, allowed, rule, max_iters)
+        status, used = _pivot_loop(T, basis, allowed, rule, max_iters, deadline)
         iterations += used
+        if status == "time_limit":
+            return DenseLpResult(status, None, None, iterations, 0.0)
         if status == "unbounded":
             raise _Stall("phase 1 unbounded; numerical trouble")
         if T[-1, -1] < -EPS_FEASIBILITY:
@@ -167,10 +173,10 @@ def _solve_once(c: np.ndarray, A: np.ndarray, senses: list[str], b: np.ndarray,
         coeff = T[-1, col]
         if coeff != 0.0:
             T[-1, :] -= coeff * T[row, :]
-    status, used = _pivot_loop(T, basis, allowed, rule, max_iters)
+    status, used = _pivot_loop(T, basis, allowed, rule, max_iters, deadline)
     iterations += used
-    if status == "unbounded":
-        return DenseLpResult("unbounded", None, None, iterations, 0.0)
+    if status != "optimal":
+        return DenseLpResult(status, None, None, iterations, 0.0)
 
     x = np.zeros(total)
     x[basis] = T[:m, -1]
@@ -191,16 +197,21 @@ def _solve_once(c: np.ndarray, A: np.ndarray, senses: list[str], b: np.ndarray,
 def solve_dense_lp(c: np.ndarray, A: np.ndarray, senses: list[str],
                    b: np.ndarray) -> DenseLpResult:
     """Minimize c'x subject to A x {<=,>=,=} b and x >= 0."""
+    return _solve_dense_lp(c, A, senses, b, None)
+
+
+def _solve_dense_lp(c: np.ndarray, A: np.ndarray, senses: list[str],
+                    b: np.ndarray, deadline: float | None) -> DenseLpResult:
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or A.shape != (b.size, c.size):
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}, c {c.shape}")
     try:
-        return _solve_once(c, A, senses, b, rule="dantzig")
+        return _solve_once(c, A, senses, b, "dantzig", deadline)
     except _Stall:
         try:
-            return _solve_once(c, A, senses, b, rule="bland")
+            return _solve_once(c, A, senses, b, "bland", deadline)
         except _Stall as exc:
             raise SimplexError(f"simplex failed even under Bland's rule: {exc}") from exc
 
@@ -209,7 +220,7 @@ def solve_dense_lp(c: np.ndarray, A: np.ndarray, senses: list[str],
 class LpSolution:
     """Continuous-relaxation solution of a model."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible" | "unbounded" | "time_limit"
     values: dict
     objective: float | None  # in the model's own sense
     max_residual: float = 0.0
@@ -224,6 +235,12 @@ def solve_lp(model: MilpModel, fixed: dict | None = None) -> LpSolution:
     bounds become explicit rows, except that single-variable constraint rows
     are folded into the bounds first.
     """
+    return _solve_lp(model, fixed, None)
+
+
+def _solve_lp(model: MilpModel, fixed: dict | None,
+              deadline: float | None) -> LpSolution:
+    """``solve_lp``, stopped with status ``time_limit`` past ``deadline``."""
     fixed_by_index = {
         key if isinstance(key, int) else model.var_index(key): float(value)
         for key, value in (fixed or {}).items()
@@ -301,7 +318,7 @@ def solve_lp(model: MilpModel, fixed: dict | None = None) -> LpSolution:
         values = {model.variables[i].name: v for i, v in fixed_by_index.items()}
         return LpSolution("optimal", values, constant)
 
-    result = solve_dense_lp(c, np.vstack(rows), senses, np.asarray(rhs))
+    result = _solve_dense_lp(c, np.vstack(rows), senses, np.asarray(rhs), deadline)
     if result.status != "optimal":
         return LpSolution(result.status, {}, None)
 

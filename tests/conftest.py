@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +78,14 @@ def single_offer_instance(demand: float = 10.0, price: float = 2.0,
         choice_model=model,
         meta=Meta(seed=0),
     )
+
+
+def strict_json(path):
+    """The JSON in ``path``, read as strict readers such as ``jq`` read it:
+    ``NaN``, ``Infinity`` and ``-Infinity`` are refused."""
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not strict JSON")
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
 
 
 def external_milp_optimum(model) -> float | None:

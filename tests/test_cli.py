@@ -8,6 +8,8 @@ import pytest
 from biloc import RhoTable, ScenarioSet, Solution, bench, generate, load, oracle, save, solve
 from biloc.cli import build_parser, main
 
+from conftest import strict_json
+
 
 @pytest.fixture
 def inst_path(tmp_path):
@@ -24,6 +26,22 @@ def test_gen_writes_valid_instance(inst_path):
     inst = load(inst_path)
     assert inst.n_customers == 6
     assert inst.capacity_ratio == pytest.approx(2.0, rel=1e-9)
+
+
+def test_every_json_file_the_cli_writes_is_strict_json(inst_path, tmp_path):
+    # the instance from gen, then solutions from the instance and from its
+    # LP file, each also under a spent budget: the LP route then has no
+    # finished node, so its gap is infinite and written as null
+    strict_json(inst_path)
+    model_path = tmp_path / "model.lp"
+    assert main(["build", str(inst_path), "--out", str(model_path)]) == 0
+    spent = ["--time-limit", "0"]
+    runs = {"sol.json": [str(inst_path)], "sol-spent.json": [str(inst_path), *spent],
+            "lp-spent.json": [str(model_path), *spent]}
+    for name, args in runs.items():
+        assert main(["solve", *args, "--out", str(tmp_path / name)]) == 0
+        strict_json(tmp_path / name)
+    assert Solution.load(tmp_path / "lp-spent.json").gap == float("inf")
 
 
 def test_rho_table_output(inst_path, tmp_path, capsys):
@@ -172,6 +190,9 @@ def test_solve_rejects_an_invalid_instance_file(inst_path, tmp_path, capsys):
                "categories_per_shipper": 2, "n_services": 2, "n_prices": 3,
                "ratio": 2.0, "seed": 5, "alpha": float("nan")}},
      "sweep config base.alpha: expected a finite number, got nan"),
+    ({"scale": "fulll"}, "sweep config: scale must be 'desk' or 'full', got 'fulll'"),
+    ({"points": [[2, 12, 3]]},
+     "sweep config: ratio sweep points must be positive numbers, got (2, 12, 3)"),
 ])
 def test_sweep_config_names_a_bad_field(tmp_path, capsys, config, field):
     path = tmp_path / "sweep.json"

@@ -25,11 +25,11 @@ def test_basic_maximization():
 def test_a_stalled_run_restarts_under_blands_rule(monkeypatch, stalled_rules):
     solve_once, rules = simplex._solve_once, []
 
-    def stalling(c, A, senses, b, rule):
+    def stalling(c, A, senses, b, rule, deadline):
         rules.append(rule)
         if rule in stalled_rules:
             raise simplex._Stall(f"{rule} stalled")
-        return solve_once(c, A, senses, b, rule)
+        return solve_once(c, A, senses, b, rule, deadline)
 
     monkeypatch.setattr(simplex, "_solve_once", stalling)
     problem = dict(c=[-1.0, -2.0], A=[[1.0, 1.0], [0.0, 1.0]], senses=["<=", "<="],

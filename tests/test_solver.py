@@ -40,8 +40,8 @@ from biloc.solver.bnb import (
 from biloc.solver.serving import evaluate_offers, transport_offers
 from biloc.solver.transportation import capacity_limit
 
-from conftest import (external_milp_optimum, single_offer_instance, tiny_family_instance,
-                      tiny_params)
+from conftest import (external_milp_optimum, single_offer_instance, strict_json,
+                      tiny_family_instance, tiny_params)
 from test_acceptance import BENCHMARK_PARAMS
 
 
@@ -462,9 +462,32 @@ def test_relaxation_engine_reports_an_infeasible_model(tmp_path):
     solution = solve_milp(parse_lp(INFEASIBLE_LP))
     assert (solution.status, solution.objective, solution.nodes) == (
         "infeasible", float("-inf"), 1)
-    # an infinite objective or gap is the one non-finite number solution JSON takes
+    # its -inf objective is written as null and read back as -inf
     solution.save(tmp_path / "sol.json")
     assert Solution.load(tmp_path / "sol.json") == solution
+
+
+def test_solutions_without_an_incumbent_round_trip_as_strict_json(tmp_path):
+    # strict JSON has no infinity: an infinite objective or gap is null
+    infeasible = solve_milp(parse_lp(INFEASIBLE_LP))
+    limited = solve_milp(parse_lp(NO_ZERO_POINT_LP), budget=0.0)
+    for solution, gap in ((infeasible, 0.0), (limited, None)):
+        solution.save(tmp_path / "sol.json")
+        data = strict_json(tmp_path / "sol.json")
+        assert (data["objective"], data["gap"]) == (None, gap)
+        assert Solution.load(tmp_path / "sol.json") == solution
+
+
+def test_relaxation_engine_honours_its_budget_inside_an_lp():
+    # under the relaxation engine's cell limit, yet its root LP alone takes
+    # over a second: the deadline stops the pivots, and the root stays open
+    inst = generate(tiny_params(seed=1, n_facilities=3, n_customers=12,
+                                categories_per_shipper=3, n_services=3, n_prices=3))
+    model = build(inst, RhoTable.closed_form(inst))
+    started = time.perf_counter()
+    solution = solve_milp(model, budget=0.05)
+    assert time.perf_counter() - started < 0.05 + 0.25
+    assert (solution.status, solution.nodes, solution.gap) == ("time_limit", 0, float("inf"))
 
 
 def test_budget_that_runs_out_in_a_popped_leaf_leaves_its_bound_open(monkeypatch):
@@ -1013,8 +1036,8 @@ def _set_up_by_loops(inst, rho) -> dict:
     fixed = np.array([f.fixed_cost for f in inst.facilities])
     member = [np.array([mask >> i & 1 == 1 for i in range(I)]) for mask in range(masks)]
     t["mask_ids"] = np.array(range(masks))
-    t["mask_capacity"] = np.array([caps[sel].sum() for sel in member])
-    t["mask_fixed_cost"] = np.array([fixed[sel].sum() for sel in member])
+    t["mask_capacity"] = np.array([sum(caps[sel].tolist()) for sel in member])
+    t["mask_fixed_cost"] = np.array([sum(fixed[sel].tolist()) for sel in member])
     t["mask_limit"], t["facility_limit"] = capacity_limit(t["mask_capacity"]), capacity_limit(caps)
     scaled = np.array([[s.gamma * c.demand for s in inst.service_levels] for c in inst.customers])
     cheap = np.full((masks, C, M), _BIG)
