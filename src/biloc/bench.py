@@ -3,10 +3,13 @@ worked example.
 
 Sweeps run each grid point through the full pipeline (instance, acceptance
 probabilities, model, exact solve) and emit one CSV row per (point,
-replication).  The CSV is deterministic for a fixed spec and seed except for
-the ``seconds`` column, which is a wall-clock measurement.  Desk-scale
-defaults keep a complete run in the minutes range; the full-scale size grid
-sits behind ``scale="full"``.
+replication).  Each sweep kind is one entry of ``SWEEP_KINDS``: what its
+points must be, its default grid, and how a point turns its replication's
+base instance into the point's instance (a size point generates its own).
+The CSV is deterministic for a fixed spec and seed except for the
+``seconds`` column, which is a wall-clock measurement.  Desk-scale defaults
+keep a complete run in the minutes range; the full-scale size grid sits
+behind ``scale="full"``.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import logging
 import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,18 +26,8 @@ import numpy as np
 
 from . import milp
 from .choice import ChoiceModel, RhoTable, alpha_for_target_rho, alpha_sweep_values
-from .instance import (
-    Facility,
-    Customer,
-    GeneratorParams,
-    Instance,
-    Meta,
-    PriceLadder,
-    ServiceLevel,
-    generate,
-    load,
-    scale_to_ratio,
-)
+from .instance import (Customer, Facility, GeneratorParams, Instance, Meta, PriceLadder,
+                       ServiceLevel, generate, load, scale_to_ratio)
 from .solver import enumerate_oracle, solve
 from .solver.serving import evaluate_offers
 
@@ -73,12 +67,12 @@ def default_alpha_grid(params: GeneratorParams = DESK_PARAMS) -> list[float]:
 class SweepSpec:
     """One sweep: a grid of points over a base configuration.
 
-    ``points`` are floats for alpha/beta/ratio and (facilities, customers,
-    prices) triples for size.  ``instance_path`` pins a serialized instance
-    for alpha/beta sweeps instead of generating one.
+    ``points`` are checked, and default to a grid, by the kind's entry in
+    ``SWEEP_KINDS``.  ``instance_path`` pins a serialized base instance for
+    alpha/beta/ratio sweeps with one replication instead of generating one.
     """
 
-    kind: str  # "alpha" | "beta" | "ratio" | "size"
+    kind: str  # a key of SWEEP_KINDS
     points: tuple = ()
     replications: int = 1
     budget: float | None = None
@@ -88,39 +82,48 @@ class SweepSpec:
     scale: str = "desk"
 
     def __post_init__(self) -> None:
-        if self.kind not in _POINTS:
+        if self.kind not in SWEEP_KINDS:
             raise ValueError(f"unknown sweep kind '{self.kind}'")
         if self.scale not in ("desk", "full"):
             raise ValueError(f"scale must be 'desk' or 'full', got {self.scale!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        kind = SWEEP_KINDS[self.kind]
+        if self.instance_path is not None and (kind.at is None or self.replications > 1):
+            raise ValueError("instance_path needs an alpha, beta or ratio sweep with 1 "
+                             f"replication (got a {self.kind} sweep with {self.replications})")
         if not self.points:
-            self.points = default_points(self.kind, self.base, self.scale)
-        what, valid = _POINTS[self.kind]
+            self.points = kind.grid(self.base, self.scale)
         for point in self.points:
-            if not valid(point):
-                raise ValueError(f"{self.kind} sweep points must be {what}, got {point!r}")
+            if not kind.valid(point):
+                raise ValueError(f"{self.kind} sweep points must be {kind.what}, got {point!r}")
 
 
-#: Each sweep kind: what its points must be, and the check of one point.
-_POINTS = {
-    "alpha": ("numbers", lambda p: isinstance(p, (int, float))),
-    "beta": ("numbers", lambda p: isinstance(p, (int, float))),
-    "ratio": ("positive numbers", lambda p: isinstance(p, (int, float)) and 0 < p < math.inf),
-    "size": ("(facilities, customers, prices) triples of positive integers",
-             lambda p: isinstance(p, (tuple, list)) and len(p) == 3
-             and all(isinstance(v, int) and v > 0 for v in p)),
+def _number(point) -> bool:
+    return isinstance(point, (int, float))
+
+
+#: Each sweep kind, stated once: what its points must be and the check of one
+#: point, its default grid at a base configuration and scale, and the instance
+#: of a point made from its replication's base instance (None: each point
+#: generates its own).
+SweepKind = namedtuple("SweepKind", "what valid grid at")
+SWEEP_KINDS = {
+    "alpha": SweepKind("numbers", _number, lambda base, scale: tuple(default_alpha_grid(base)),
+                       lambda inst, a: inst.with_choice_model(
+                           inst.choice_model.with_alpha(float(a)))),
+    "beta": SweepKind("numbers", _number, lambda base, scale: BETA_GRID,
+                      lambda inst, b: inst.with_choice_model(
+                          inst.choice_model.with_beta(float(b)))),
+    "ratio": SweepKind("positive numbers", lambda p: _number(p) and 0 < p < math.inf,
+                       lambda base, scale: RATIO_GRID,
+                       lambda inst, r: scale_to_ratio(inst, float(r))),
+    "size": SweepKind("(facilities, customers, prices) triples of positive integers",
+                      lambda p: isinstance(p, tuple) and len(p) == 3
+                      and all(isinstance(v, int) and v > 0 for v in p),
+                      lambda base, scale: SIZE_GRID_FULL if scale == "full" else SIZE_GRID_DESK,
+                      None),
 }
-
-
-def default_points(kind: str, base: GeneratorParams, scale: str = "desk") -> tuple:
-    if kind == "alpha":
-        return tuple(default_alpha_grid(base))
-    if kind == "beta":
-        return BETA_GRID
-    if kind == "ratio":
-        return RATIO_GRID
-    return SIZE_GRID_FULL if scale == "full" else SIZE_GRID_DESK
 
 
 def _solve_point(inst: Instance, budget: float | None) -> milp.Solution:
@@ -148,27 +151,19 @@ def _point_label(point) -> str:
     return repr(float(point))
 
 
-def _sweep_instances(spec: SweepSpec, point, replication: int, bases: dict
-                     ) -> tuple[Instance, int]:
-    seed = spec.base.seed + replication
-    if spec.kind in ("alpha", "beta"):
-        if replication not in bases:
-            bases[replication] = (generate(replace(spec.base, seed=seed))
-                                  if spec.instance_path is None else load(spec.instance_path))
-        inst = bases[replication]
-        model = inst.choice_model
-        if spec.kind == "alpha":
-            inst = inst.with_choice_model(model.with_alpha(float(point)))
-        else:
-            inst = inst.with_choice_model(model.with_beta(float(point)))
-        return inst, seed
-    if spec.kind == "ratio":
-        inst = generate(replace(spec.base, seed=seed))
-        return scale_to_ratio(inst, float(point)), seed
-    n_fac, n_cust, n_prices = point
-    params = replace(spec.base, n_facilities=int(n_fac), n_customers=int(n_cust),
-                     n_prices=int(n_prices), seed=seed)
-    return generate(params), seed
+def _sweep_instance(spec: SweepSpec, point, replication: int, bases: dict) -> Instance:
+    """The instance of a (point, replication); ``bases`` keeps each
+    replication's base instance across points."""
+    params = replace(spec.base, seed=spec.base.seed + replication)
+    at = SWEEP_KINDS[spec.kind].at
+    if at is None:
+        n_fac, n_cust, n_prices = point
+        return generate(replace(params, n_facilities=n_fac, n_customers=n_cust,
+                                n_prices=n_prices))
+    if replication not in bases:
+        bases[replication] = (generate(params) if spec.instance_path is None
+                              else load(spec.instance_path))
+    return at(bases[replication], point)
 
 
 def run_sweep(spec: SweepSpec) -> list[dict]:
@@ -176,21 +171,20 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     reason is logged as a warning, and the sweep continues.  Writes CSV to
     spec.out_path when set."""
     rows: list[dict] = []
-    bases: dict[int, Instance] = {}  # per replication, for alpha and beta points
+    bases: dict[int, Instance] = {}
     for point in spec.points:
         for replication in range(spec.replications):
             started = time.perf_counter()
+            seed = spec.base.seed + replication
             try:
-                inst, seed = _sweep_instances(spec, point, replication, bases)
-                solution = _solve_point(inst, spec.budget)
-                rows.append(_row(spec, point, replication, seed, solution,
-                                 time.perf_counter() - started))
+                solution = _solve_point(_sweep_instance(spec, point, replication, bases),
+                                        spec.budget)
             except Exception as exc:  # noqa: BLE001 - error rows keep the sweep alive
                 logger.warning("%s sweep point %s, replication %d failed: %s",
                                spec.kind, _point_label(point), replication, exc)
-                rows.append(_row(spec, point, replication,
-                                 spec.base.seed + replication, None,
-                                 time.perf_counter() - started))
+                solution = None
+            rows.append(_row(spec, point, replication, seed, solution,
+                             time.perf_counter() - started))
     if spec.out_path is not None:
         write_csv(rows, spec.out_path)
     return rows

@@ -25,6 +25,18 @@ class SweepConfigError(ValueError):
     """Raised when a sweep config file does not describe a ``SweepSpec``."""
 
 
+class ArgumentError(ValueError):
+    """Raised when a command-line value is one the command cannot use."""
+
+
+def _checked(make, *args):
+    """``make(*args)``, its ``ValueError`` reported as a bad command-line value."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ArgumentError(str(exc)) from None
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = GeneratorParams(
         n_facilities=args.facilities,
@@ -38,6 +50,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         beta=args.beta,
     )
+    _checked(params.check)
     inst = instance.generate(params)
     instance.save(inst, args.output)
     print(f"wrote {args.output}: {inst.n_facilities} facilities, "
@@ -77,7 +90,7 @@ def _cmd_rho(args: argparse.Namespace) -> int:
 def _rho_table(inst, kind: str, saa_count: int, seed: int) -> RhoTable:
     if kind == "closed":
         return RhoTable.closed_form(inst)
-    scenarios = ScenarioSet.for_model(inst.choice_model, saa_count, seed)
+    scenarios = _checked(ScenarioSet.for_model, inst.choice_model, saa_count, seed)
     return RhoTable.saa(inst, scenarios)
 
 
@@ -92,6 +105,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.time_limit is not None and not args.time_limit >= 0.0:
+        raise ArgumentError(f"--time-limit must be >= 0 seconds (got {args.time_limit})")
     path = Path(args.model)
     if path.suffix == ".json":
         inst = instance.load(path)
@@ -110,7 +125,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     inst = instance.load(args.instance)
     solution = milp.Solution.load(args.solution)
-    scenarios = ScenarioSet.for_model(inst.choice_model, args.scenarios, args.seed)
+    scenarios = _checked(ScenarioSet.for_model, inst.choice_model, args.scenarios, args.seed)
     modes = {"reduced": (oracle.REDUCED,), "per-scenario": (oracle.REALLOC,),
              "both": (oracle.REDUCED, oracle.REALLOC)}[args.mode]
     results = oracle.simulate(inst, solution, scenarios, modes=modes)
@@ -234,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_cmd_simulate)
 
     w = sub.add_parser("sweep", help="run a parameter sweep to CSV")
-    w.add_argument("--kind", choices=("alpha", "beta", "ratio", "size"),
-                   required=True)
+    w.add_argument("--kind", choices=tuple(bench.SWEEP_KINDS), required=True)
     w.add_argument("--config", help="JSON file with SweepSpec fields")
     w.add_argument("--out", required=True)
     w.set_defaults(func=_cmd_sweep)
@@ -246,10 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Faults of the files a command reads, and a model the LP engine refuses,
-#: reported in one line (exit status 2) instead of a traceback.
+#: Faults of the command-line values and of the files a command reads, a plan
+#: that does not fit its instance and a model the LP engine refuses, reported
+#: in one line (exit status 2) instead of a traceback.
 _INPUT_ERRORS = (OSError, instance.InstanceFormatError, milp.SolutionFormatError,
-                 milp.LpParseError, SweepConfigError, SolverError)
+                 milp.LpParseError, milp.InfeasibleSolutionError, SweepConfigError,
+                 ArgumentError, SolverError)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -51,14 +51,12 @@ class SolutionFormatError(ValueError):
 
 
 class InfeasibleSolutionError(ValueError):
-    """Raised by evaluate() when a solution violates the model constraints."""
+    """Raised by evaluate() and simulate() when a solution violates the model
+    constraints; the message lists the violations on one line."""
 
     def __init__(self, violations: list[str]):
-        super().__init__(
-            "solution violates {} constraint(s):\n{}".format(
-                len(violations), "\n".join("  - " + v for v in violations)
-            )
-        )
+        super().__init__(f"solution violates {len(violations)} constraint(s): "
+                         + "; ".join(violations))
         self.violations = violations
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .choice import (OPT_OUT, SCENARIO_CHUNK, RhoTable, ScenarioSet, accept_rule,
                      deterministic_utility)
-from .milp import Solution, first_stage_violations
+from .milp import InfeasibleSolutionError, Solution, first_stage_violations
 from .solver.serving import transport_offers
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -82,10 +82,7 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
     scenarios.require_match(inst.choice_model)
     problems = first_stage_violations(inst, first_stage)
     if problems:
-        raise ValueError(
-            "first stage violates its constraints:\n"
-            + "\n".join("  - " + p for p in problems)
-        )
+        raise InfeasibleSolutionError(problems)
 
     offers = first_stage.offers
     offer_list = sorted(offers.items())  # [((n,k),(m,p)), ...] fixed order
@@ -103,9 +100,9 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
                 inst, offers, open_facilities, rho=RhoTable.closed_form(inst)
             )
             if result.status != "optimal":
-                raise ValueError(
+                raise InfeasibleSolutionError([
                     "the offered categories cannot be served by the open "
-                    "facilities; reduced-consistent mode needs a serving plan")
+                    "facilities, and reduced-consistent mode needs a serving plan"])
         cost = dict.fromkeys(offers, 0.0)
         for (i, j, m), w in allocation.items():
             key = (inst.customers[j].shipper, inst.customers[j].category)

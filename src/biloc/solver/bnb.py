@@ -582,20 +582,22 @@ _TAG_PRIORITY = {"y": 0, "z": 1, "r": 2}
 
 
 def _relaxation_model(model: MilpModel) -> MilpModel:
-    """Copy of the model without product-linearization rows that cannot bind
-    at an LP optimum: with a nonnegative objective coefficient, a revenue
-    product variable is pushed up against its two <= rows, so its >= row is
-    slack; with a nonpositive coefficient, a cost product variable is pushed
-    down onto its >= rows, so its <= rows are slack.  The reduced LP has the
-    same optimal value node for node, and its optimum maps back to a point
+    """Copy of the model in maximization form, a minimizing objective
+    negated, without product-linearization rows that cannot bind at an LP
+    optimum: with a nonnegative objective coefficient, a revenue product
+    variable is pushed up against its two <= rows, so its >= row is slack;
+    with a nonpositive coefficient, a cost product variable is pushed down
+    onto its >= rows, so its <= rows are slack.  The reduced LP has the same
+    optimal value node for node, and its optimum maps back to a point
     satisfying the dropped rows."""
-    gains = [(var.tag[0], model.objective.get(idx, 0.0))
+    objective = (model.objective if model.maximize
+                 else {idx: -coef for idx, coef in model.objective.items()})
+    gains = [(var.tag[0], objective.get(idx, 0.0))
              for idx, var in enumerate(model.variables)]
     drop_ge = {idx for idx, (kind, coef) in enumerate(gains) if kind == "pi" and coef >= 0.0}
     drop_le = {idx for idx, (kind, coef) in enumerate(gains) if kind == "nu" and coef <= 0.0}
     slack = {"deal_ge_link": drop_ge, "flow_le_alloc": drop_le, "flow_le_price": drop_le}
-    return MilpModel(variables=model.variables, objective=model.objective,
-                     maximize=model.maximize,
+    return MilpModel(variables=model.variables, objective=objective, maximize=True,
                      constraints=[con for con in model.constraints
                                   if slack.get(con.family, set()).isdisjoint(con.coeffs)])
 
@@ -603,8 +605,9 @@ def _relaxation_model(model: MilpModel) -> MilpModel:
 def solve_milp(model: MilpModel, budget: float | None = None,
                diagnostics: SearchDiagnostics | None = None) -> Solution:
     """Solve any model, built or parsed from LP text, with the relaxation
-    engine.  ``budget`` is a wall-clock limit in seconds (None = none),
-    checked before every node and every pivot of its LP."""
+    engine, which searches the maximization form and reports the objective
+    in the model's own sense.  ``budget`` is a wall-clock limit in seconds
+    (None = none), checked before every node and every pivot of its LP."""
     start = time.perf_counter()
     deadline = None if budget is None else start + budget
     cells = (len(model.constraints) + len(model.variables) + 1) * (
@@ -615,6 +618,10 @@ def solve_milp(model: MilpModel, budget: float | None = None,
             f"model too large for the dense relaxation engine (~{cells} tableau "
             "cells); solve through the instance (structured engine) instead"
         )
+    for var in model.variables:
+        if var.lb != 0.0:
+            raise SolverError(f"variable {var.name} has lower bound {var.lb!r}; "
+                              "the relaxation engine needs every lower bound at 0")
     node_model = _relaxation_model(model)
     binaries = model.binary_indices()
 
@@ -711,7 +718,9 @@ def solve_milp(model: MilpModel, budget: float | None = None,
                             nodes=nodes, seconds=seconds, gap=float("inf"))
         return Solution(status="infeasible", objective=float("-inf"),
                         nodes=nodes, seconds=seconds)
-    return _solution_from_values(model, incumbent[0], incumbent[1], status,
+    # 0.0 - x turns a zero minimum into 0.0, not -0.0
+    objective = incumbent[0] if model.maximize else 0.0 - incumbent[0]
+    return _solution_from_values(model, objective, incumbent[1], status,
                                  nodes, seconds, final_gap)
 
 

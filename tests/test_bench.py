@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from biloc import Solution, bench
+from biloc import Solution, bench, generate, save, scale_to_ratio
 from biloc.instance import GeneratorParams
 
 MICRO = GeneratorParams(
@@ -36,24 +36,53 @@ def test_csv_deterministic_up_to_timing(tmp_path):
     assert _strip_seconds(a) == _strip_seconds(b)
 
 
-def test_alpha_and_beta_points_share_their_replication_base(monkeypatch):
+#: How each kind turns a freshly generated base instance into a point's.
+_AT_POINT = {
+    "alpha": lambda inst, a: inst.with_choice_model(inst.choice_model.with_alpha(a)),
+    "beta": lambda inst, b: inst.with_choice_model(inst.choice_model.with_beta(b)),
+    "ratio": scale_to_ratio,
+}
+
+
+def test_points_share_their_replication_base(monkeypatch):
     # each replication's base instance is generated once, and every row is
     # the one a freshly generated instance gives, up to the timing
     made = []
     real = bench.generate
     monkeypatch.setattr(bench, "generate", lambda params: made.append(params.seed) or real(params))
-    for kind, points in (("alpha", (-0.3, -0.1, 0.0)), ("beta", (0.5, 2.0))):
+    for kind, points in (("alpha", (-0.3, -0.1, 0.0)), ("beta", (0.5, 2.0)),
+                         ("ratio", (0.5, 3.0))):
         made.clear()
         spec = bench.SweepSpec(kind=kind, points=points, base=MICRO, replications=2)
         rows = bench.run_sweep(spec)
         assert made == [MICRO.seed, MICRO.seed + 1]
         for row, (point, replication) in zip(rows, product(points, range(2)), strict=True):
-            inst = real(replace(MICRO, seed=MICRO.seed + replication))
-            model = inst.choice_model
-            model = model.with_alpha(point) if kind == "alpha" else model.with_beta(point)
-            solution = bench._solve_point(inst.with_choice_model(model), None)
+            inst = _AT_POINT[kind](real(replace(MICRO, seed=MICRO.seed + replication)), point)
+            solution = bench._solve_point(inst, None)
             fresh = bench._row(spec, point, replication, MICRO.seed + replication, solution, 0.0)
             assert {**row, "seconds": None} == {**fresh, "seconds": None}
+
+
+@pytest.mark.parametrize("kind", ["alpha", "beta", "ratio"])
+def test_a_loaded_instance_is_the_base_of_every_point(tmp_path, kind):
+    # the file's instance, not one generated from the spec's base
+    inst = generate(replace(MICRO, n_customers=8, seed=11))
+    save(inst, tmp_path / "inst.json")
+    points = (-0.2, 0.0) if kind == "alpha" else (0.5, 3.0)
+    spec = bench.SweepSpec(kind=kind, points=points, base=MICRO,
+                           instance_path=str(tmp_path / "inst.json"))
+    for row, point in zip(bench.run_sweep(spec), points, strict=True):
+        solution = bench._solve_point(_AT_POINT[kind](inst, point), None)
+        fresh = bench._row(spec, point, 0, MICRO.seed, solution, 0.0)
+        assert {**row, "seconds": None} == {**fresh, "seconds": None}
+
+
+@pytest.mark.parametrize("kind, replications", [("size", 1), ("alpha", 2), ("ratio", 3)])
+def test_instance_path_needs_a_base_kind_and_one_replication(kind, replications):
+    with pytest.raises(ValueError, match="instance_path needs an alpha, beta or ratio sweep "
+                       f"with 1 replication \\(got a {kind} sweep with {replications}\\)"):
+        bench.SweepSpec(kind=kind, base=MICRO, replications=replications,
+                        instance_path="inst.json")
 
 
 def test_csv_schema_and_columns(tmp_path):
@@ -211,8 +240,8 @@ def test_fixture_csv(tmp_path):
 
 
 def test_full_scale_size_grid_behind_flag():
-    desk = bench.default_points("size", MICRO, "desk")
-    full = bench.default_points("size", MICRO, "full")
+    desk = bench.SweepSpec(kind="size", base=MICRO).points
+    full = bench.SweepSpec(kind="size", base=MICRO, scale="full").points
     assert desk == bench.SIZE_GRID_DESK
     assert full == bench.SIZE_GRID_FULL
     assert max(j for _i, j, _p in full) == 140

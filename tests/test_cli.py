@@ -238,6 +238,28 @@ def _args_with_bad_sweep_json(inst_path, tmp_path):
             "--out", str(tmp_path / "ratio.csv")]
 
 
+def _args_with_a_plan_that_does_not_fit(inst_path, tmp_path):
+    # the instance has facilities 0 and 1
+    Solution("optimal", 0.0, open_facilities=(2,)).save(tmp_path / "plan.json")
+    return ["simulate", str(inst_path), str(tmp_path / "plan.json")]
+
+
+def _args_with_a_negative_lower_bound(inst_path, tmp_path):
+    (tmp_path / "model.lp").write_text(
+        "Maximize\n obj: 1.0 x\nSubject To\nBounds\n -5.0 <= x <= 5.0\nEnd\n")
+    return ["solve", str(tmp_path / "model.lp")]
+
+
+def _args(*words):
+    """A command line in which INST names the fixture's instance file, PLAN a
+    plan that offers nothing, and OUT a new file."""
+    def make(inst_path, tmp_path):
+        Solution("optimal", 0.0).save(tmp_path / "plan.json")
+        files = {"INST": inst_path, "PLAN": tmp_path / "plan.json", "OUT": tmp_path / "out"}
+        return [str(files.get(word, word)) for word in words]
+    return make
+
+
 @pytest.mark.parametrize("make_args, message", [
     (_args_with_a_missing_file, "No such file or directory"),
     (_args_with_a_bad_solution, "sol.json: "),
@@ -246,8 +268,25 @@ def _args_with_bad_sweep_json(inst_path, tmp_path):
     (_args_with_bad_sweep_json, "sweep.json: not valid JSON"),
     (_args_with_a_nan_in_the_instance,
      "facilities[0].fixed_cost: expected a finite number, got nan"),
+    (_args("gen", "--facilities", "0", "-o", "OUT"), "n_facilities must be >= 1 (got 0)"),
+    (_args("gen", "--prices", "1", "-o", "OUT"), "at least 2 price levels (got 1)"),
+    (_args("gen", "--ratio", "-1", "-o", "OUT"), "ratio must be > 0 (got -1.0)"),
+    (_args("gen", "--seed", "-1", "-o", "OUT"), "seed must fit in 64 unsigned bits (got -1)"),
+    (_args("gen", "--beta", "0", "-o", "OUT"), "beta must be > 0 (got 0.0)"),
+    (_args("simulate", "INST", "PLAN", "--scenarios", "0"),
+     "scenario count must be positive (got 0)"),
+    (_args("rho", "INST", "--saa", "-1"), "scenario count must be positive (got -1)"),
+    (_args("build", "INST", "--rho", "saa", "--saa", "0", "--out", "OUT"),
+     "scenario count must be positive (got 0)"),
+    (_args("solve", "INST", "--rho", "saa", "--saa", "0"),
+     "scenario count must be positive (got 0)"),
+    (_args("solve", "INST", "--time-limit", "-1"), "--time-limit must be >= 0 seconds (got -1.0)"),
+    (_args_with_a_plan_that_does_not_fit, "open facility 2 out of range"),
+    (_args_with_a_negative_lower_bound, "variable x has lower bound -5.0"),
 ], ids=["missing-file", "bad-solution", "bad-lp-file", "too-large-lp-file",
-        "bad-sweep-json", "nan-in-instance"])
+        "bad-sweep-json", "nan-in-instance", "no-facilities", "one-price", "negative-ratio",
+        "negative-seed", "zero-beta", "no-scenarios", "negative-saa", "build-no-saa",
+        "solve-no-saa", "negative-time-limit", "plan-does-not-fit", "negative-lower-bound"])
 def test_input_errors_print_one_line_and_exit_2(inst_path, tmp_path, capsys,
                                                 make_args, message):
     assert main(make_args(inst_path, tmp_path)) == 2

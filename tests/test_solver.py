@@ -1,6 +1,7 @@
 """Branch-and-bound engines, the enumeration oracle, and their agreement."""
 
 import json
+import operator
 import time
 from dataclasses import replace
 from itertools import product
@@ -465,6 +466,55 @@ def test_relaxation_engine_reports_an_infeasible_model(tmp_path):
     # its -inf objective is written as null and read back as -inf
     solution.save(tmp_path / "sol.json")
     assert Solution.load(tmp_path / "sol.json") == solution
+
+
+def _random_binary_lp(rng, sense: str) -> str:
+    """Five binaries under four rows, each <= or >=, that a random 0/1 point
+    satisfies, with integer objective coefficients of either sign."""
+    point = rng.integers(0, 2, size=5)
+    terms = lambda coefs: " ".join(f"{c:+.1f} x{j}" for j, c in enumerate(coefs))
+    rows = []
+    for i, coefs in enumerate(rng.integers(0, 4, size=(4, 5))):
+        ge = rng.random() < 0.5
+        rhs = coefs @ point + (-rng.integers(0, 3) if ge else rng.integers(0, 3))
+        rows.append(f" row__{i}: {terms(coefs)} {'>=' if ge else '<='} {float(rhs)}\n")
+    return (f"{sense}\n obj: {terms(rng.integers(-5, 10, size=5))}\nSubject To\n"
+            + "".join(rows) + "Bounds\nBinaries\n x0 x1 x2 x3 x4\nEnd\n")
+
+
+_ROW_HOLDS = {"<=": operator.le, ">=": operator.ge}
+
+
+@pytest.mark.parametrize("sense", ["Maximize", "Minimize"])
+def test_relaxation_engine_honours_the_objective_sense(sense):
+    # the optimum in the model's own sense, as enumerating all 32 points finds
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        model = parse_lp(_random_binary_lp(rng, sense))
+        feasible = [x for x in product((0.0, 1.0), repeat=5)
+                    if all(_ROW_HOLDS[con.sense](sum(c * x[j] for j, c in con.coeffs.items()),
+                                                 con.rhs) for con in model.constraints)]
+        pick = max if sense == "Maximize" else min
+        best = pick(sum(c * x[j] for j, c in model.objective.items()) for x in feasible)
+        solution = solve_milp(model)
+        assert solution.status == "optimal"
+        assert solution.objective == pytest.approx(best, abs=1e-6)
+
+
+#: A bound the dense kernel cannot take: every column must start at 0.
+NEGATIVE_LOWER_BOUND_LP = """\\ biloc lp export v1
+Maximize
+ obj: 1.0 x
+Subject To
+Bounds
+ -5.0 <= x <= 5.0
+End
+"""
+
+
+def test_relaxation_engine_refuses_a_nonzero_lower_bound():
+    with pytest.raises(SolverError, match="variable x has lower bound -5.0"):
+        solve_milp(parse_lp(NEGATIVE_LOWER_BOUND_LP))
 
 
 def test_solutions_without_an_incumbent_round_trip_as_strict_json(tmp_path):
