@@ -6,7 +6,10 @@ extreme-value noise of scale ``beta``, so the probability that an offer beats
 the outside option has the binary-logit closed form; the same probability can
 be estimated by sample averaging over simulated noise draws.  Both routes are
 provided, together with the follower accept rule and the helpers used to place
-price-sensitivity grids for experiments.
+price-sensitivity grids for experiments.  The follower's per-scenario
+decision is stated once, in ``acceptance_chunks``: it draws the noise streams
+and applies ``accept_rule``, and both the sample-average table and the
+scenario replay (``oracle.simulate``) read its chunks.
 """
 
 from __future__ import annotations
@@ -179,6 +182,8 @@ class ScenarioSet:
     def __post_init__(self) -> None:
         if self.count <= 0:
             raise ValueError(f"scenario count must be positive (got {self.count})")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must fit in 64 unsigned bits (got {self.seed})")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be > 0 (got {self.beta})")
 
@@ -206,22 +211,55 @@ class ScenarioSet:
 
     def epsilon_chunks(self, n: int, k: int, m: int | None) -> Iterator[np.ndarray]:
         """Yield the noise draws for (n, k, m) in scenario order, each chunk of
-        ``SCENARIO_CHUNK`` a fresh array that the caller may overwrite."""
+        ``SCENARIO_CHUNK`` a fresh array that the caller may overwrite.  A
+        paused stream holds no chunk, so many streams may be open at once."""
         gen = None if self.deterministic else self._stream(n, k, m)
         for start in range(0, self.count, SCENARIO_CHUNK):
             take = min(SCENARIO_CHUNK, self.count - start)
-            if gen is None:
-                yield np.zeros(take)
-                continue
-            u = gen.random(take)
-            np.clip(u, _UNIFORM_FLOOR, None, out=u)
-            np.log(np.negative(np.log(u, out=u), out=u), out=u)
-            u *= -self.beta
-            yield u
+            yield np.zeros(take) if gen is None else self._gumbel(gen.random(take))
+
+    def _gumbel(self, u: np.ndarray) -> np.ndarray:
+        """Uniform draws turned into Gumbel(0, beta) draws in place."""
+        np.clip(u, _UNIFORM_FLOOR, None, out=u)
+        np.log(np.negative(np.log(u, out=u), out=u), out=u)
+        u *= -self.beta
+        return u
 
     def epsilon(self, n: int, k: int, m: int | None) -> np.ndarray:
         """All draws for (n, k, m) as one array (small scenario sets only)."""
         return np.concatenate(list(self.epsilon_chunks(n, k, m)))
+
+
+def acceptance_chunks(inst: "Instance", scenarios: ScenarioSet,
+                      offers: list[tuple[int, int, int, int]]) -> Iterator[np.ndarray]:
+    """Yield, one chunk of scenarios at a time, the (offers x scenarios) bool
+    array of which listed offers (n, k, m, p) their category accepts.
+
+    Offers are grouped by category and then by service, so each
+    (n, k, alternative) stream is drawn once however many offers share it,
+    and the outside option's utility is added to each of its chunks once."""
+    scenarios.require_match(inst.choice_model)
+    categories: dict = {}
+    for row, (n, k, m, p) in enumerate(offers):
+        categories.setdefault((n, k), {}).setdefault(m, []).append(
+            (row, deterministic_utility(inst, n, k, m, p)))
+    plan = [(deterministic_utility(inst, n, k, OPT_OUT),
+             scenarios.epsilon_chunks(n, k, OPT_OUT),
+             [(scenarios.epsilon_chunks(n, k, m), rows) for m, rows in services.items()])
+            for (n, k), services in categories.items()]
+    for start in range(0, scenarios.count, SCENARIO_CHUNK):
+        accept = np.empty((len(offers), min(SCENARIO_CHUNK, scenarios.count - start)),
+                          dtype=bool)
+        for v0, optout_stream, services in plan:
+            u0 = next(optout_stream)
+            u0 += v0
+            u = np.empty_like(u0)
+            for stream, rows in services:
+                eps_m = next(stream)
+                for row, v in rows:
+                    np.add(eps_m, v, out=u)
+                    accept[row] = accept_rule(u, u0)
+        yield accept
 
 
 def rho_saa(
@@ -233,32 +271,9 @@ def rho_saa(
     realized outside option, over draws shared with every other alternative of
     the same (n, k).  Converges to the closed form as the count grows.
     """
-    scenarios.require_match(inst.choice_model)
-    return _saa_category(inst, n, k, {m: [p]}, scenarios)[(m, p)]
-
-
-def _saa_category(
-    inst: "Instance", n: int, k: int, positions: dict[int, list[int]],
-    scenarios: ScenarioSet,
-) -> dict[tuple[int, int], float]:
-    """Sample-average acceptance probability of every offer (m, p) with p in
-    ``positions[m]`` to (n, k), drawing each of the category's streams once."""
-    v0 = deterministic_utility(inst, n, k, OPT_OUT)
-    utilities = {
-        m: [(p, deterministic_utility(inst, n, k, m, p)) for p in ps]
-        for m, ps in positions.items()
-    }
-    hits = {(m, p): 0 for m, ps in positions.items() for p in ps}
-    offer_streams = {m: scenarios.epsilon_chunks(n, k, m) for m in positions}
-    for u0 in scenarios.epsilon_chunks(n, k, OPT_OUT):
-        u0 += v0  # the outside option's utility, once per chunk
-        u = np.empty_like(u0)
-        for m, stream in offer_streams.items():
-            eps_m = next(stream)
-            for p, v in utilities[m]:
-                np.add(eps_m, v, out=u)
-                hits[(m, p)] += int(np.count_nonzero(accept_rule(u, u0)))
-    return {key: count / scenarios.count for key, count in hits.items()}
+    hits = sum(int(np.count_nonzero(accept[0]))
+               for accept in acceptance_chunks(inst, scenarios, [(n, k, m, p)]))
+    return hits / scenarios.count
 
 
 def alpha_for_target_rho(
@@ -313,27 +328,18 @@ class RhoTable:
 
     @classmethod
     def closed_form(cls, inst: "Instance") -> "RhoTable":
-        """``rho_closed_form`` for every key, with the same arithmetic."""
-        model = inst.choice_model
-        return cls({
-            (n, k, m, p): acceptance_probability(
-                model.alpha * inst.ladder(n, m).prices[p] + model.preference(n, k, m),
-                model.optout(n, k), model.beta, model.deterministic)
-            for n, k, m, p in inst.offer_keys()
-        })
+        """``rho_closed_form`` for every key."""
+        return cls({key: rho_closed_form(inst, *key) for key in inst.offer_keys()})
 
     @classmethod
     def saa(cls, inst: "Instance", scenarios: ScenarioSet) -> "RhoTable":
         """``rho_saa`` for every key, drawing each noise stream once."""
-        scenarios.require_match(inst.choice_model)
-        positions: dict = {}
-        for n, k, m, p in inst.offer_keys():
-            positions.setdefault((n, k), {}).setdefault(m, []).append(p)
-        return cls({
-            (n, k, m, p): value
-            for (n, k), by_service in positions.items()
-            for (m, p), value in _saa_category(inst, n, k, by_service, scenarios).items()
-        })
+        keys = list(inst.offer_keys())
+        hits = [0] * len(keys)
+        for accept in acceptance_chunks(inst, scenarios, keys):
+            for row, accepted in enumerate(accept):
+                hits[row] += int(np.count_nonzero(accepted))
+        return cls({key: count / scenarios.count for key, count in zip(keys, hits)})
 
     @classmethod
     def constant(cls, inst: "Instance", value: float) -> "RhoTable":

@@ -254,6 +254,11 @@ class GeneratorParams:
     optout_utility: float = 3.0
 
     def check(self) -> None:
+        for name in ("alpha", "beta", "ratio", "price_min", "price_max",
+                     "service_preference", "optout_utility"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number (got {value})")
         for name in ("n_facilities", "n_customers", "n_shippers",
                      "categories_per_shipper", "n_services"):
             if getattr(self, name) < 1:

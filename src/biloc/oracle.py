@@ -11,8 +11,10 @@ costs (matching the literal two-stage recourse).  The per-scenario
 minimum-demand shortfall is reported as a diagnostic; the deterministic model
 enforces that gate only in expectation terms, never per scenario.  A
 scenario acts only through its acceptance pattern, the set of offers it
-accepts, so one call draws every noise stream once, tables the distinct
-patterns with their counts, and values each pattern once per requested mode:
+accepts.  One call reads every scenario's acceptances from
+``choice.acceptance_chunks``, the routine behind the sample-average
+probability table, tables the distinct patterns with their counts, and
+values each pattern once per requested mode:
 ``simulate(inst, plan, scenarios, modes=(REDUCED, REALLOC))`` replays both
 modes from the same draws.
 """
@@ -24,8 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .choice import (OPT_OUT, SCENARIO_CHUNK, RhoTable, ScenarioSet, accept_rule,
-                     deterministic_utility)
+from .choice import RhoTable, ScenarioSet, acceptance_chunks
 from .milp import InfeasibleSolutionError, Solution, first_stage_violations
 from .solver.serving import transport_offers
 
@@ -68,9 +69,9 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
 
     The first stage must satisfy the first-stage constraint families; its
     allocation is reused when present (and recomputed by the transportation
-    kernel otherwise).  Draws are streamed in chunks keyed by
-    (shipper, category, alternative), so they coincide with the draws behind
-    the sample-average probability estimates for the same seed.
+    kernel otherwise).  Acceptances come from ``acceptance_chunks``, as do
+    the sample-average probability estimates, so for the same seed both read
+    the same draws.
 
     The draws are tabled once as distinct acceptance patterns with counts;
     each pattern's gate shortfalls are worked out once and its profit once
@@ -79,7 +80,6 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
     for mode in modes:
         if mode not in (REDUCED, REALLOC):
             raise ValueError(f"unknown simulation mode '{mode}'")
-    scenarios.require_match(inst.choice_model)
     problems = first_stage_violations(inst, first_stage)
     if problems:
         raise InfeasibleSolutionError(problems)
@@ -139,9 +139,8 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
         else:
             values = np.full(patterns.shape[1], np.nan)
             for u, column in enumerate(patterns.T):
-                accepted = {offer_list[idx][0] for idx in np.flatnonzero(column)}
-                result, plan = transport_offers(inst, offers, open_facilities,
-                                                accepted=accepted)
+                accepted = dict(offer_list[idx] for idx in np.flatnonzero(column))
+                result, plan = transport_offers(inst, accepted, open_facilities)
                 if result.status == "optimal":
                     values[u] = revenue[column].sum() - result.cost - fixed_cost
                     flows[u] = plan
@@ -166,19 +165,10 @@ def _pattern_table(inst: "Instance", scenarios: ScenarioSet, offer_list: list,
                    keep_ids: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The run's distinct acceptance patterns as (offers x patterns) columns,
     how many scenarios show each, and, when ``keep_ids``, each scenario's
-    column.  Every noise stream is drawn once, one chunk at a time."""
-    # per offer: its utility and noise, and those of its category's outside option
-    rows = [(deterministic_utility(inst, n, k, m, p),
-             scenarios.epsilon_chunks(n, k, m),
-             deterministic_utility(inst, n, k, OPT_OUT),
-             scenarios.epsilon_chunks(n, k, OPT_OUT))
-            for (n, k), (m, p) in offer_list]
+    column, from ``acceptance_chunks`` one chunk at a time."""
     chunks, chunk_counts, ids = [], [], []
-    for offset in range(0, scenarios.count, SCENARIO_CHUNK):
-        take = min(SCENARIO_CHUNK, scenarios.count - offset)
-        accept = np.empty((len(offer_list), take), dtype=bool)
-        for idx, (v, offer_stream, v0, optout_stream) in enumerate(rows):
-            accept[idx] = accept_rule(v + next(offer_stream), v0 + next(optout_stream))
+    for accept in acceptance_chunks(inst, scenarios,
+                                    [(n, k, m, p) for (n, k), (m, p) in offer_list]):
         patterns, index = _acceptance_patterns(accept)
         if keep_ids:
             ids.append(index + sum(chunk.shape[1] for chunk in chunks))

@@ -44,19 +44,17 @@ def solution_from_offers(inst: "Instance", rho: RhoTable, status: str,
 
 
 def serving_problem(inst: "Instance", offers: dict, open_facilities,
-                    rho: RhoTable | None, accepted=None):
+                    rho: RhoTable | None):
     """Transportation inputs for the given offers and open facilities.
 
     Returns (served customer ids, their services, cost matrix, loads,
     capacities), the first two as integer arrays.  Costs are
     probability-weighted when ``rho`` is given (the deterministic reduction)
-    and raw otherwise (per-scenario realization).  ``accepted`` optionally
-    restricts to a subset of the offered categories.
+    and raw otherwise (per-scenario realization).
     """
     open_facilities = list(open_facilities)
     caps = np.array([inst.facilities[i].capacity for i in open_facilities])
-    chosen = [(nk, mp) for nk, mp in sorted(offers.items())
-              if accepted is None or nk in accepted]
+    chosen = sorted(offers.items())
     members = [inst.category_members[nk] for nk, _mp in chosen]
     counts = [len(ids) for ids, _demands in members]
     if not sum(counts):
@@ -74,13 +72,10 @@ def serving_problem(inst: "Instance", offers: dict, open_facilities,
 
 
 def transport_offers(inst: "Instance", offers: dict, open_facilities,
-                     rho: RhoTable | None = None, accepted=None
-                     ) -> tuple[TransportResult, dict]:
+                     rho: RhoTable | None = None) -> tuple[TransportResult, dict]:
     """Solve the allocation for the offers; returns the result and the flow
     map {(i, j, m): w}."""
-    served, services, cost, loads, caps = serving_problem(
-        inst, offers, open_facilities, rho, accepted
-    )
+    served, services, cost, loads, caps = serving_problem(inst, offers, open_facilities, rho)
     result = solve_transportation(cost, loads, caps)
     return result, flow_map(open_facilities, served, services, result)
 

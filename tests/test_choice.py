@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -211,6 +212,16 @@ def test_scenario_chunks_are_fresh_arrays_of_the_gumbel_transform():
     u = scen._stream(1, 0, 0).random(count)
     expected = -2.0 * np.log(-np.log(np.clip(u, 1e-300, None)))
     assert scen.epsilon(1, 0, 0).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_a_paused_stream_holds_no_chunk(deterministic):
+    # the sample-average table keeps every stream of an instance open at once
+    stream = ScenarioSet(count=2 * SCENARIO_CHUNK, seed=9, beta=2.0,
+                         deterministic=deterministic).epsilon_chunks(1, 0, 0)
+    chunk = weakref.ref(next(stream))
+    assert chunk() is None
+    assert next(stream).size == SCENARIO_CHUNK
 
 
 def test_scenario_draws_match_gumbel_moments():

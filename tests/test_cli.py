@@ -93,7 +93,13 @@ def test_simulate_both_modes(inst_path, tmp_path):
     assert abs(mean - solution.objective) <= 4 * stderr
 
 
-def test_simulate_both_modes_draws_each_stream_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, streams", [
+    # six offers, each with its own stream and its category's opt-out stream
+    (["simulate", "INST", "SOL", "--scenarios", "1000", "--mode", "both", "--out", "OUT"], 12),
+    # six categories, each with three services and an opt-out stream
+    (["rho", "INST", "--saa", "1000", "-o", "OUT"], 24),
+], ids=["simulate", "rho"])
+def test_rho_and_simulate_draw_each_stream_once(tmp_path, monkeypatch, command, streams):
     inst = generate(bench.DESK_PARAMS)
     save(inst, tmp_path / "inst.json")
     solve(inst, RhoTable.closed_form(inst)).save(tmp_path / "sol.json")
@@ -105,11 +111,10 @@ def test_simulate_both_modes_draws_each_stream_once(tmp_path, monkeypatch):
         return draw(scenarios, n, k, m, *args, **kwargs)
 
     monkeypatch.setattr(ScenarioSet, "epsilon_chunks", counted)
-    assert main(["simulate", str(tmp_path / "inst.json"), str(tmp_path / "sol.json"),
-                 "--scenarios", "1000", "--mode", "both",
-                 "--out", str(tmp_path / "sim.csv")]) == 0
-    # six offers, each with its own stream and its category's opt-out stream
-    assert sum(opened.values()) == 12
+    files = {"INST": tmp_path / "inst.json", "SOL": tmp_path / "sol.json",
+             "OUT": tmp_path / "out.csv"}
+    assert main([str(files.get(word, word)) for word in command]) == 0
+    assert sum(opened.values()) == streams
     assert set(opened.values()) == {1}
 
 
@@ -273,6 +278,10 @@ def _args(*words):
     (_args("gen", "--ratio", "-1", "-o", "OUT"), "ratio must be > 0 (got -1.0)"),
     (_args("gen", "--seed", "-1", "-o", "OUT"), "seed must fit in 64 unsigned bits (got -1)"),
     (_args("gen", "--beta", "0", "-o", "OUT"), "beta must be > 0 (got 0.0)"),
+    (_args("gen", "--alpha", "nan", "-o", "OUT"), "alpha must be a finite number (got nan)"),
+    (_args("gen", "--alpha", "inf", "-o", "OUT"), "alpha must be a finite number (got inf)"),
+    (_args("gen", "--ratio", "inf", "-o", "OUT"), "ratio must be a finite number (got inf)"),
+    (_args("gen", "--beta", "inf", "-o", "OUT"), "beta must be a finite number (got inf)"),
     (_args("simulate", "INST", "PLAN", "--scenarios", "0"),
      "scenario count must be positive (got 0)"),
     (_args("rho", "INST", "--saa", "-1"), "scenario count must be positive (got -1)"),
@@ -280,13 +289,23 @@ def _args(*words):
      "scenario count must be positive (got 0)"),
     (_args("solve", "INST", "--rho", "saa", "--saa", "0"),
      "scenario count must be positive (got 0)"),
+    (_args("rho", "INST", "--saa", "10", "--seed", "-1"),
+     "seed must fit in 64 unsigned bits (got -1)"),
+    (_args("rho", "INST", "--saa", "10", "--seed", str(2**64)),
+     f"seed must fit in 64 unsigned bits (got {2**64})"),
+    (_args("simulate", "INST", "PLAN", "--seed", "-1"),
+     "seed must fit in 64 unsigned bits (got -1)"),
+    (_args("solve", "INST", "--rho", "saa", "--seed", "-5"),
+     "seed must fit in 64 unsigned bits (got -5)"),
     (_args("solve", "INST", "--time-limit", "-1"), "--time-limit must be >= 0 seconds (got -1.0)"),
     (_args_with_a_plan_that_does_not_fit, "open facility 2 out of range"),
     (_args_with_a_negative_lower_bound, "variable x has lower bound -5.0"),
 ], ids=["missing-file", "bad-solution", "bad-lp-file", "too-large-lp-file",
         "bad-sweep-json", "nan-in-instance", "no-facilities", "one-price", "negative-ratio",
-        "negative-seed", "zero-beta", "no-scenarios", "negative-saa", "build-no-saa",
-        "solve-no-saa", "negative-time-limit", "plan-does-not-fit", "negative-lower-bound"])
+        "negative-seed", "zero-beta", "nan-alpha", "infinite-alpha", "infinite-ratio",
+        "infinite-beta", "no-scenarios", "negative-saa", "build-no-saa", "solve-no-saa",
+        "negative-rho-seed", "too-large-rho-seed", "negative-simulate-seed",
+        "negative-solve-seed", "negative-time-limit", "plan-does-not-fit", "negative-lower-bound"])
 def test_input_errors_print_one_line_and_exit_2(inst_path, tmp_path, capsys,
                                                 make_args, message):
     assert main(make_args(inst_path, tmp_path)) == 2

@@ -139,8 +139,8 @@ def test_outcomes_match_a_scenario_by_scenario_replay(mode):
                 short.add((n, m))
         assert outcome.min_demand_violations == short
         if mode == REALLOC:
-            served, flows = transport_offers(inst, offers, solution.open_facilities,
-                                             accepted=accepted)
+            served, flows = transport_offers(inst, {key: offers[key] for key in accepted},
+                                             solution.open_facilities)
             revenue = sum(inst.category_demand(n, k) * inst.ladder(n, m).prices[p]
                           for (n, k), (m, p) in offers.items() if (n, k) in accepted)
             assert outcome.profit == pytest.approx(revenue - served.cost - fixed,
