@@ -88,6 +88,8 @@ class SweepSpec:
             raise ValueError(f"scale must be 'desk' or 'full', got {self.scale!r}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"budget must be >= 0 seconds (got {self.budget})")
         kind = SWEEP_KINDS[self.kind]
         if self.instance_path is not None and (kind.at is None or self.replications > 1):
             raise ValueError("instance_path needs an alpha, beta or ratio sweep with 1 "

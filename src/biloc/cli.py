@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Faults of the command-line values and of the files a command reads, a plan
-#: that does not fit its instance and a model the LP engine refuses, reported
-#: in one line (exit status 2) instead of a traceback.
+#: that does not fit its instance and a model whose relaxation is unbounded,
+#: reported in one line (exit status 2) instead of a traceback.
 _INPUT_ERRORS = (OSError, instance.InstanceFormatError, milp.SolutionFormatError,
                  milp.LpParseError, milp.InfeasibleSolutionError, SweepConfigError,
                  ArgumentError, SolverError)

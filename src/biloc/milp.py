@@ -28,7 +28,6 @@ from .instance import _integer, _number, _of_type, _read, _tuple_of, read_record
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import Instance
 
-INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-7
 OBJECTIVE_REL_TOL = 1e-6
 #: An instance whose profit upper bound is at or below this is certified
@@ -534,8 +533,9 @@ def parse_lp(text: str) -> MilpModel:
     objective_terms: list[tuple[str, float]] = []
     maximize = True
     rows: list[tuple[str, list[tuple[str, float]], str, float]] = []
-    bounds: list[tuple[float, str, float]] = []
-    binaries: list[str] = []
+    # (line, name, kind, lb, ub) of each declaration
+    binaries: list[tuple[int, str, str, float, float]] = []
+    bounds: list[tuple[int, str, str, float, float]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -570,18 +570,23 @@ def parse_lp(text: str) -> MilpModel:
             if match is None:
                 raise LpParseError(f"line {line_no}: cannot parse bound '{line}'")
             lb, name, ub = match.groups()
-            bounds.append((_lp_number(lb, line_no, "bound"), name,
+            bounds.append((line_no, name, "continuous", _lp_number(lb, line_no, "bound"),
                            _lp_number(ub, line_no, "bound")))
         elif section == "binaries":
-            binaries.extend(_NAME_RE.findall(line))
+            binaries.extend((line_no, name, "binary", 0.0, 1.0)
+                            for name in _NAME_RE.findall(line))
         elif section is None:
             raise LpParseError(f"line {line_no}: content before any section header")
 
+    first_line: dict[str, int] = {}
+    for line_no, name, *_ in sorted(binaries + bounds):
+        if name in first_line:
+            raise LpParseError(f"line {line_no}: variable '{name}' is declared twice "
+                               f"(first on line {first_line[name]})")
+        first_line[name] = line_no
     model = MilpModel(maximize=maximize)
-    for name in binaries:
-        model.add_variable(name, "binary", 0.0, 1.0, _tag_from_name(name))
-    for lb, name, ub in bounds:
-        model.add_variable(name, "continuous", lb, ub, _tag_from_name(name))
+    for _, name, kind, lb, ub in binaries + bounds:
+        model.add_variable(name, kind, lb, ub, _tag_from_name(name))
 
     def resolve(name: str, line_ctx: str) -> int:
         tag = _tag_from_name(name)

@@ -1,47 +1,39 @@
 """Exact branch-and-bound over the first-stage binaries.
 
-Two engines, each its own best-first search:
+The search (``solve``) works from the instance and its
+acceptance-probability table.  It branches on category commitments: each
+child either binds one shipper-category to a concrete (service, ladder
+position) offer (which also pins that shipper-service price slot) or sends
+it to the outside option.  A node's allowed offers rule out conflicting
+prices on a slot, and a pinned price whose minimum-demand gate the allowed
+offers cannot reach makes it infeasible; at a fully decided node that gate
+check is the exact committed-demand test.  Node bounds come from a
+relaxation that drops price coupling across categories, the remaining gate
+slack and per-facility capacity: for every candidate facility subset, each
+undecided category takes its best still-allowed offer priced against
+per-customer cheapest serving cost, and an exact 0/1 knapsack, solved for
+all facility subsets at once, caps total gamma-scaled demand by the subset's
+aggregate capacity; when too many categories are undecided to enumerate
+their subsets, the fractional knapsack takes its place.  Every table over
+subsets, of facilities or of knapsack items, comes from one doubling and
+sums its terms in index order.  The bound only ever over-estimates and
+shrinks monotonically along any branch, so below the root the search carries
+only the subsets whose root bound beats the warm start's leaf.  One routine
+derives nodes in batches: all children of a branched node at once, as arrays
+with a leading node axis, and the root and the warm start's leaf alone.
+Each node comes out bit for bit as if derived by itself, and is derived
+once, when made; its heap entry carries its own copy of the per-subset bound
+and of its allowed offers, which give its children.  Fully decided nodes are
+evaluated exactly by transporting facility subsets in the order of that
+bound, so facility decisions never need their own tree levels.  Each subset
+considered is first screened by its transport-cost floor (the greedy start's
+cost plus the cheapest regret of each overload, never above the exact cost):
+a subset whose revenue less floor and fixed cost cannot beat the leaf's best
+value is never transported.
 
-* The *structured* engine (``solve``) works from the instance and its
-  acceptance-probability table.  It branches on category commitments: each
-  child either binds one shipper-category to a concrete (service, ladder
-  position) offer (which also pins that shipper-service price slot) or sends
-  it to the outside option.  A node's allowed offers rule out conflicting
-  prices on a slot, and a pinned price whose minimum-demand gate the allowed
-  offers cannot reach makes it infeasible; at a fully decided node that gate
-  check is the exact committed-demand test.  Node bounds come from a
-  relaxation that drops price coupling across categories, the remaining gate
-  slack and per-facility capacity: for every candidate facility subset, each
-  undecided category takes its best still-allowed offer priced against
-  per-customer cheapest serving cost, and an exact 0/1 knapsack, solved for
-  all facility subsets at once, caps total gamma-scaled demand by the
-  subset's aggregate capacity; when too many categories are undecided to
-  enumerate their subsets, the fractional knapsack takes its place.  Every
-  table over subsets, of facilities or of knapsack items, comes from one
-  doubling and sums its terms in index order.  The bound only ever
-  over-estimates and shrinks monotonically along any branch, so below the
-  root the search carries only the subsets whose root bound beats the warm
-  start's leaf.  One routine derives nodes in batches: all children of a
-  branched node at once, as arrays with a leading node axis, and the root
-  and the warm start's leaf alone.  Each node comes out bit for bit as if
-  derived by itself, and is derived once, when made; its heap entry
-  carries its own copy of the per-subset bound and of its allowed offers,
-  which give its children.  Fully decided nodes are evaluated exactly by
-  transporting facility subsets in the order of that bound, so facility
-  decisions never need their own tree levels.  Each subset considered is
-  first screened by its transport-cost floor (the greedy start's cost plus
-  the cheapest regret of each overload, never above the exact cost): a
-  subset whose revenue less floor and fixed cost cannot beat the leaf's best
-  value is never transported.
-
-* The *relaxation* engine (``solve_milp``) works on any model, such as a
-  parsed LP file: it solves the continuous relaxation per node with the dense
-  simplex kernel and branches on the most fractional binary, preferring price
-  variables, then service assignments, then facilities.  Intended for
-  desk-scale models only.
-
-Both return proven-optimal solutions or a time-limited incumbent with its
-remaining gap.
+It returns a proven-optimal solution or a time-limited incumbent with its
+remaining gap.  A model without its instance, such as a parsed LP file, goes
+to HiGHS instead (``highs.solve_milp``).
 """
 
 from __future__ import annotations
@@ -56,10 +48,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..choice import RhoTable
-from ..milp import (INTEGRALITY_TOL, MilpModel, Solution, certifies_trivial,
-                    offer_revenue, profit_upper_bound)
+from ..milp import Solution, certifies_trivial, offer_revenue, profit_upper_bound
 from .serving import flow_map, serving_problem, solution_from_offers
-from .simplex import _solve_lp
 from .transportation import (capacity_limit, greedy_start, solve_transportation,
                              transport_cost_floor)
 
@@ -75,10 +65,6 @@ _GAP_TOL = 1e-9
 #: Most (facility mask, category subset) pairs a node bound enumerates for
 #: its exact 0/1 knapsack (1 MB of float64); past it the bound is fractional.
 _EXACT_KNAPSACK_CELLS = 1 << 17
-
-#: Upper limit on tableau cells for the relaxation engine; larger models must
-#: be solved through their instance (structured engine).
-RELAXATION_CELL_LIMIT = 6_000_000
 
 
 class SolverError(RuntimeError):
@@ -572,188 +558,3 @@ def solve(inst: "Instance", rho: RhoTable, budget: float | None = None,
     value, offers, subset, flows = payload
     return solution_from_offers(inst, rho, status, value, offers, subset, flows,
                                 nodes=nodes, seconds=seconds, gap=gap)
-
-
-# ---------------------------------------------------------------------------
-# Relaxation (LP-based) engine
-# ---------------------------------------------------------------------------
-
-_TAG_PRIORITY = {"y": 0, "z": 1, "r": 2}
-
-
-def _relaxation_model(model: MilpModel) -> MilpModel:
-    """Copy of the model in maximization form, a minimizing objective
-    negated, without product-linearization rows that cannot bind at an LP
-    optimum: with a nonnegative objective coefficient, a revenue product
-    variable is pushed up against its two <= rows, so its >= row is slack;
-    with a nonpositive coefficient, a cost product variable is pushed down
-    onto its >= rows, so its <= rows are slack.  The reduced LP has the same
-    optimal value node for node, and its optimum maps back to a point
-    satisfying the dropped rows."""
-    objective = (model.objective if model.maximize
-                 else {idx: -coef for idx, coef in model.objective.items()})
-    gains = [(var.tag[0], objective.get(idx, 0.0))
-             for idx, var in enumerate(model.variables)]
-    drop_ge = {idx for idx, (kind, coef) in enumerate(gains) if kind == "pi" and coef >= 0.0}
-    drop_le = {idx for idx, (kind, coef) in enumerate(gains) if kind == "nu" and coef <= 0.0}
-    slack = {"deal_ge_link": drop_ge, "flow_le_alloc": drop_le, "flow_le_price": drop_le}
-    return MilpModel(variables=model.variables, objective=objective, maximize=True,
-                     constraints=[con for con in model.constraints
-                                  if slack.get(con.family, set()).isdisjoint(con.coeffs)])
-
-
-def solve_milp(model: MilpModel, budget: float | None = None,
-               diagnostics: SearchDiagnostics | None = None) -> Solution:
-    """Solve any model, built or parsed from LP text, with the relaxation
-    engine, which searches the maximization form and reports the objective
-    in the model's own sense.  ``budget`` is a wall-clock limit in seconds
-    (None = none), checked before every node and every pivot of its LP."""
-    start = time.perf_counter()
-    deadline = None if budget is None else start + budget
-    cells = (len(model.constraints) + len(model.variables) + 1) * (
-        2 * len(model.variables) + len(model.constraints) + 1
-    )
-    if cells > RELAXATION_CELL_LIMIT:
-        raise SolverError(
-            f"model too large for the dense relaxation engine (~{cells} tableau "
-            "cells); solve through the instance (structured engine) instead"
-        )
-    for var in model.variables:
-        if var.lb != 0.0:
-            raise SolverError(f"variable {var.name} has lower bound {var.lb!r}; "
-                              "the relaxation engine needs every lower bound at 0")
-    node_model = _relaxation_model(model)
-    binaries = model.binary_indices()
-
-    incumbent = None  # (objective, values)
-    zero_ok = all(
-        (con.sense == "<=" and con.rhs >= -1e-12)
-        or (con.sense == ">=" and con.rhs <= 1e-12)
-        or (con.sense == "=" and abs(con.rhs) <= 1e-12)
-        for con in model.constraints
-    ) and all(v.lb <= 0.0 <= v.ub for v in model.variables)
-    if zero_ok:
-        # the all-zero point is feasible; it seeds pruning immediately
-        incumbent = (0.0, {v.name: 0.0 for v in model.variables})
-    heap: list = []
-    ticket = _counter()
-    # entries: (-bound estimate, -depth, tie, fixed); the root has no
-    # estimate, and depth ties break toward diving
-    heapq.heappush(heap, (-float("inf"), 0, next(ticket), {}))
-    nodes = 0
-    status = "optimal"
-    final_gap = 0.0
-
-    def inc_value() -> float:
-        return incumbent[0] if incumbent is not None else -float("inf")
-
-    def prune_tol() -> float:
-        return 0.0 if incumbent is None else _prune_tol(incumbent[0])
-
-    while heap:
-        neg_est, neg_depth, _tie, fixed = heapq.heappop(heap)
-        est = -neg_est
-        depth = -neg_depth
-        if incumbent is not None and est <= inc_value() + prune_tol():
-            break
-        lp = None if _past(deadline) else _solve_lp(node_model, fixed, deadline)
-        if lp is None or lp.status == "time_limit":
-            # out of time before or inside the node's LP: its bound stays open
-            status = "time_limit"
-            final_gap = (max(0.0, est - inc_value())
-                         / max(1.0, abs(inc_value())))
-            break
-        nodes += 1
-        if lp.status == "unbounded":
-            # no node bound exists, so no incumbent can be proven optimal
-            raise SolverError("the model's continuous relaxation is unbounded")
-        if lp.status != "optimal":
-            continue
-        bound = lp.objective
-        if diagnostics is not None:
-            if nodes == 1:  # an infeasible root ends the search
-                diagnostics.root_bound = bound
-            if np.isfinite(est):
-                diagnostics.bound_pairs.append((est, bound))
-        if incumbent is not None and bound <= inc_value() + prune_tol():
-            continue
-
-        frac_var = None
-        frac_amount = -1.0
-        best_priority = 99
-        for idx in binaries:
-            if idx in fixed:
-                continue
-            value = lp.values[model.variables[idx].name]
-            frac = abs(value - round(value))
-            if frac <= INTEGRALITY_TOL:
-                continue
-            priority = _TAG_PRIORITY.get(model.variables[idx].tag[0], 3)
-            if priority < best_priority or (
-                priority == best_priority and frac > frac_amount
-            ):
-                best_priority = priority
-                frac_amount = frac
-                frac_var = idx
-
-        if frac_var is None:
-            # integral: candidate incumbent (continuous vars already optimal)
-            if incumbent is None or bound > incumbent[0]:
-                incumbent = (bound, dict(lp.values))
-            continue
-
-        name = model.variables[frac_var].name
-        lp_value = lp.values[name]
-        first = 1.0 if lp_value >= 0.5 else 0.0
-        for branch_value in (first, 1.0 - first):
-            child = dict(fixed)
-            child[frac_var] = branch_value
-            heapq.heappush(heap, (-bound, -(depth + 1), next(ticket), child))
-
-    seconds = time.perf_counter() - start
-    if incumbent is None:
-        if status == "time_limit":
-            # no incumbent yet: nothing to report beyond the open gap
-            return Solution(status="time_limit", objective=float("-inf"),
-                            nodes=nodes, seconds=seconds, gap=float("inf"))
-        return Solution(status="infeasible", objective=float("-inf"),
-                        nodes=nodes, seconds=seconds)
-    # 0.0 - x turns a zero minimum into 0.0, not -0.0
-    objective = incumbent[0] if model.maximize else 0.0 - incumbent[0]
-    return _solution_from_values(model, objective, incumbent[1], status,
-                                 nodes, seconds, final_gap)
-
-
-def _solution_from_values(model: MilpModel, objective: float, values: dict,
-                          status: str, nodes: int, seconds: float,
-                          gap: float) -> Solution:
-    open_facilities = []
-    price_choices = {}
-    service_choices = {}
-    allocation = {}
-    revenue = cost = fixed = 0.0
-    for idx, var in enumerate(model.variables):
-        value = values.get(var.name, 0.0)
-        tag = var.tag
-        coef = model.objective.get(idx, 0.0)
-        if tag[0] == "r" and value > 0.5:
-            open_facilities.append(tag[1])
-            fixed += -coef
-        elif tag[0] == "y" and value > 0.5:
-            price_choices[(tag[1], tag[2])] = tag[3]
-        elif tag[0] == "z" and value > 0.5:
-            service_choices[(tag[1], tag[2])] = tag[3]
-        elif tag[0] == "w" and value > 1e-9:
-            allocation[(tag[1], tag[2], tag[3])] = float(value)
-        elif tag[0] == "pi":
-            revenue += coef * value
-        elif tag[0] == "nu":
-            cost += -coef * value
-    return Solution(
-        status=status, objective=float(objective),
-        open_facilities=tuple(sorted(open_facilities)),
-        price_choices=price_choices, service_choices=service_choices,
-        allocation=allocation, revenue=float(revenue),
-        assignment_cost=float(cost), fixed_cost=float(fixed), nodes=nodes,
-        seconds=seconds, gap=gap,
-    )

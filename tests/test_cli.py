@@ -1,7 +1,11 @@
 """End-to-end command-line pipeline."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from biloc import RhoTable, ScenarioSet, Solution, bench, generate, load, oracle
 from biloc.cli import build_parser, main
 
 from conftest import strict_json
+from test_acceptance import BENCHMARK_PARAMS, GOLDEN_BENCHMARK_OBJECTIVE
 
 
 @pytest.fixture
@@ -55,7 +60,7 @@ def test_rho_table_output(inst_path, tmp_path, capsys):
 
 
 def test_build_solve_lp_file(tmp_path, capsys):
-    # a small instance keeps the LP-file route (relaxation engine) quick
+    # the LP-file route (HiGHS) agrees with the instance route
     small = tmp_path / "small.json"
     main(["gen", "--facilities", "2", "--customers", "4", "--shippers", "2",
           "--categories", "2", "--services", "2", "--prices", "2",
@@ -73,6 +78,37 @@ def test_build_solve_lp_file(tmp_path, capsys):
     assert main(["solve", str(small), "--out", str(sol2_path)]) == 0
     from_instance = Solution.load(sol2_path)
     assert from_instance.objective == pytest.approx(from_lp.objective, rel=1e-6)
+
+
+def _benchmark_lp_file(tmp_path):
+    """The 4x48 seed-42 model, which HiGHS leaves open, under a half-second limit."""
+    save(generate(BENCHMARK_PARAMS), tmp_path / "inst.json")
+    assert main(["build", str(tmp_path / "inst.json"), "--out", str(tmp_path / "model.lp")]) == 0
+    return ["solve", str(tmp_path / "model.lp"), "--time-limit", "0.5"]
+
+
+def _lp_file_with_a_negative_lower_bound(tmp_path):
+    (tmp_path / "model.lp").write_text(
+        "Maximize\n obj: 1.0 x\nSubject To\nBounds\n -5.0 <= x <= 5.0\nEnd\n")
+    return ["solve", str(tmp_path / "model.lp")]
+
+
+@pytest.mark.parametrize("make_args, status, best", [
+    (_benchmark_lp_file, "time_limit", GOLDEN_BENCHMARK_OBJECTIVE),
+    (_lp_file_with_a_negative_lower_bound, "optimal", 5.0),
+], ids=["large-lp-file", "negative-lower-bound"])
+def test_solve_takes_lp_files_of_any_size_and_bounds(tmp_path, capsys, make_args, status,
+                                                      best):
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 0
+    fields = dict(word.split("=") for word in capsys.readouterr().out.split())
+    objective, gap = float(fields["objective"]), float(fields["gap"])
+    assert fields["status"] == status
+    if status == "optimal":
+        assert (objective, gap) == (best, 0.0)
+    else:  # an incumbent no better than the optimum, with its gap open
+        assert objective <= best and gap > 0.0
 
 
 def test_simulate_both_modes(inst_path, tmp_path):
@@ -198,6 +234,7 @@ def test_solve_rejects_an_invalid_instance_file(inst_path, tmp_path, capsys):
     ({"scale": "fulll"}, "sweep config: scale must be 'desk' or 'full', got 'fulll'"),
     ({"points": [[2, 12, 3]]},
      "sweep config: ratio sweep points must be positive numbers, got (2, 12, 3)"),
+    ({"budget": -1.0}, "sweep config: budget must be >= 0 seconds (got -1.0)"),
 ])
 def test_sweep_config_names_a_bad_field(tmp_path, capsys, config, field):
     path = tmp_path / "sweep.json"
@@ -221,12 +258,11 @@ def _args_with_a_bad_lp_file(inst_path, tmp_path):
     return ["solve", str(tmp_path / "model.lp")]
 
 
-def _args_with_a_too_large_lp_file(inst_path, tmp_path):
-    # 2,000 bounded columns: about 8M dense tableau cells, past the guard
-    names = [f"x{i}" for i in range(2_000)]
+def _args_with_a_variable_declared_twice(inst_path, tmp_path):
+    # binary b, and again under Bounds: the row would bind to the continuous copy
     (tmp_path / "model.lp").write_text(
-        "Maximize\n obj: " + " + ".join(names) + "\nSubject To\nBounds\n"
-        + "".join(f" 0.0 <= {name} <= 1.0\n" for name in names) + "End\n")
+        "Maximize\n obj: 1.0 b\nSubject To\n c__0: 2.0 b <= 1.0\nBounds\n"
+        " 0.0 <= b <= 1.0\nBinaries\n b\nEnd\n")
     return ["solve", str(tmp_path / "model.lp")]
 
 
@@ -249,12 +285,6 @@ def _args_with_a_plan_that_does_not_fit(inst_path, tmp_path):
     return ["simulate", str(inst_path), str(tmp_path / "plan.json")]
 
 
-def _args_with_a_negative_lower_bound(inst_path, tmp_path):
-    (tmp_path / "model.lp").write_text(
-        "Maximize\n obj: 1.0 x\nSubject To\nBounds\n -5.0 <= x <= 5.0\nEnd\n")
-    return ["solve", str(tmp_path / "model.lp")]
-
-
 def _args(*words):
     """A command line in which INST names the fixture's instance file, PLAN a
     plan that offers nothing, and OUT a new file."""
@@ -269,7 +299,8 @@ def _args(*words):
     (_args_with_a_missing_file, "No such file or directory"),
     (_args_with_a_bad_solution, "sol.json: "),
     (_args_with_a_bad_lp_file, "content before any section header"),
-    (_args_with_a_too_large_lp_file, "too large for the dense relaxation engine"),
+    (_args_with_a_variable_declared_twice,
+     "line 8: variable 'b' is declared twice (first on line 6)"),
     (_args_with_bad_sweep_json, "sweep.json: not valid JSON"),
     (_args_with_a_nan_in_the_instance,
      "facilities[0].fixed_cost: expected a finite number, got nan"),
@@ -299,13 +330,12 @@ def _args(*words):
      "seed must fit in 64 unsigned bits (got -5)"),
     (_args("solve", "INST", "--time-limit", "-1"), "--time-limit must be >= 0 seconds (got -1.0)"),
     (_args_with_a_plan_that_does_not_fit, "open facility 2 out of range"),
-    (_args_with_a_negative_lower_bound, "variable x has lower bound -5.0"),
-], ids=["missing-file", "bad-solution", "bad-lp-file", "too-large-lp-file",
+], ids=["missing-file", "bad-solution", "bad-lp-file", "variable-declared-twice",
         "bad-sweep-json", "nan-in-instance", "no-facilities", "one-price", "negative-ratio",
         "negative-seed", "zero-beta", "nan-alpha", "infinite-alpha", "infinite-ratio",
         "infinite-beta", "no-scenarios", "negative-saa", "build-no-saa", "solve-no-saa",
         "negative-rho-seed", "too-large-rho-seed", "negative-simulate-seed",
-        "negative-solve-seed", "negative-time-limit", "plan-does-not-fit", "negative-lower-bound"])
+        "negative-solve-seed", "negative-time-limit", "plan-does-not-fit"])
 def test_input_errors_print_one_line_and_exit_2(inst_path, tmp_path, capsys,
                                                 make_args, message):
     assert main(make_args(inst_path, tmp_path)) == 2
@@ -332,3 +362,16 @@ def test_build_with_sampled_probabilities(inst_path, tmp_path):
                  "--seed", "2", "--out", str(sol_path)]) == 0
     sampled = Solution.load(sol_path)
     assert sampled.status in ("optimal", "trivial")
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    # scipy backs only the LP-file route, so it is imported there, not here
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                      env.get("PYTHONPATH")]))
+    code = ("import biloc, biloc.cli, sys; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

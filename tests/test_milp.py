@@ -177,9 +177,12 @@ _LP_ROWS = "Maximize\n obj: 1.0 x\nSubject To\n"
     (_LP_ROWS + " c: 1.0 y <= 1.0\nBinaries\n x\n",
      "constraint c references undeclared variable 'y'"),
     ("Maximize\nSubject To\nEnd\n", "model declares no variables"),
+    (_LP_ROWS + "Bounds\n 0.0 <= x <= 1.0\nBinaries\n x\n",
+     "line 7: variable 'x' is declared twice (first on line 5)"),
+    (_LP_ROWS + "Binaries\n x\n y x\n", "line 6: variable 'x' is declared twice (first on line 5)"),
 ], ids=["before-header", "term", "coefficient", "row-name", "row-sense", "row-rhs",
         "nan-rhs", "bound", "bound-number", "bound-exponent", "objective-variable", "row-variable",
-        "no-variables"])
+        "no-variables", "bound-and-binary", "binary-twice"])
 def test_lp_parse_errors_name_their_line(text, message):
     with pytest.raises(LpParseError) as err:
         parse_lp(text)

@@ -43,7 +43,7 @@ from biloc.solver.transportation import capacity_limit
 
 from conftest import (external_milp_optimum, single_offer_instance, strict_json,
                       tiny_family_instance, tiny_params)
-from test_acceptance import BENCHMARK_PARAMS
+from test_acceptance import BENCHMARK_PARAMS, GOLDEN_BENCHMARK_OBJECTIVE
 
 
 def test_hand_arithmetic_case_all_routes():
@@ -91,6 +91,8 @@ def test_relaxation_engine_agrees_with_oracle():
         ours = solve_milp(build(inst, rho))
         truth = enumerate_oracle(inst, rho)
         assert ours.objective == pytest.approx(truth.objective, abs=1e-6)
+        # the plan read off HiGHS's point is feasible and worth its objective
+        assert evaluate(inst, rho, ours) == pytest.approx(ours.objective, abs=1e-6)
 
 
 def test_solver_solution_is_feasible_and_reevaluates(tiny_instance, tiny_rho):
@@ -101,20 +103,14 @@ def test_solver_solution_is_feasible_and_reevaluates(tiny_instance, tiny_rho):
         pytest.approx(solution.objective, abs=1e-8)
 
 
-@pytest.mark.parametrize("engine", ["solve", "solve_milp"])
-def test_bound_monotonicity_and_root_bound(engine):
+def test_bound_monotonicity_and_root_bound():
     pairs = 0
     for seed in range(20):
         inst = tiny_family_instance(seed)
         rho = RhoTable.closed_form(inst)
         diag = SearchDiagnostics()
-        if engine == "solve":
-            solution = solve(inst, rho, diagnostics=diag)
-        else:
-            solution = solve_milp(build(inst, rho), diagnostics=diag)
+        solution = solve(inst, rho, diagnostics=diag)
         assert all(child <= parent + 1e-9 for parent, child in diag.bound_pairs)
-        # only the structured engine values leaves apart from their bound; an
-        # integral relaxation node's value is its bound
         assert all(value <= bound + 1e-6 for bound, value in diag.leaf_checks)
         if solution.status != "trivial":  # certified without a root bound
             assert solution.objective <= diag.root_bound + 1e-9
@@ -269,8 +265,8 @@ def test_bounds_and_optimum_on_edge_cases(case):
 
 @pytest.mark.parametrize("case", EDGE_CASES)
 def test_three_routes_agree_on_edge_cases(case):
-    # the relaxation engine, and an external branch-and-cut fed the exported
-    # LP file, find the structured search's optimum on degenerate inputs
+    # solve_milp on the built model, and an external branch-and-cut fed the
+    # exported LP file, find the structured search's optimum on degenerate inputs
     inst = EDGE_CASES[case](0)
     rho = RhoTable.closed_form(inst)
     ours = solve(inst, rho).objective
@@ -426,16 +422,32 @@ End
 """
 
 
+#: No binary value meets the row, yet x has no upper bound: HiGHS reports
+#: "unbounded or infeasible", and the relaxation decides.
+UNBOUNDED_WITHOUT_AN_INTEGRAL_POINT_LP = """\\ biloc lp export v1
+Maximize
+ obj: 1.0 x
+Subject To
+ half__0: 2.0 b = 1.0
+Bounds
+ 0.0 <= x <= inf
+Binaries
+ b
+End
+"""
+
+
 def test_unbounded_relaxation_is_an_error_not_an_optimum():
-    model = parse_lp(UNBOUNDED_LP)
-    assert solve_lp(model).status == "unbounded"
-    with pytest.raises(SolverError, match="unbounded"):
-        solve_milp(model)
+    for text in (UNBOUNDED_LP, UNBOUNDED_WITHOUT_AN_INTEGRAL_POINT_LP):
+        model = parse_lp(text)
+        assert solve_lp(model).status == "unbounded"
+        with pytest.raises(SolverError, match="unbounded"):
+            solve_milp(model)
 
 
 def test_relaxation_engine_with_no_time_reports_what_it_has(tiny_instance, tiny_rho):
-    # a spent budget stops the search before its root: with the all-zero
-    # point as incumbent it reports that point, and without one nothing
+    # a spent budget stops HiGHS before it has a point: where the all-zero
+    # point is feasible it is reported, and otherwise nothing
     seeded = solve_milp(build(tiny_instance, tiny_rho), budget=0.0)
     assert (seeded.status, seeded.objective, seeded.nodes) == ("time_limit", 0.0, 0)
     assert seeded.gap == float("inf")
@@ -446,7 +458,7 @@ def test_relaxation_engine_with_no_time_reports_what_it_has(tiny_instance, tiny_
     assert solve_milp(parse_lp(NO_ZERO_POINT_LP)).objective == 2.0
 
 
-#: No point satisfies the row, so the root relaxation is infeasible.
+#: No point satisfies the row, so the relaxation is infeasible.
 INFEASIBLE_LP = """\\ biloc lp export v1
 Maximize
  obj: 1.0 b
@@ -461,8 +473,7 @@ End
 
 def test_relaxation_engine_reports_an_infeasible_model(tmp_path):
     solution = solve_milp(parse_lp(INFEASIBLE_LP))
-    assert (solution.status, solution.objective, solution.nodes) == (
-        "infeasible", float("-inf"), 1)
+    assert (solution.status, solution.objective) == ("infeasible", float("-inf"))
     # its -inf objective is written as null and read back as -inf
     solution.save(tmp_path / "sol.json")
     assert Solution.load(tmp_path / "sol.json") == solution
@@ -501,7 +512,7 @@ def test_relaxation_engine_honours_the_objective_sense(sense):
         assert solution.objective == pytest.approx(best, abs=1e-6)
 
 
-#: A bound the dense kernel cannot take: every column must start at 0.
+#: A column that does not start at 0.
 NEGATIVE_LOWER_BOUND_LP = """\\ biloc lp export v1
 Maximize
  obj: 1.0 x
@@ -512,9 +523,9 @@ End
 """
 
 
-def test_relaxation_engine_refuses_a_nonzero_lower_bound():
-    with pytest.raises(SolverError, match="variable x has lower bound -5.0"):
-        solve_milp(parse_lp(NEGATIVE_LOWER_BOUND_LP))
+def test_solve_milp_takes_a_nonzero_lower_bound():
+    solution = solve_milp(parse_lp(NEGATIVE_LOWER_BOUND_LP))
+    assert (solution.status, solution.objective) == ("optimal", 5.0)
 
 
 def test_solutions_without_an_incumbent_round_trip_as_strict_json(tmp_path):
@@ -528,16 +539,36 @@ def test_solutions_without_an_incumbent_round_trip_as_strict_json(tmp_path):
         assert Solution.load(tmp_path / "sol.json") == solution
 
 
-def test_relaxation_engine_honours_its_budget_inside_an_lp():
-    # under the relaxation engine's cell limit, yet its root LP alone takes
-    # over a second: the deadline stops the pivots, and the root stays open
-    inst = generate(tiny_params(seed=1, n_facilities=3, n_customers=12,
-                                categories_per_shipper=3, n_services=3, n_prices=3))
-    model = build(inst, RhoTable.closed_form(inst))
+@pytest.fixture(scope="module")
+def benchmark_model():
+    """The 4x48 seed-42 model, which HiGHS does not close within a minute.
+    scipy is loaded first, so a budget test does not time its import."""
+    import scipy.optimize  # noqa: F401
+
+    inst = generate(BENCHMARK_PARAMS)
+    return inst, build(inst, RhoTable.closed_form(inst))
+
+
+def test_relaxation_engine_honours_its_budget_inside_an_lp(benchmark_model):
+    # the budget ends inside the root LP: no point yet, and the root stays open
     started = time.perf_counter()
-    solution = solve_milp(model, budget=0.05)
+    solution = solve_milp(benchmark_model[1], budget=0.05)
     assert time.perf_counter() - started < 0.05 + 0.25
     assert (solution.status, solution.nodes, solution.gap) == ("time_limit", 0, float("inf"))
+
+
+def test_solve_milp_stops_at_its_budget_on_the_benchmark_model(benchmark_model):
+    # the budget, conversion to arrays included, ends the search with an
+    # incumbent and its gap
+    inst, model = benchmark_model
+    started = time.perf_counter()
+    solution = solve_milp(model, budget=0.5)
+    assert time.perf_counter() - started <= 0.75
+    assert solution.status == "time_limit"
+    assert solution.objective <= GOLDEN_BENCHMARK_OBJECTIVE
+    assert solution.gap > 0.0
+    assert evaluate(inst, RhoTable.closed_form(inst), solution) == pytest.approx(
+        solution.objective, abs=1e-6)
 
 
 def test_budget_that_runs_out_in_a_popped_leaf_leaves_its_bound_open(monkeypatch):
@@ -564,7 +595,7 @@ def test_budget_that_runs_out_in_a_popped_leaf_leaves_its_bound_open(monkeypatch
 
 def test_structured_engine_requires_source(tiny_instance, tiny_rho):
     # the structured engine needs the instance; a parsed LP file carries
-    # none and goes through the relaxation engine, which must agree
+    # none and goes to HiGHS, which must agree
     parsed = parse_lp(export_lp(build(tiny_instance, tiny_rho)))
     solution = solve_milp(parsed)
     assert solution.proven_optimal
@@ -578,15 +609,6 @@ def test_oracle_guard_rail():
                                 n_prices=5, ratio=2.0))
     with pytest.raises(OracleSizeError, match="guard rail"):
         enumerate_oracle(inst, RhoTable.closed_form(inst))
-
-
-def test_relaxation_engine_size_guard():
-    inst = generate(tiny_params(seed=0, n_customers=48, n_facilities=4,
-                                categories_per_shipper=3, n_services=3,
-                                n_prices=5, ratio=2.0))
-    model = build(inst, RhoTable.closed_form(inst))
-    with pytest.raises(SolverError, match="structured"):
-        solve_milp(model)
 
 
 def test_lp_relaxation_dominates_integer_optimum(tiny_instance, tiny_rho):

@@ -180,6 +180,64 @@ def test_kernel_counts_augmentations():
     assert solve_transportation(*DEGENERATE["tied costs"]).augmentations == 4
 
 
+# -- hand-made problems -------------------------------------------------------
+
+def test_transport_exact_capacity_single_facility():
+    result = solve_transportation(
+        cost=np.array([[3.0, 4.0]]), loads=np.array([5.0, 5.0]),
+        capacities=np.array([10.0]),
+    )
+    assert result.status == "optimal"
+    assert result.cost == pytest.approx(7.0)
+    assert result.w == pytest.approx(np.ones((1, 2)))
+
+
+def test_transport_overloaded_is_infeasible():
+    result = solve_transportation(
+        cost=np.array([[3.0, 4.0]]), loads=np.array([8.0, 5.0]),
+        capacities=np.array([10.0]),
+    )
+    assert result.status == "infeasible"
+
+
+def test_transport_prefers_cheap_facility_with_slack():
+    result = solve_transportation(
+        cost=np.array([[1.0, 1.0], [5.0, 5.0]]),
+        loads=np.array([2.0, 2.0]),
+        capacities=np.array([10.0, 10.0]),
+    )
+    assert result.status == "optimal"
+    assert result.cost == pytest.approx(2.0)
+    assert result.w[0] == pytest.approx([1.0, 1.0])
+
+
+def test_transport_splits_when_capacity_binds():
+    # cheap facility can host only half of the second customer
+    result = solve_transportation(
+        cost=np.array([[1.0, 1.0], [2.0, 3.0]]),
+        loads=np.array([6.0, 6.0]),
+        capacities=np.array([9.0, 40.0]),
+    )
+    assert result.status == "optimal"
+    # serve customer 1 (regret 2) fully from the cheap one, split customer 0
+    assert result.cost == pytest.approx(1.0 + 0.5 * 1.0 + 0.5 * 2.0)
+
+
+def test_transport_no_customers_is_free():
+    result = solve_transportation(
+        cost=np.zeros((2, 0)), loads=np.zeros(0), capacities=np.array([1.0, 1.0])
+    )
+    assert result.status == "optimal"
+    assert result.cost == 0.0
+
+
+def test_transport_no_facilities_is_infeasible():
+    result = solve_transportation(
+        cost=np.zeros((0, 2)), loads=np.ones(2), capacities=np.zeros(0)
+    )
+    assert result.status == "infeasible"
+
+
 # -- the kernel that rebuilds its exchange graph -------------------------------
 
 def _transport_by_full_rebuild(cost, loads, capacities) -> TransportResult:
