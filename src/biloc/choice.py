@@ -335,11 +335,10 @@ class RhoTable:
     def saa(cls, inst: "Instance", scenarios: ScenarioSet) -> "RhoTable":
         """``rho_saa`` for every key, drawing each noise stream once."""
         keys = list(inst.offer_keys())
-        hits = [0] * len(keys)
+        hits = np.zeros(len(keys), dtype=np.int64)
         for accept in acceptance_chunks(inst, scenarios, keys):
-            for row, accepted in enumerate(accept):
-                hits[row] += int(np.count_nonzero(accepted))
-        return cls({key: count / scenarios.count for key, count in zip(keys, hits)})
+            hits += np.count_nonzero(accept, axis=1)
+        return cls({key: count / scenarios.count for key, count in zip(keys, hits.tolist())})
 
     @classmethod
     def constant(cls, inst: "Instance", value: float) -> "RhoTable":

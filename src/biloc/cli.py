@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import bench, instance, milp, oracle
@@ -105,15 +106,23 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    started = time.perf_counter()  # the limit covers loading the model too
     if args.time_limit is not None and not args.time_limit >= 0.0:
         raise ArgumentError(f"--time-limit must be >= 0 seconds (got {args.time_limit})")
     path = Path(args.model)
     if path.suffix == ".json":
         inst = instance.load(path)
-        rho = _rho_table(inst, args.rho, args.saa, args.seed)
-        solution = solve(inst, rho, budget=args.time_limit)
+        rho = _rho_table(inst, getattr(args, "rho", "closed"),
+                         getattr(args, "saa", 100_000), getattr(args, "seed", 0))
+        run = functools.partial(solve, inst, rho)
     else:
-        solution = solve_milp(milp.read_lp(path), budget=args.time_limit)
+        given = [f"--{name}" for name in ("rho", "saa", "seed") if name in vars(args)]
+        if given:
+            raise ArgumentError(f"{path}: an LP file has its acceptance probabilities "
+                                f"built in; it takes no {', '.join(given)}")
+        run = functools.partial(solve_milp, milp.read_lp(path))
+    solution = run(budget=None if args.time_limit is None else
+                   max(0.0, args.time_limit - (time.perf_counter() - started)))
     if args.out:
         solution.save(args.out)
         print(f"wrote {args.out}")
@@ -232,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve an LP file or an instance file")
     s.add_argument("model", help=".lp model file or .json instance file")
     s.add_argument("--time-limit", type=float, default=None)
-    s.add_argument("--rho", choices=("closed", "saa"), default="closed")
-    s.add_argument("--saa", type=int, default=100_000)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--rho", choices=("closed", "saa"), default=argparse.SUPPRESS)
+    s.add_argument("--saa", type=int, default=argparse.SUPPRESS)
+    s.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     s.add_argument("--out")
     s.set_defaults(func=_cmd_solve)
 

@@ -26,8 +26,8 @@ once, when made; its heap entry carries its own copy of the per-subset bound
 and of its allowed offers, which give its children.  Fully decided nodes are
 evaluated exactly by transporting facility subsets in the order of that
 bound, so facility decisions never need their own tree levels.  Each subset
-considered is first screened by its transport-cost floor (the greedy start's
-cost plus the cheapest regret of each overload, never above the exact cost):
+considered is first screened by its Lagrangian transport-cost floor at the
+capacity duals of the last transport on it, else the solve's last transport:
 a subset whose revenue less floor and fixed cost cannot beat the leaf's best
 value is never transported.
 
@@ -50,8 +50,7 @@ import numpy as np
 from ..choice import RhoTable
 from ..milp import Solution, certifies_trivial, offer_revenue, profit_upper_bound
 from .serving import flow_map, serving_problem, solution_from_offers
-from .transportation import (capacity_limit, greedy_start, solve_transportation,
-                             transport_cost_floor)
+from .transportation import capacity_limit, lagrangian_floor, solve_transportation
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..instance import Instance
@@ -213,6 +212,9 @@ class _StructuredData:
         self.overflow_rate = np.minimum(  # (I, masks)
             weighted.reshape(C * M, I, self.n_masks).min(axis=0), _BIG)
         self.facility_limit = capacity_limit(per_facility[0])
+        # per facility mask, the capacity duals (0 off the mask) of its last
+        # transport, under None the solve's last; keep_masks copies share it
+        self.duals = {None: np.zeros(I)}
 
     def keep_masks(self, kept: np.ndarray) -> "_StructuredData":
         """A copy with only the mask columns ``kept``; ``n_masks`` stays the instance's."""
@@ -399,10 +401,10 @@ def _leaf_value(data: _StructuredData, state: tuple, mask_bound: np.ndarray,
     Facility subsets are ranked by ``mask_bound``, the node's bound per
     facility mask, and only considered while it still beats the best value
     seen, so most subsets are never looked at.  A considered subset is
-    transported only when revenue less its transport-cost floor and fixed
-    cost could still beat that value, and its flow map is built only when
-    it does.  Past ``deadline`` the ranking stops early and the best value
-    found so far is returned.
+    transported only when revenue less its Lagrangian transport-cost floor
+    and fixed cost could still beat that value, and its flow map is built
+    only when it does.  Past ``deadline`` the ranking stops early and the
+    best value found so far is returned.
     """
     inst = data.inst
     offers = {data.cats[c]: (int(data.off_m[c, o]), int(data.off_p[c, o]))
@@ -418,14 +420,16 @@ def _leaf_value(data: _StructuredData, state: tuple, mask_bound: np.ndarray,
         subset = tuple(i for i in range(inst.n_facilities) if mask >> i & 1)
         served, services, cost, loads, caps = serving_problem(inst, offers, subset, data.rho)
         fixed = float(data.mask_fixed_cost[column])
-        start = greedy_start(cost, loads, caps)
+        duals = data.duals.get(mask, data.duals[None])[list(subset)]
         # an infeasible subset's floor is +inf, so it is always screened
-        if (revenue - transport_cost_floor(cost, loads, caps, start) - fixed
+        if (revenue - lagrangian_floor(cost, loads, caps, duals) - fixed
                 + _prune_tol(best_value) <= best_value):
             screened += 1
             continue
         transported += 1
-        result = solve_transportation(cost, loads, caps, start)
+        result = solve_transportation(cost, loads, caps)
+        data.duals[mask] = data.duals[None] = np.zeros(inst.n_facilities)
+        data.duals[mask][list(subset)] = result.duals
         profit = revenue - result.cost - fixed  # as ``evaluate_offers`` values it
         if profit > best_value:
             best_value = profit

@@ -29,17 +29,12 @@ lists of F entries.  Ties go to the first index everywhere, so every path
 and amount is the one a full rebuild of the graph per augmentation finds,
 and the results are equal to it bit for bit.
 
-``transport_cost_floor`` bounds the optimal cost from below without
-solving: the greedy start's cost, plus, for each facility the start loads
-past its capacity limit, the cheapest fractional removal of that excess
-from the customers it holds, taken in ascending order of per-unit regret
-(second-cheapest minus cheapest cost, per unit of load).  Every flow the
-kernel returns keeps each load within the limit, and moving a customer's
-load anywhere costs at least its regret, so the floor never exceeds the
-returned cost; it equals that cost when the greedy start is optimal.  This
-is the capacity relaxation with regret penalties of Ross & Soland (1975).
-The greedy start can be computed once and shared by the floor and the
-kernel (``greedy_start``).
+The kernel also returns its flow's capacity duals lambda >= 0: per facility,
+the shortest exchange-path distance per unit of load to a facility with room
+(to facility 0, shifted so that the least is 0, when none has room); all 0
+when the greedy start is optimal.  For any lambda >= 0 ``lagrangian_floor``
+bounds the optimal cost from below (Geoffrion 1974), and at the kernel's
+duals it equals that cost.
 """
 
 from __future__ import annotations
@@ -49,8 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _FEAS_TOL = 1e-9
-# per-unit cost improvements below this share of the largest unit cost are
-# rounding noise; ignoring them keeps Bellman-Ford's predecessors acyclic
+# shares below this are rounding noise: of the largest unit cost, in a path's
+# improvement (ignoring those keeps Bellman-Ford's predecessors acyclic), and
+# of a capacity, in the room a path that filled the facility leaves
 _PATH_TOL = 1e-12
 
 
@@ -66,86 +62,52 @@ class TransportResult:
     cost: float
     w: np.ndarray | None  # (n_facilities, n_customers) fractions
     augmentations: int = 0  # shortest-path moves after the greedy start
+    duals: np.ndarray | None = None  # (n_facilities,) capacity duals; None if infeasible
 
 
-def greedy_start(cost: np.ndarray, loads: np.ndarray,
-                 capacities: np.ndarray) -> tuple | None:
-    """The kernel's start for ``cost`` (F, C), ``loads`` (C,) and
-    ``capacities`` (F,), every customer at its first cheapest facility:
-    (that facility per customer, the (F, C) flow, the load per facility,
-    the capacity limit per facility).  None without customers, and where no
-    flow fits: customers but no facility, or more load than the total
-    capacity allows."""
-    F, C = cost.shape
-    if not C or not F or float(loads.sum()) > capacity_limit(float(capacities.sum())):
-        return None
-    choice = np.argmin(cost, axis=0)
-    x = np.zeros((F, C))
-    x[choice, np.arange(C)] = loads
-    # a facility is overloaded past its own tolerance on its own capacity
-    return choice, x, x.sum(axis=1), capacity_limit(capacities)
-
-
-def transport_cost_floor(cost: np.ndarray, loads: np.ndarray, capacities: np.ndarray,
-                         start: tuple | None = None) -> float:
-    """Lower bound on ``solve_transportation``'s cost for the same inputs:
-    +inf where it reports infeasible, its cost bit for bit where it makes no
-    augmentation.  ``start`` is the problem's ``greedy_start``, computed here
-    when not given."""
-    cost = np.asarray(cost, dtype=float)
-    loads = np.asarray(loads, dtype=float)
-    capacities = np.asarray(capacities, dtype=float)
+def lagrangian_floor(cost: np.ndarray, loads: np.ndarray, capacities: np.ndarray,
+                     duals: np.ndarray) -> float:
+    """L(duals) = sum_j min_i(cost[i, j] + duals[i] * loads[j]) - sum_i
+    duals[i] * capacity_limit(capacities[i]), for arrays shaped as
+    ``solve_transportation`` takes them and any ``duals`` (F,) >= 0: a lower
+    bound on its cost, +inf where it reports infeasible, and its cost bit for
+    bit at zero duals where it makes no augmentation."""
     if not loads.size:
         return 0.0
-    if start is None:
-        start = greedy_start(cost, loads, capacities)
-        if start is None:
-            return float("inf")
-    choice, _x, used, limit = start
-    cheapest = cost[choice, np.arange(len(loads))]
-    floor = float(cheapest.sum())  # as the kernel sums a greedy plan
-    over = np.flatnonzero(used > limit)
-    if not over.size:
-        return floor
-    regret = np.partition(cost, 1, axis=0)[1] - cheapest
-    held = loads > 0.0
-    for a in over.tolist():
-        # the customers a holds give up load at their regret per unit, the
-        # cheapest first, until a is back within its limit
-        mine = np.flatnonzero((choice == a) & held)
-        rate = regret[mine] / loads[mine]
-        order = np.argsort(rate, kind="stable")
-        excess = float(used[a] - limit[a])
-        for unit, size in zip(rate[order].tolist(), loads[mine[order]].tolist()):
-            moved = min(size, excess)
-            floor += unit * moved
-            excess -= moved
-            if excess <= 0.0:
-                break
-    return floor
+    if not _fits(loads, capacities):
+        return float("inf")
+    # per-customer minima first, summed as the kernel sums a greedy plan
+    cheapest = (cost + duals[:, None] * loads).min(axis=0)
+    return float(cheapest.sum()) - float(duals @ capacity_limit(capacities))
 
 
-def solve_transportation(cost: np.ndarray, loads: np.ndarray, capacities: np.ndarray,
-                         start: tuple | None = None) -> TransportResult:
+def _fits(loads: np.ndarray, capacities: np.ndarray) -> bool:
+    """Whether a flow serves ``loads``: some facility, and room in total."""
+    return bool(capacities.size) and float(loads.sum()) <= capacity_limit(
+        float(capacities.sum()))
+
+
+def solve_transportation(cost: np.ndarray, loads: np.ndarray,
+                         capacities: np.ndarray) -> TransportResult:
     """cost: (F, C) per-unit-of-fraction cost; loads: (C,) scaled demands;
-    capacities: (F,).  Serves every customer or reports infeasibility.
-    ``start`` is the problem's ``greedy_start``, computed here when not
-    given; its flow is updated in place."""
-    cost = np.asarray(cost, dtype=float)
-    loads = np.asarray(loads, dtype=float)
-    capacities = np.asarray(capacities, dtype=float)
+    capacities: (F,).  Serves every customer or reports infeasibility."""
+    cost, loads, capacities = (np.asarray(a, dtype=float) for a in (cost, loads, capacities))
     F, C = cost.shape if cost.ndim == 2 else (0, 0)
 
     if C == 0:
-        return TransportResult("optimal", 0.0, np.zeros((F, 0)))
-    if start is None:
-        start = greedy_start(cost, loads, capacities)
-        if start is None:
-            return TransportResult("infeasible", float("inf"), None)
-    choice, x, used, limit = start
+        return TransportResult("optimal", 0.0, np.zeros((F, 0)), duals=np.zeros(F))
+    if not _fits(loads, capacities):
+        return TransportResult("infeasible", float("inf"), None)
+    # the greedy start: every customer at its first cheapest facility
+    choice = np.argmin(cost, axis=0)
     columns = np.arange(C)
+    x = np.zeros((F, C))
+    x[choice, columns] = loads
+    used = x.sum(axis=1)
+    # a facility is overloaded past its own tolerance on its own capacity
+    limit = capacity_limit(capacities)
     held = loads > 0.0
-    augmentations = 0
+    augmentations, duals = 0, np.zeros(F)
     if (used > limit).any():
         total_load = float(loads.sum())
         total_cap = float(capacities.sum())
@@ -154,21 +116,22 @@ def solve_transportation(cost: np.ndarray, loads: np.ndarray, capacities: np.nda
             # proportion to capacity; each scaled capacity stays within its
             # limit
             capacities = capacities * (total_load / total_cap)
-        augmentations = _augment(x, used.tolist(), limit.tolist(),
-                                 capacities.tolist(), cost, loads, held)
+        augmentations, duals = _augment(x, used.tolist(), limit.tolist(),
+                                        capacities.tolist(), cost, loads, held)
 
     w = np.divide(x, loads, out=np.zeros((F, C)), where=held)
     w[choice[~held], columns[~held]] = 1.0
     # per-customer sums first: a greedy plan costs exactly its chosen entries
     return TransportResult("optimal", float((cost * w).sum(axis=0).sum()), w,
-                           augmentations)
+                           augmentations, duals)
 
 
 def _augment(x: np.ndarray, used: list, limit: list, capacities: list,
-             cost: np.ndarray, loads: np.ndarray, held: np.ndarray) -> int:
+             cost: np.ndarray, loads: np.ndarray, held: np.ndarray
+             ) -> tuple[int, np.ndarray]:
     """Move load out of overloaded facilities along shortest paths until
     none is overloaded; updates the flow ``x`` in place and returns the
-    number of augmentations."""
+    number of augmentations and the final flow's capacity duals."""
     F, C = x.shape
     unit = np.divide(cost, loads, out=np.zeros((F, C)), where=held)
     path_tol = _PATH_TOL * float(np.abs(unit).max())
@@ -190,7 +153,8 @@ def _augment(x: np.ndarray, used: list, limit: list, capacities: list,
         over = [a for a in range(F) if used[a] > limit[a]]
         if not over:
             x[...] = flow
-            return augmentations
+            return augmentations, _duals(np.array(arc), np.array(capacities),
+                                         np.array(used), unit, held)
         room = [cap - load for cap, load in zip(capacities, used)]
 
         # Bellman-Ford from every overloaded facility at once.  Each sweep
@@ -259,3 +223,25 @@ def _augment(x: np.ndarray, used: list, limit: list, capacities: list,
         for f, b in stale:
             j = int(swap[f, b].argmin())
             arc[f][b], via[f][b] = float(swap[f, b, j]), j
+
+
+def _duals(arc: np.ndarray, capacities: np.ndarray, used: np.ndarray,
+           unit: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Capacity duals of an optimal flow with exchange arcs ``arc`` (F, F),
+    by Bellman-Ford sweeps towards the facilities with room.  One that
+    reaches none holds nothing and has no capacity; it takes the least dual
+    that keeps each ``held`` customer's ``unit`` cost there at least its
+    dual."""
+    room = capacities - used > _PATH_TOL * capacities.sum()
+    full = not room.any()
+    sink = np.arange(len(room)) == 0 if full else room
+    dist = np.where(sink, 0.0, np.inf)
+    for _ in range(len(dist) - 1):
+        dist = np.where(sink, 0.0, np.minimum(dist, (arc + dist).min(axis=1)))
+    lost = np.isinf(dist)
+    if full:
+        dist -= dist[~lost].min()
+    if lost.any():
+        reach = (unit[~lost] + dist[~lost, None]).min(axis=0)
+        dist[lost] = (reach - unit[lost])[:, held].max(axis=1, initial=0.0)
+    return np.maximum(dist, 0.0)

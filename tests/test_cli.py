@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -266,6 +267,12 @@ def _args_with_a_variable_declared_twice(inst_path, tmp_path):
     return ["solve", str(tmp_path / "model.lp")]
 
 
+def _args_with_rho_flags_for_an_lp_file(inst_path, tmp_path):
+    # the LP file's acceptance probabilities are fixed when it is built
+    assert main(["build", str(inst_path), "--out", str(tmp_path / "model.lp")]) == 0
+    return ["solve", str(tmp_path / "model.lp"), "--rho", "saa", "--saa", "5", "--seed", "3"]
+
+
 def _args_with_a_nan_in_the_instance(inst_path, tmp_path):
     data = json.loads(inst_path.read_text())
     data["facilities"][0]["fixed_cost"] = float("nan")
@@ -330,12 +337,16 @@ def _args(*words):
      "seed must fit in 64 unsigned bits (got -5)"),
     (_args("solve", "INST", "--time-limit", "-1"), "--time-limit must be >= 0 seconds (got -1.0)"),
     (_args_with_a_plan_that_does_not_fit, "open facility 2 out of range"),
+    (_args_with_rho_flags_for_an_lp_file,
+     "model.lp: an LP file has its acceptance probabilities built in; "
+     "it takes no --rho, --saa, --seed"),
 ], ids=["missing-file", "bad-solution", "bad-lp-file", "variable-declared-twice",
         "bad-sweep-json", "nan-in-instance", "no-facilities", "one-price", "negative-ratio",
         "negative-seed", "zero-beta", "nan-alpha", "infinite-alpha", "infinite-ratio",
         "infinite-beta", "no-scenarios", "negative-saa", "build-no-saa", "solve-no-saa",
         "negative-rho-seed", "too-large-rho-seed", "negative-simulate-seed",
-        "negative-solve-seed", "negative-time-limit", "plan-does-not-fit"])
+        "negative-solve-seed", "negative-time-limit", "plan-does-not-fit",
+        "lp-file-with-rho-flags"])
 def test_input_errors_print_one_line_and_exit_2(inst_path, tmp_path, capsys,
                                                 make_args, message):
     assert main(make_args(inst_path, tmp_path)) == 2
@@ -343,6 +354,43 @@ def test_input_errors_print_one_line_and_exit_2(inst_path, tmp_path, capsys,
     assert err.startswith("biloc: error: ")
     assert message in err
     assert err.count("\n") == 1
+
+
+def test_time_limit_covers_loading_the_model(inst_path, tmp_path, monkeypatch):
+    # reading an LP file and sampling a --rho saa table, each held up 0.3 s
+    # here, spend the limit before the solver starts: it gets what is left,
+    # and nothing once the limit is spent
+    from biloc import cli, milp
+
+    budgets = []
+
+    def slowed(owner, name):
+        real = getattr(owner, name)
+
+        def slow(*args):
+            time.sleep(0.3)
+            return real(*args)
+        monkeypatch.setattr(owner, name, slow)
+
+    def watched(name):
+        real = getattr(cli, name)
+
+        def watch(*args, budget):
+            budgets.append(budget)
+            return real(*args, budget=budget)
+        monkeypatch.setattr(cli, name, watch)
+
+    slowed(milp, "read_lp")
+    slowed(RhoTable, "saa")
+    watched("solve_milp")
+    watched("solve")
+    assert main(["build", str(inst_path), "--out", str(tmp_path / "model.lp")]) == 0
+    assert main(["solve", str(tmp_path / "model.lp"), "--time-limit", "0.2"]) == 0
+    assert main(["solve", str(inst_path), "--rho", "saa", "--saa", "100",
+                 "--time-limit", "5"]) == 0
+    spent, left = budgets
+    assert spent == 0.0
+    assert 4.0 < left <= 4.7
 
 
 def test_fixture_command(tmp_path, capsys):

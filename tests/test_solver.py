@@ -345,9 +345,9 @@ def test_time_limit_returns_incumbent_and_gap():
         assert solution.gap >= 0.0
 
 
-def _slow_warm_leaf():
+def _wide_warm_leaf():
     """10 x 400: the warm start alone ranks 140 facility subsets of 1,024 and
-    transports 67 of them, about 0.5 s on a 2-vCPU guest after 0.05 s of
+    transports 2 of them, about 0.02 s on a 2-vCPU guest after 0.05 s of
     precompute."""
     return generate(tiny_params(seed=4, n_facilities=10, n_customers=400,
                                 categories_per_shipper=3, n_services=3,
@@ -356,8 +356,9 @@ def _slow_warm_leaf():
 
 def test_budget_holds_through_warm_start_and_leaves(monkeypatch):
     # the budget runs out inside the warm start's leaf evaluation, so only
-    # the deadline check in its subset loop stops it
-    inst = _slow_warm_leaf()
+    # the deadline check in its subset loop stops it: each subset the leaf
+    # considers is held up 5 ms, so its 140 subsets take 0.7 s
+    inst = _wide_warm_leaf()
     rho = RhoTable.closed_form(inst)
     budget = 0.25
     past, leaf_value, serving_problem = bnb._past, bnb._leaf_value, bnb.serving_problem
@@ -378,6 +379,7 @@ def test_budget_holds_through_warm_start_and_leaves(monkeypatch):
 
     def counted_subset(*args):
         subsets.append(args)
+        time.sleep(0.005)
         return serving_problem(*args)
 
     monkeypatch.setattr(bnb, "_past", watched_past)
@@ -1024,6 +1026,20 @@ def test_leaf_screening_equals_transporting_every_subset(monkeypatch):
         (0, 0), (0, 0), (0, 0), (0, 0), (2, 0), (2, 0), (2, 0), (2, 0), (1, 0), (1, 0), (1, 0)]
 
 
+def test_subsets_without_a_transport_take_the_last_transports_duals():
+    # the 10 x 400 warm-start leaf transports 2 of the 140 subsets it ranks:
+    # every other subset, on no transport of its own yet, is screened at the
+    # duals of the leaf's last transport (at zero duals it transports all 140)
+    inst = _wide_warm_leaf()
+    data = _StructuredData(inst, RhoTable.closed_form(inst))
+    state = _dive(data)
+    [(mask_bound, _allowed)] = _derive(data, [state])
+    diag = SearchDiagnostics()
+    assert bnb._leaf_value(data, state, mask_bound, 0.0, None, diag) is not None
+    assert (diag.subsets_transported, diag.subsets_screened) == (2, 138)
+    assert len(data.duals) == 3  # the two subsets transported, and the last
+
+
 def test_screened_subsets_cannot_beat_the_best_value(monkeypatch):
     # every subset a leaf screens is worth, valued exactly, at most the best
     # value of the leaf when it was screened: the leaf's floor or the best
@@ -1052,7 +1068,7 @@ def test_screened_subsets_cannot_beat_the_best_value(monkeypatch):
     # the warm-start leaf of a 10 x 400 instance, and a desk leaf that ranks
     # every subset, the empty one too
     desk = _desk_sweep()[7]
-    for inst, mask_bound in ((_slow_warm_leaf(), None),
+    for inst, mask_bound in ((_wide_warm_leaf(), None),
                              (desk, np.array([1e9] * 4 + [2e9] * 4))):
         data = _StructuredData(inst, RhoTable.closed_form(inst))
         state = _dive(data)
@@ -1069,7 +1085,7 @@ def test_screened_subsets_cannot_beat_the_best_value(monkeypatch):
             assert value <= best_value, subset
             checked += 1
             infeasible += value == float("-inf")
-    assert (checked, infeasible) == (141, 4)
+    assert (checked, infeasible) == (206, 4)
 
 
 # -- structured set-up ---------------------------------------------------------

@@ -1,6 +1,6 @@
 """Leaf transportation kernel: exactness against HiGHS, degenerate inputs,
 equality bit for bit with the kernel that rebuilds its exchange graph, and
-the transport-cost floor that screens leaf subsets."""
+the capacity duals whose Lagrangian floor screens leaf subsets."""
 
 import time
 
@@ -9,8 +9,8 @@ import pytest
 
 from biloc.solver.bnb import _prune_tol
 from biloc.solver.transportation import (_FEAS_TOL, _PATH_TOL, TransportResult,
-                                         capacity_limit, greedy_start, solve_transportation,
-                                         transport_cost_floor)
+                                         capacity_limit, lagrangian_floor,
+                                         solve_transportation)
 
 
 def _assert_feasible(result, loads, capacities):
@@ -374,9 +374,10 @@ def test_kernel_equals_the_full_rebuild_bit_for_bit():
     assert time.perf_counter() - started < 5.0
 
 
-# -- the transport-cost floor --------------------------------------------------
+# -- capacity duals and the Lagrangian floor ------------------------------------
 
-#: (cost, loads, capacities) where the floor's details decide its value.
+#: (cost, loads, capacities) where zero-load customers and the capacity
+#: tolerance shape the flow and its duals.
 FLOOR_CASES = {
     # customers 4 and 5 carry no load and sit at facility 0, which the greedy
     # start overloads by 3; one of them ties its two costs
@@ -400,68 +401,103 @@ def _floor_problems():
     yield from FLOOR_CASES.values()
 
 
+def _balanced(loads, capacities):
+    """The capacities the kernel routes to: scaled up in proportion where the
+    total load exceeds them inside the tolerance."""
+    return capacities * max(1.0, loads.sum() / capacities.sum())
+
+
 def test_floor_never_exceeds_the_kernel_cost():
     # +inf exactly where the kernel reports infeasible, the kernel's cost bit
-    # for bit where the greedy start is optimal, and otherwise never above
-    # it beyond rounding; a shared greedy start changes no bit of either
-    counts = {"infeasible": 0, "greedy": 0, "augmented": 0, "tight": 0}
+    # for bit at zero duals where the greedy start is optimal, and at the
+    # kernel's own duals and at random duals >= 0 never above it beyond
+    # rounding
+    rng = np.random.default_rng(12)
+    counts = {"infeasible": 0, "greedy": 0, "augmented": 0}
     for cost, loads, capacities in _floor_problems():
-        floor = transport_cost_floor(cost, loads, capacities)
+        F = len(capacities)
         result = solve_transportation(cost, loads, capacities)
-        start = greedy_start(cost, loads, capacities)
-        assert transport_cost_floor(cost, loads, capacities, start).hex() == floor.hex()
-        shared = solve_transportation(cost, loads, capacities, start)
-        assert (shared.status, shared.cost.hex()) == (result.status, result.cost.hex())
         if result.status == "infeasible":
-            assert start is None and floor == float("inf")
+            assert result.duals is None
+            assert lagrangian_floor(cost, loads, capacities, rng.uniform(0, 2, F)) == np.inf
             counts["infeasible"] += 1
-        elif result.augmentations == 0:
-            assert floor.hex() == result.cost.hex()
+            continue
+        if result.augmentations == 0:
+            assert lagrangian_floor(cost, loads, capacities, np.zeros(F)).hex() == \
+                result.cost.hex()
             counts["greedy"] += 1
         else:
-            assert shared.w.tobytes() == result.w.tobytes()
-            assert floor <= result.cost + _prune_tol(result.cost)
             counts["augmented"] += 1
-            counts["tight"] += floor == result.cost
-    assert counts == {"infeasible": 17, "greedy": 58, "augmented": 239, "tight": 21}
+        for duals in (result.duals, *(rng.uniform(0.0, 2.0, F) * (rng.random(F) < 0.7)
+                                      for _ in range(5))):
+            floor = lagrangian_floor(cost, loads, capacities, duals)
+            assert floor <= result.cost + _prune_tol(result.cost)
+    assert counts == {"infeasible": 17, "greedy": 58, "augmented": 239}
 
 
-def test_floor_removes_the_cheapest_regret_first():
-    # facility 0 holds customers 0 and 2 (4 units each) and is 3 past its
-    # limit; customer 0 moves at 1/4 per unit, customer 2 at 2/4, and the
-    # zero-load customers held there move nothing
-    for name in ("zero-load customers", "zero-load customers at an overloaded facility"):
-        cost, loads, capacities = {**DEGENERATE, **FLOOR_CASES}[name]
-        greedy = float(cost.min(axis=0).sum())
-        excess = 8.0 - capacity_limit(5.0)
-        floor = transport_cost_floor(cost, loads, capacities)
-        assert floor == pytest.approx(greedy + 0.25 * excess, rel=1e-15), name
-        assert floor <= solve_transportation(cost, loads, capacities).cost
+def test_kernel_duals_solve_the_capacity_dual():
+    # every dual is >= 0, all of them 0 where the greedy start is optimal;
+    # with the customer duals v_j = min_i(cost_ij + dual_i * load_j), the
+    # dual's value at the capacities routed to equals the kernel's cost
+    # (strong duality), and a dual is positive only at a full facility
+    # (complementary slackness), which every facility is when none has room
+    worst = 0.0
+    counts = {"all full": 0, "positive duals": 0}
+    for cost, loads, capacities in _floor_problems():
+        result = solve_transportation(cost, loads, capacities)
+        if result.status == "infeasible":
+            continue
+        duals = result.duals
+        assert duals.shape == capacities.shape and np.all(duals >= 0.0)
+        if result.augmentations == 0:
+            assert not duals.any()
+            continue
+        balanced = _balanced(loads, capacities)
+        value = float((cost + duals[:, None] * loads).min(axis=0).sum() - duals @ balanced)
+        assert value == pytest.approx(result.cost, rel=1e-12, abs=0.0)
+        worst = max(worst, abs(value - result.cost) / max(abs(result.cost), 1e-300))
+        full = balanced - result.w @ loads <= _PATH_TOL * balanced.sum()
+        counts["all full"] += bool(full.all())
+        assert not duals[~full].any()
+        counts["positive duals"] += int(np.count_nonzero(duals))
+    assert worst < 1e-14
+    assert counts == {"all full": 52, "positive duals": 545}
 
 
-def test_floor_measures_the_excess_past_the_capacity_limit():
-    # facility 0 is 0.5e-9 past its limit, and the kernel moves the 1.75e-9
-    # it holds above its share of the tolerance: the floor charges only what
-    # lies past the limit, 1000 per unit
-    cost, loads, capacities = FLOOR_CASES["overload past the tolerance, dear to move"]
+def test_duals_by_hand():
+    # facility 0 keeps 5 of customer 0 and 2's 8 units; the cheapest of its
+    # exchanges to facility 1, which has room, costs 1/4 per unit
+    result = solve_transportation(*DEGENERATE["zero-load customers"])
+    assert result.duals.tolist() == [0.25, 0.0]
+    # no facility has room: the distances to facility 0 are 0, -1/5 (via
+    # customer 2) and 1/3 (via customer 1), shifted up by 1/5
+    cost, loads, capacities = DEGENERATE["load at capacity"]
     result = solve_transportation(cost, loads, capacities)
-    floor = transport_cost_floor(cost, loads, capacities)
-    assert result.status == "optimal" and result.augmentations == 1
-    excess = loads[0] - capacity_limit(1.0)
-    assert floor == pytest.approx(2.0 + 1000.0 / loads[0] * excess, rel=1e-15)
-    assert floor < result.cost
+    assert result.duals == pytest.approx([0.2, 0.0, 8.0 / 15.0], rel=1e-12)
+    assert lagrangian_floor(cost, loads, capacities, result.duals) == pytest.approx(
+        result.cost, rel=1e-8)
+    # the empty facility 0 has no capacity and holds nothing: its dual is
+    # the least that keeps each customer's dual, 1 per unit
+    cost, loads, capacities = _problem([[0.0, 0.0], [1.0, 2.0]], [1.0, 2.0], [0.0, 10.0])
+    result = solve_transportation(cost, loads, capacities)
+    assert (result.cost, result.duals.tolist()) == (3.0, [1.0, 0.0])
+    assert lagrangian_floor(cost, loads, capacities, result.duals) == pytest.approx(
+        3.0 - capacity_limit(0.0), rel=1e-15)
 
 
 def test_floor_with_one_facility_and_without_customers():
     for name in ("single facility fits", "single facility short"):
         cost, loads, capacities = DEGENERATE[name]
         result = solve_transportation(cost, loads, capacities)
-        assert transport_cost_floor(cost, loads, capacities) == result.cost, name
-    assert transport_cost_floor(*DEGENERATE["single facility fits"]) == 6.0
-    assert transport_cost_floor(*DEGENERATE["single facility short"]) == float("inf")
+        assert lagrangian_floor(cost, loads, capacities, np.zeros(1)) == result.cost, name
+    assert lagrangian_floor(*DEGENERATE["single facility fits"], np.zeros(1)) == 6.0
+    assert lagrangian_floor(*DEGENERATE["single facility short"], np.ones(1)) == float("inf")
+    assert solve_transportation(*DEGENERATE["single facility fits"]).duals.tolist() == [0.0]
     # no customer costs nothing, also with no facility; customers without a
     # facility cannot be served
-    assert transport_cost_floor(np.zeros((2, 0)), np.zeros(0), np.ones(2)) == 0.0
-    assert transport_cost_floor(np.zeros((0, 0)), np.zeros(0), np.zeros(0)) == 0.0
-    assert transport_cost_floor(np.zeros((0, 2)), np.ones(2), np.zeros(0)) == float("inf")
-    assert greedy_start(np.zeros((0, 2)), np.ones(2), np.zeros(0)) is None
+    assert lagrangian_floor(np.zeros((2, 0)), np.zeros(0), np.ones(2), np.ones(2)) == 0.0
+    assert lagrangian_floor(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0)) == 0.0
+    assert lagrangian_floor(np.zeros((0, 2)), np.ones(2), np.zeros(0),
+                            np.zeros(0)) == float("inf")
+    free = solve_transportation(np.zeros((2, 0)), np.zeros(0), np.ones(2))
+    assert free.duals.tolist() == [0.0, 0.0]
