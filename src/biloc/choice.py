@@ -125,15 +125,15 @@ def acceptance_probability(
     return e / (1.0 + e)
 
 
-def accept_rule(u_offer: float, u_optout: float) -> bool:
+def accept_rule(u_offer: float, u_optout: float, out: np.ndarray | None = None) -> bool:
     """Follower decision on realized utilities: accept iff strictly better.
-    Works elementwise on arrays of utilities, one entry per scenario.
+    Works elementwise on per-scenario arrays, into the bool array ``out`` if given.
 
     Exact ties are rejected.  Under continuous noise a tie has probability
     zero, but floats can produce one, so the rule must be deterministic; the
     reject side is the conservative choice for the provider.  With gradual
     underflow this is exactly the sign of ``u_offer - u_optout``."""
-    return u_offer > u_optout
+    return u_offer > u_optout if out is None else np.greater(u_offer, u_optout, out=out)
 
 
 def deterministic_utility(
@@ -219,8 +219,9 @@ class ScenarioSet:
             yield np.zeros(take) if gen is None else self._gumbel(gen.random(take))
 
     def _gumbel(self, u: np.ndarray) -> np.ndarray:
-        """Uniform draws turned into Gumbel(0, beta) draws in place."""
-        np.clip(u, _UNIFORM_FLOOR, None, out=u)
+        """Uniform draws turned into Gumbel(0, beta) draws in place; the floor
+        is a maximum, which gives a clip's bytes since draws are never nan."""
+        np.maximum(u, _UNIFORM_FLOOR, out=u)
         np.log(np.negative(np.log(u, out=u), out=u), out=u)
         u *= -self.beta
         return u
@@ -237,7 +238,8 @@ def acceptance_chunks(inst: "Instance", scenarios: ScenarioSet,
 
     Offers are grouped by category and then by service, so each
     (n, k, alternative) stream is drawn once however many offers share it,
-    and the outside option's utility is added to each of its chunks once."""
+    and the outside option's utility is added to each of its chunks once.
+    ``accept_rule`` writes each offer's row of a chunk in place."""
     scenarios.require_match(inst.choice_model)
     categories: dict = {}
     for row, (n, k, m, p) in enumerate(offers):
@@ -257,8 +259,7 @@ def acceptance_chunks(inst: "Instance", scenarios: ScenarioSet,
             for stream, rows in services:
                 eps_m = next(stream)
                 for row, v in rows:
-                    np.add(eps_m, v, out=u)
-                    accept[row] = accept_rule(u, u0)
+                    accept_rule(np.add(eps_m, v, out=u), u0, out=accept[row])
         yield accept
 
 
@@ -335,10 +336,11 @@ class RhoTable:
     def saa(cls, inst: "Instance", scenarios: ScenarioSet) -> "RhoTable":
         """``rho_saa`` for every key, drawing each noise stream once."""
         keys = list(inst.offer_keys())
-        hits = np.zeros(len(keys), dtype=np.int64)
+        hits = [0] * len(keys)
         for accept in acceptance_chunks(inst, scenarios, keys):
-            hits += np.count_nonzero(accept, axis=1)
-        return cls({key: count / scenarios.count for key, count in zip(keys, hits.tolist())})
+            # row by row: a count along axis 1 is several times slower
+            hits = [count + np.count_nonzero(row) for count, row in zip(hits, accept)]
+        return cls({key: count / scenarios.count for key, count in zip(keys, hits)})
 
     @classmethod
     def constant(cls, inst: "Instance", value: float) -> "RhoTable":

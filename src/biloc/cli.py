@@ -74,31 +74,40 @@ def _write_csv(rows: list[dict], path: str | None, columns: tuple, schema=None) 
         print(f"wrote {path}")
 
 
-def _rho_rows(inst, saa_count: int | None, seed: int) -> list[dict]:
+def _rho_rows(inst, args: argparse.Namespace) -> list[dict]:
     closed = RhoTable.closed_form(inst)
-    saa = _rho_table(inst, "saa", saa_count, seed) if saa_count else None
+    saa = _saa_table(inst, args.saa, getattr(args, "seed", 0)) if "saa" in vars(args) else None
     return [dict(zip(RHO_COLUMNS, (n, k, m, p, inst.ladder(n, m).prices[p], value,
                                    "" if saa is None else saa.get(n, k, m, p))))
             for (n, k, m, p), value in closed.items()]
 
 
 def _cmd_rho(args: argparse.Namespace) -> int:
+    if "seed" in vars(args) and "saa" not in vars(args):
+        raise ArgumentError("without --saa there is nothing to seed; it takes no --seed")
     inst = instance.load(args.instance)
-    _write_csv(_rho_rows(inst, args.saa, args.seed), args.output, RHO_COLUMNS)
+    _write_csv(_rho_rows(inst, args), args.output, RHO_COLUMNS)
     return 0
 
 
-def _rho_table(inst, kind: str, saa_count: int, seed: int) -> RhoTable:
-    if kind == "closed":
-        return RhoTable.closed_form(inst)
-    scenarios = _checked(ScenarioSet.for_model, inst.choice_model, saa_count, seed)
-    return RhoTable.saa(inst, scenarios)
+def _saa_table(inst, count: int, seed: int) -> RhoTable:
+    return RhoTable.saa(inst, _checked(ScenarioSet.for_model, inst.choice_model, count, seed))
+
+
+def _rho_table(inst, args: argparse.Namespace) -> RhoTable:
+    """The table of ``--rho``: sampled from ``--saa`` draws (default 100000)
+    of ``--seed`` (default 0), or closed-form, which takes neither flag."""
+    if getattr(args, "rho", "closed") == "saa":
+        return _saa_table(inst, getattr(args, "saa", 100_000), getattr(args, "seed", 0))
+    given = [f"--{name}" for name in ("saa", "seed") if name in vars(args)]
+    if given:
+        raise ArgumentError(f"a closed-form table takes no {', '.join(given)}")
+    return RhoTable.closed_form(inst)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
     inst = instance.load(args.instance)
-    rho = _rho_table(inst, args.rho, args.saa, args.seed)
-    model = milp.build(inst, rho)
+    model = milp.build(inst, _rho_table(inst, args))
     milp.write_lp(model, args.out)
     print(f"wrote {args.out}: {len(model.variables)} variables, "
           f"{len(model.constraints)} constraints")
@@ -112,9 +121,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     path = Path(args.model)
     if path.suffix == ".json":
         inst = instance.load(path)
-        rho = _rho_table(inst, getattr(args, "rho", "closed"),
-                         getattr(args, "saa", 100_000), getattr(args, "seed", 0))
-        run = functools.partial(solve, inst, rho)
+        run = functools.partial(solve, inst, _rho_table(inst, args))
     else:
         given = [f"--{name}" for name in ("rho", "saa", "seed") if name in vars(args)]
         if given:
@@ -224,17 +231,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("rho", help="print the acceptance probability table")
     r.add_argument("instance")
-    r.add_argument("--saa", type=int, default=0,
+    r.add_argument("--saa", type=int, default=argparse.SUPPRESS,
                    help="also estimate by sample averaging over this many draws")
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     r.add_argument("-o", "--output")
     r.set_defaults(func=_cmd_rho)
 
     b = sub.add_parser("build", help="build the model and export LP text")
     b.add_argument("instance")
     b.add_argument("--rho", choices=("closed", "saa"), default="closed")
-    b.add_argument("--saa", type=int, default=100_000)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--saa", type=int, default=argparse.SUPPRESS)
+    b.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_build)
 

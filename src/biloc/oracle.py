@@ -28,7 +28,7 @@ import numpy as np
 
 from .choice import RhoTable, ScenarioSet, acceptance_chunks
 from .milp import InfeasibleSolutionError, Solution, first_stage_violations
-from .solver.serving import transport_offers
+from .solver.serving import flow_map, serving_problem, solve_transportation, transport_offers
 
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import Instance
@@ -138,12 +138,20 @@ def simulate(inst: "Instance", first_stage: Solution, scenarios: ScenarioSet,
             values = margins @ patterns - fixed_cost
         else:
             values = np.full(patterns.shape[1], np.nan)
+            # a pattern's transport: the whole plan's, cut to its accepting columns
+            served, services, cost, loads, caps = serving_problem(
+                inst, offers, open_facilities, None)
+            row = {key: idx for idx, (key, _mp) in enumerate(offer_list)}
+            owner = np.array([row[inst.customers[j].shipper, inst.customers[j].category]
+                              for j in served.tolist()], dtype=np.intp)
             for u, column in enumerate(patterns.T):
-                accepted = dict(offer_list[idx] for idx in np.flatnonzero(column))
-                result, plan = transport_offers(inst, accepted, open_facilities)
+                picked = column[owner]
+                result = solve_transportation(cost[:, picked], loads[picked], caps)
                 if result.status == "optimal":
                     values[u] = revenue[column].sum() - result.cost - fixed_cost
-                    flows[u] = plan
+                    if keep_outcomes:
+                        flows[u] = flow_map(open_facilities, served[picked],
+                                            services[picked], result)
         feasible = ~np.isnan(values)
         moments = weighted_moments(values[feasible], counts[feasible])
         results[mode] = SimulationResult(
@@ -169,33 +177,36 @@ def _pattern_table(inst: "Instance", scenarios: ScenarioSet, offer_list: list,
     chunks, chunk_counts, ids = [], [], []
     for accept in acceptance_chunks(inst, scenarios,
                                     [(n, k, m, p) for (n, k), (m, p) in offer_list]):
-        patterns, index = _acceptance_patterns(accept)
+        patterns, counts, index = _acceptance_patterns(accept, keep_ids)
         if keep_ids:
             ids.append(index + sum(chunk.shape[1] for chunk in chunks))
         chunks.append(patterns)
-        chunk_counts.append(np.bincount(index))
+        chunk_counts.append(counts)
     # the chunks' patterns, merged: one column per distinct pattern of the run
-    table, where = _acceptance_patterns(np.hstack(chunks))
+    table, _, where = _acceptance_patterns(np.hstack(chunks), True)
     counts = np.bincount(where, np.concatenate(chunk_counts)).astype(np.int64)
     return table, counts, where[np.concatenate(ids)] if keep_ids else None
 
 
-def _acceptance_patterns(accept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct columns of an (offers x scenarios) acceptance matrix, and for
-    each scenario the position of its column among them.  Without offers
-    every scenario shows the one empty pattern."""
+def _acceptance_patterns(accept: np.ndarray, keep_ids: bool
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Distinct columns of an (offers x scenarios) acceptance matrix, how
+    many scenarios show each and, when ``keep_ids``, each scenario's position
+    among them.  Without offers every scenario shows the one empty pattern."""
     n_offers, take = accept.shape
-    if n_offers == 0:
-        return np.zeros((0, 1), dtype=bool), np.zeros(take, dtype=np.intp)
-    # bit i of byte row b is offer 8b+i: these keys sort like the bool rows
-    packed = np.packbits(accept, axis=0, bitorder="little")
-    order = np.lexsort(packed)
-    ordered = packed[:, order]
+    # bit i of key row b is offer 8b+i: these keys sort like the bool rows
+    keys = np.zeros((max(1, -(-n_offers // 8)), take), dtype=np.uint8)
+    for i, row in enumerate(accept):
+        keys[i // 8] |= row.view(np.uint8) << (i % 8)
+    order = np.lexsort(keys)
+    ordered = keys.take(order, axis=1)
     starts = np.ones(take, dtype=bool)
     np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
-    index = np.empty(take, dtype=np.intp)
-    index[order] = np.cumsum(starts) - 1
-    return accept[:, order[starts]], index
+    first = np.flatnonzero(starts)
+    index = np.empty(take, dtype=np.intp) if keep_ids else None
+    if keep_ids:
+        index[order] = np.cumsum(starts) - 1
+    return accept[:, order[first]], np.diff(first, append=take), index
 
 
 def weighted_moments(values: np.ndarray, counts: np.ndarray

@@ -24,7 +24,7 @@ from biloc import (
     rho_closed_form,
     rho_saa,
 )
-from biloc.choice import SCENARIO_CHUNK
+from biloc.choice import SCENARIO_CHUNK, acceptance_chunks
 
 from conftest import tiny_family_instance, tiny_params
 
@@ -112,6 +112,22 @@ def test_accept_rule_is_the_sign_of_the_difference_at_the_edges():
     with np.errstate(invalid="ignore", over="ignore"):
         expected = u_offer - u_optout > 0.0
     assert np.array_equal(accept_rule(u_offer, u_optout), expected)
+
+
+def test_accept_rule_writes_the_scalar_rule_into_a_bool_row():
+    # ties, signed zeros, subnormals, infinities and nan, written in place
+    # into one row of a chunk, as the scalar rule decides each pair
+    sub = 5e-324
+    edge = [0.0, -0.0, sub, -sub, 2 * sub, float(np.finfo(float).tiny), 1.0, math.inf,
+            -math.inf, math.nan, 1.7976931348623157e308]
+    pairs = list(itertools.product(edge, repeat=2))
+    u_offer, u_optout = (np.array(side) for side in zip(*pairs))
+    accept = np.ones((3, len(pairs)), dtype=bool)
+    written = accept_rule(u_offer, u_optout, out=accept[1])
+    assert written.dtype == bool and written.base is accept
+    assert accept[1].tolist() == [accept_rule(a, b) for a, b in pairs]
+    assert accept[[0, 2]].all()
+    assert all(type(accept_rule(a, b)) is bool for a, b in pairs)
 
 
 def test_degenerate_flag_gives_indicator(tiny_instance):
@@ -376,3 +392,15 @@ def test_saa_table_equals_a_whole_stream_count(count):
     for inst in instances:
         scen = ScenarioSet.for_model(inst.choice_model, count, seed=count % 7)
         assert RhoTable.saa(inst, scen).values == _saa_by_subtraction(inst, scen)
+
+
+@pytest.mark.parametrize("count", [1, 16_384, 16_385, 32_768, 32_769, 40_000])
+def test_saa_table_counts_the_concatenated_acceptance_rows(count):
+    # one, two and three chunks, and the edges between them
+    inst = generate(bench.DESK_PARAMS)
+    scen = ScenarioSet.for_model(inst.choice_model, count, seed=2)
+    keys = list(inst.offer_keys())
+    accept = np.hstack(list(acceptance_chunks(inst, scen, keys)))
+    assert accept.shape == (len(keys), count)
+    hits = np.count_nonzero(accept, axis=1).tolist()
+    assert RhoTable.saa(inst, scen).values == {key: h / count for key, h in zip(keys, hits)}

@@ -336,6 +336,15 @@ def _args(*words):
     (_args("solve", "INST", "--rho", "saa", "--seed", "-5"),
      "seed must fit in 64 unsigned bits (got -5)"),
     (_args("solve", "INST", "--time-limit", "-1"), "--time-limit must be >= 0 seconds (got -1.0)"),
+    (_args("solve", "INST", "--saa", "5", "--seed", "3"),
+     "a closed-form table takes no --saa, --seed"),
+    (_args("solve", "INST", "--rho", "closed", "--seed", "3"),
+     "a closed-form table takes no --seed"),
+    (_args("build", "INST", "--saa", "5", "--seed", "3", "--out", "OUT"),
+     "a closed-form table takes no --saa, --seed"),
+    (_args("rho", "INST", "--seed", "3"),
+     "without --saa there is nothing to seed; it takes no --seed"),
+    (_args("rho", "INST", "--saa", "0"), "scenario count must be positive (got 0)"),
     (_args_with_a_plan_that_does_not_fit, "open facility 2 out of range"),
     (_args_with_rho_flags_for_an_lp_file,
      "model.lp: an LP file has its acceptance probabilities built in; "
@@ -345,7 +354,9 @@ def _args(*words):
         "negative-seed", "zero-beta", "nan-alpha", "infinite-alpha", "infinite-ratio",
         "infinite-beta", "no-scenarios", "negative-saa", "build-no-saa", "solve-no-saa",
         "negative-rho-seed", "too-large-rho-seed", "negative-simulate-seed",
-        "negative-solve-seed", "negative-time-limit", "plan-does-not-fit",
+        "negative-solve-seed", "negative-time-limit", "solve-saa-without-rho-saa",
+        "solve-seed-with-rho-closed", "build-saa-without-rho-saa", "rho-seed-without-saa",
+        "rho-zero-saa", "plan-does-not-fit",
         "lp-file-with-rho-flags"])
 def test_input_errors_print_one_line_and_exit_2(inst_path, tmp_path, capsys,
                                                 make_args, message):
@@ -413,13 +424,15 @@ def test_build_with_sampled_probabilities(inst_path, tmp_path):
 
 
 def test_importing_the_package_and_its_cli_loads_no_scipy():
-    # scipy backs only the LP-file route, so it is imported there, not here
+    # scipy backs only the LP-file route, so it is imported there, not here;
+    # no module starts workers, so no pool module is loaded either
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
                       env.get("PYTHONPATH")]))
     code = ("import biloc, biloc.cli, sys; "
-            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'"
+            " or name in ('concurrent.futures', 'multiprocessing')))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr

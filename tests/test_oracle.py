@@ -281,18 +281,19 @@ def test_gate_shortfall_rate_is_pinned(mode):
     assert flagged == 13_812
 
 
-def _acceptance_patterns_of_bool_rows(accept):
-    """Reference pattern table: the columns sorted by lexsorting the bool rows."""
+def _acceptance_patterns_of_bool_rows(accept, keep_ids=True):
+    """Reference pattern table: the columns sorted by lexsorting the bool rows,
+    their counts and every scenario's column."""
     n_offers, take = accept.shape
     if n_offers == 0:
-        return np.zeros((0, 1), dtype=bool), np.zeros(take, dtype=np.intp)
+        return np.zeros((0, 1), dtype=bool), np.array([take]), np.zeros(take, dtype=np.intp)
     order = np.lexsort(accept)
     ordered = accept[:, order]
     starts = np.ones(take, dtype=bool)
     np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=starts[1:])
     index = np.empty(take, dtype=np.intp)
     index[order] = np.cumsum(starts) - 1
-    return ordered[:, starts], index
+    return ordered[:, starts], np.bincount(index), index
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
@@ -300,13 +301,17 @@ def _acceptance_patterns_of_bool_rows(accept):
 def test_packed_pattern_table_equals_the_bool_row_table(n_offers, rate):
     rng = np.random.default_rng(n_offers)
     accept = rng.random((n_offers, 3_000)) < rate
-    table, index = _acceptance_patterns(accept)
-    expected_table, expected_index = _acceptance_patterns_of_bool_rows(accept)
+    table, counts, index = _acceptance_patterns(accept, True)
+    expected_table, expected_counts, expected_index = _acceptance_patterns_of_bool_rows(accept)
     assert table.dtype == bool
     assert np.array_equal(table, expected_table)
     assert np.array_equal(index, expected_index)
-    assert np.array_equal(np.bincount(index), np.bincount(expected_index))
+    assert np.array_equal(counts, expected_counts)
     assert np.array_equal(table[:, index], accept)
+    # without the scenarios' positions the table and the counts are the same
+    unindexed = _acceptance_patterns(accept, False)
+    assert unindexed[2] is None
+    assert np.array_equal(unindexed[0], table) and np.array_equal(unindexed[1], counts)
 
 
 def test_outcomes_do_not_depend_on_how_patterns_are_sorted(monkeypatch):
